@@ -2,11 +2,10 @@
 
 from .affinity import (
     AffinityBundle,
+    binarize,
     build_bundle,
     cosine_affinity,
     laplacian,
-    overlap_aware_binarize,
-    p_binarize,
 )
 from .errors import (
     ConfigError,
@@ -49,11 +48,8 @@ from .spectral import (
     ContinuousSolution,
     Rotation,
     continuous_solve,
-    discretize,
     discretize_full,
     nms_assign,
-    objective_continuous,
-    objective_discrete,
     procrustes,
 )
 from .synth import SynthConfig, SynthResult, generate

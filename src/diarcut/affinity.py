@@ -18,13 +18,12 @@ TIE_EPS = 1e-9
 
 @dataclass
 class AffinityBundle:
-    """Raw affinity with its binarized graph, degrees and Laplacian."""
+    """Raw affinity with its binarized graph and degrees."""
 
     raw: np.ndarray
     p: int
     binarized: np.ndarray
     degree: np.ndarray
-    laplacian: np.ndarray
 
 
 def cosine_affinity(seq: EmbeddingSequence) -> np.ndarray:
@@ -47,17 +46,27 @@ def cosine_affinity(seq: EmbeddingSequence) -> np.ndarray:
     return aff
 
 
-def p_binarize(affinity: np.ndarray, p: int) -> np.ndarray:
-    """Keep the p largest values per row as 1, zero the rest, then symmetrize.
+def binarize(
+    affinity: np.ndarray, p: int, overlap: OverlapVector | None = None
+) -> np.ndarray:
+    """Keep the top p values per row as 1, zero the rest, then symmetrize.
 
     Per row the cutoff is the p-th largest value; every entry tied with the
     cutoff (within TIE_EPS) is kept, so duplicate similarities are treated as
     one class and the result does not depend on column order. The averaged
     symmetrization (A_p + A_p^T) / 2 yields entries in {0, 0.5, 1}.
 
+    Embeddings of overlapping segments are unreliable mixtures; letting them
+    pick their neighbors among each other builds spurious mixture clusters.
+    Rows flagged in ``overlap`` therefore select from single-speaker columns
+    only, and get a doubled budget (2p, at most the number of such columns)
+    because they carry evidence for two clusters. Without flags, or without
+    any single-speaker column, every row is binarized plainly.
+
     Args:
         affinity: square similarity matrix.
         p: binarization factor, 1 <= p <= N; the diagonal counts toward p.
+        overlap: optional per-row overlap flags.
 
     Returns:
         Symmetric binarized matrix with entries in {0, 0.5, 1}.
@@ -68,45 +77,29 @@ def p_binarize(affinity: np.ndarray, p: int) -> np.ndarray:
         raise ContractError("affinity must be square")
     if not 1 <= p <= n:
         raise ContractError(f"binarization factor p={p} outside [1, {n}]")
-    row_sorted = np.sort(aff, axis=1)[:, ::-1]
-    cutoff = row_sorted[:, p - 1]
-    kept = (aff >= cutoff[:, None] - TIE_EPS).astype(float)
-    return 0.5 * (kept + kept.T)
+    budget = np.full(n, p)
+    if overlap is not None:
+        if len(overlap) != n:
+            raise ContractError("overlap vector length does not match affinity size")
+        flagged = overlap.flags == 1
+        n_single = n - int(flagged.sum())
+        if 0 < n_single < n:
+            aff = np.where(flagged[:, None] & flagged[None, :], -np.inf, aff)
+            budget[flagged] = min(2 * p, n_single)
+    return binarize_sorted(aff, np.sort(aff, axis=1)[:, ::-1], budget)
 
 
-def overlap_aware_binarize(
-    affinity: np.ndarray, p: int, overlap: OverlapVector
+def binarize_sorted(
+    values: np.ndarray, row_sorted: np.ndarray, budget: int | np.ndarray
 ) -> np.ndarray:
-    """Binarize with overlap-flagged rows restricted to non-flagged columns.
+    """Top-``budget`` binarization of rows whose descending sort is given.
 
-    Embeddings of overlapping segments are unreliable mixtures; letting them
-    pick their neighbors among each other builds spurious mixture clusters.
-    Flagged rows therefore select from single-speaker columns only, and get a
-    doubled budget (2p) because they carry evidence for two clusters.
-    Non-flagged rows are binarized exactly as :func:`p_binarize`.
+    ``row_sorted`` holds each row of ``values`` sorted in descending order,
+    so one sort serves any number of budgets; masked entries are -inf and
+    never kept. ``budget`` is one count for all rows or one per row.
     """
-    aff = np.asarray(affinity, dtype=float)
-    n = aff.shape[0]
-    flags = np.asarray(overlap.flags)
-    if len(flags) != n:
-        raise ContractError("overlap vector length does not match affinity size")
-    if not flags.any():
-        return p_binarize(aff, p)
-    single_cols = np.flatnonzero(flags == 0)
-    if single_cols.size == 0:
-        return p_binarize(aff, p)
-    kept = np.zeros_like(aff)
-    plain = np.flatnonzero(flags == 0)
-    if plain.size:
-        sub_sorted = np.sort(aff[plain], axis=1)[:, ::-1]
-        cutoff = sub_sorted[:, min(p, n) - 1]
-        kept[plain] = aff[plain] >= cutoff[:, None] - TIE_EPS
-    flagged = np.flatnonzero(flags == 1)
-    budget = min(2 * p, single_cols.size)
-    for i in flagged:
-        vals = aff[i, single_cols]
-        cutoff_i = np.sort(vals)[::-1][budget - 1]
-        kept[i, single_cols[vals >= cutoff_i - TIE_EPS]] = 1.0
+    cutoff = row_sorted[np.arange(values.shape[0]), np.asarray(budget) - 1]
+    kept = (values >= cutoff[:, None] - TIE_EPS).astype(float)
     return 0.5 * (kept + kept.T)
 
 
@@ -135,10 +128,8 @@ def laplacian(binarized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_bundle(
     affinity: np.ndarray, p: int, overlap: OverlapVector | None = None
 ) -> AffinityBundle:
-    """Bundle the binarized graph, degrees and Laplacian for one p."""
-    if overlap is not None and overlap.any():
-        binarized = overlap_aware_binarize(affinity, p, overlap)
-    else:
-        binarized = p_binarize(affinity, p)
-    degree, lap = laplacian(binarized)
-    return AffinityBundle(np.asarray(affinity, dtype=float), p, binarized, degree, lap)
+    """Bundle the binarized graph and its degrees for one p."""
+    binarized = binarize(affinity, p, overlap)
+    return AffinityBundle(
+        np.asarray(affinity, dtype=float), p, binarized, binarized.sum(axis=1)
+    )

@@ -12,21 +12,14 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import ingest, overlap_decode, scoring, synth
-from .errors import (
-    ConfigError,
-    ContractError,
-    DiarcutError,
-    EmptyReferenceError,
-    InfeasiblePathError,
-    NumericalError,
-    ParseError,
-)
+from . import affinity, ingest, overlap_decode, scoring, synth
+from .errors import ConfigError, DiarcutError, NumericalError
 from .pipeline import DiarizationConfig, diarize_embeddings
 
 log = logging.getLogger("diarcut")
@@ -131,7 +124,8 @@ def _cmd_diarize(args) -> int:
         dump_dir.mkdir(parents=True, exist_ok=True)
         np.savetxt(dump_dir / "affinity_raw.csv", result.bundle.raw, delimiter=",")
         np.savetxt(dump_dir / "affinity_binarized.csv", result.bundle.binarized, delimiter=",")
-        np.savetxt(dump_dir / "laplacian.csv", result.bundle.laplacian, delimiter=",")
+        _, lap = affinity.laplacian(result.bundle.binarized)
+        np.savetxt(dump_dir / "laplacian.csv", lap, delimiter=",")
     summary = {
         "out": str(args.out),
         "n_segments": len(seq),
@@ -191,19 +185,13 @@ def _cmd_score(args) -> int:
     print(f"false alarm   : {breakdown.false_alarm:5.1f}%")
     print(f"confusion     : {breakdown.confusion:5.1f}%")
     print(f"DER           : {breakdown.der:5.1f}%")
-    print(json.dumps(breakdown.to_dict(), sort_keys=True))
+    print(json.dumps(asdict(breakdown), sort_keys=True))
     return EXIT_OK
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="diarcut", description=__doc__)
     parser.add_argument("--log-level", default="INFO", help="logging level name")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker budget for batch runs; never changes outputs",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic conversation")
@@ -266,13 +254,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
-    except (ParseError, ContractError, ConfigError, InfeasiblePathError, EmptyReferenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return EXIT_DATA

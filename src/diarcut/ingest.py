@@ -63,6 +63,9 @@ class EmbeddingSequence:
             raise ContractError(
                 f"{len(self.spans)} spans but {self.vectors.shape[0]} vectors"
             )
+        bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
+        if bad.size:
+            raise ContractError(f"segment {bad[0]} has a non-finite embedding component")
         norms = np.linalg.norm(self.vectors, axis=1)
         if self.vectors.size and not (norms > 0).all():
             bad = int(np.argmin(norms))
@@ -114,6 +117,9 @@ class FramePosteriors:
             raise ContractError("frame_shift must be positive")
         if self.rows.ndim != 2 or self.rows.shape[1] != 3:
             raise ContractError("posterior rows must be T x 3")
+        bad = np.flatnonzero(~np.isfinite(self.rows).all(axis=1))
+        if bad.size:
+            raise ContractError(f"posterior row {bad[0]} has a non-finite value")
         if (self.rows < 0).any():
             raise ContractError("posteriors must be non-negative")
         sums = self.rows.sum(axis=1)
@@ -154,9 +160,6 @@ class Timeline:
     @property
     def speakers(self) -> list[str]:
         return sorted({spk for spk, _, _ in self.entries})
-
-    def total_speaker_time(self) -> float:
-        return sum(end - start for _, start, end in self.entries)
 
     def shifted(self, offset: float) -> "Timeline":
         return Timeline(
@@ -236,6 +239,8 @@ def load_embeddings(path) -> EmbeddingSequence:
                     f"{path}:{lineno}: vector has {vec.size} components, "
                     f"previous rows have {records[0][3].size}"
                 )
+            if not np.isfinite(vec).all():
+                raise ParseError(f"{path}:{lineno}: non-finite component")
             if not np.linalg.norm(vec) > 0:
                 raise ParseError(f"{path}:{lineno}: zero-norm vector")
             records.append((rec, start, end, vec))
@@ -399,23 +404,21 @@ def write_rttm(timeline: Timeline, path) -> None:
             )
 
 
-def assignment_to_timeline(assignment, spans, cluster_names=None) -> Timeline:
+def assignment_to_timeline(assignment, spans) -> Timeline:
     """Expand a binary assignment matrix into a speaker timeline.
 
-    Each set bit (i, k) contributes the interval of span i under cluster k's
-    name; overlapping windows of the same speaker merge during normalization.
+    Each set bit (i, k) contributes the interval of span i under the name
+    ``spk<k>``; overlapping windows of the same speaker merge during
+    normalization.
     """
     matrix = np.asarray(getattr(assignment, "matrix", assignment))
     if matrix.shape[0] != len(spans):
         raise ContractError(
             f"assignment has {matrix.shape[0]} rows but {len(spans)} spans given"
         )
-    k = matrix.shape[1]
-    if cluster_names is None:
-        cluster_names = [f"spk{j}" for j in range(k)]
     entries = []
     for i, span in enumerate(spans):
         for j in np.flatnonzero(matrix[i]):
-            entries.append((cluster_names[j], span.start, span.end))
+            entries.append((f"spk{j}", span.start, span.end))
     recording_id = spans[0].recording_id if spans else "rec"
     return Timeline.from_entries(entries, recording_id)

@@ -137,26 +137,10 @@ class DurationHmm:
     def num_states(self) -> int:
         return len(self.state_class)
 
-    def transition_matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix of permitted state transitions (for inspection)."""
-        s = self.num_states
-        t = np.zeros((s, s))
-        for i in range(s):
-            cls = int(self.state_class[i])
-            pos = int(self.state_pos[i])
-            chain = self._chain_length(cls)
-            if pos < chain:
-                t[i, i + 1] = 1.0
-        for i in self.loop_states:
-            t[i, i] = 1.0
-        for cls, cands in self.entry_candidates.items():
-            t[cands, self.entry_state[cls]] = 1.0
-        return t
 
-    def _chain_length(self, cls: int) -> int:
-        m = self.min_frames[cls]
-        mx = self.max_frames[cls]
-        return m if mx is None else mx
+def _frames(seconds: float, frame_shift: float) -> int:
+    """Frames needed to cover a duration; rounding absorbs float dust."""
+    return math.ceil(round(seconds / frame_shift, 9))
 
 
 def build_duration_hmm(cfg: DurationConfig, frame_shift: float) -> DurationHmm:
@@ -180,8 +164,8 @@ def build_duration_hmm(cfg: DurationConfig, frame_shift: float) -> DurationHmm:
             raise ConfigError(
                 f"min_{CLASS_NAMES[cls]}={lo} is shorter than one frame ({frame_shift})"
             )
-        m = math.ceil(round(lo / frame_shift, 9))
-        mx = None if hi is None else math.ceil(round(hi / frame_shift, 9))
+        m = _frames(lo, frame_shift)
+        mx = None if hi is None else _frames(hi, frame_shift)
         if mx is not None and mx < m:
             raise ConfigError(
                 f"{CLASS_NAMES[cls]}: max duration {hi} rounds below min {lo} "
@@ -295,28 +279,19 @@ def viterbi(posteriors: FramePosteriors, cfg: DurationConfig) -> FrameLabels:
     return result
 
 
-def path_score(
-    labels: np.ndarray, posteriors: FramePosteriors, cfg: DurationConfig
-) -> float:
-    """Emission score of an arbitrary labeling under the decoder's model."""
-    with np.errstate(divide="ignore"):
-        log_emis = np.log(posteriors.rows * cfg.biases()[None, :])
-    return float(log_emis[np.arange(len(labels)), np.asarray(labels)].sum())
-
-
 def check_labels(labels: FrameLabels, cfg: DurationConfig) -> None:
     """Assert the duration and adjacency invariants of a decoded labeling."""
     runs = labels.runs()
     shift = labels.frame_shift
     for cls, start, end in runs:
         lo, hi = cfg.bounds(cls)
-        m = math.ceil(round(lo / shift, 9))
+        m = _frames(lo, shift)
         n_frames = end - start
         if n_frames < m:
             raise ContractError(
                 f"{CLASS_NAMES[cls]} run of {n_frames} frames violates minimum {m}"
             )
-        if hi is not None and n_frames > math.ceil(round(hi / shift, 9)):
+        if hi is not None and n_frames > _frames(hi, shift):
             raise ContractError(
                 f"{CLASS_NAMES[cls]} run of {n_frames} frames violates maximum"
             )

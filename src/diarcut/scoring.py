@@ -33,18 +33,6 @@ class DerBreakdown:
     false_alarm_seconds: float
     confusion_seconds: float
 
-    def to_dict(self) -> dict:
-        return {
-            "missed": self.missed,
-            "false_alarm": self.false_alarm,
-            "confusion": self.confusion,
-            "der": self.der,
-            "total_reference_speaker_time": self.total_reference_speaker_time,
-            "missed_seconds": self.missed_seconds,
-            "false_alarm_seconds": self.false_alarm_seconds,
-            "confusion_seconds": self.confusion_seconds,
-        }
-
 
 def _regions(reference: Timeline, hypothesis: Timeline, collar: float):
     """Elementary scored regions as (duration, ref_speakers, hyp_speakers).

@@ -38,16 +38,10 @@ class EigengapReport:
     max_speakers: int
 
     def to_dict(self) -> dict:
-        return {
-            "p_values": self.p_values,
-            "eigenvalues_per_p": [v.tolist() for v in self.eigenvalues_per_p],
-            "gaps_per_p": [v.tolist() for v in self.gaps_per_p],
-            "g_values": self.g_values,
-            "r_values": self.r_values,
-            "p_hat": self.p_hat,
-            "k_hat": self.k_hat,
-            "max_speakers": self.max_speakers,
-        }
+        out = dict(vars(self))
+        for key in ("eigenvalues_per_p", "gaps_per_p"):
+            out[key] = [v.tolist() for v in out[key]]
+        return out
 
 
 def eigengap_vector(eigenvalues: np.ndarray) -> np.ndarray:
@@ -123,14 +117,11 @@ def estimate(
     # One descending sort per row serves every p in the sweep.
     row_sorted = np.sort(a, axis=1)[:, ::-1]
     for p in p_values:
-        cutoff = row_sorted[:, p - 1]
-        kept = (a >= cutoff[:, None] - aff.TIE_EPS).astype(float)
-        binarized = 0.5 * (kept + kept.T)
-        degree = binarized.sum(axis=1)
-        lap = np.diag(degree) - binarized
-        lam = np.linalg.eigvalsh(lap)
+        binarized = aff.binarize_sorted(a, row_sorted, p)
+        # Symmetric by construction: skip the checks of aff.laplacian.
+        lam = np.linalg.eigvalsh(np.diag(binarized.sum(axis=1)) - binarized)
         lam[np.abs(lam) < ZERO_SNAP] = 0.0
-        gaps = np.diff(lam)
+        gaps = eigengap_vector(lam)
         window = gaps[:max_speakers]
         g = float(window.max()) / (float(lam[-1]) + epsilon) if window.size else 0.0
         r = p / g if g > 0 else float("inf")

@@ -273,12 +273,10 @@ def discretize_full(
         rot = _seed_rotation(xt, k, rng)
         phi_prev = np.inf
         phis: list[float] = []
-        x = rot_mat = None
         for _ in range(max_iters):
             x = nms_assign(xt @ rot, overlap)
             rotation = procrustes(x, xt)
             rot = rotation.matrix
-            rot_mat = rotation
             phi = assignment_distance(x, xt, rot)
             phis.append(phi)
             if phi_prev - phi < tol * max(phi_prev, 1e-12):
@@ -286,63 +284,6 @@ def discretize_full(
             phi_prev = phi
         histories.append(phis)
         if best is None or phis[-1] < best.phi:
-            best = DiscretizeResult(x, rot_mat, phis[-1], [], restart)
+            best = DiscretizeResult(x, rotation, phis[-1], [], restart)
     best.phi_histories = histories
     return best
-
-
-def discretize(
-    solution: ContinuousSolution,
-    overlap: OverlapVector,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-    restarts: int = 3,
-    seed: int = 0,
-) -> AssignmentMatrix:
-    """Best binary assignment found by the alternating minimization."""
-    return discretize_full(solution, overlap, max_iters, tol, restarts, seed).assignment
-
-
-def objective_continuous(z: np.ndarray, binarized: np.ndarray) -> float:
-    """Trace objective tr(Z^T A Z) of the relaxed problem."""
-    z = np.asarray(z, dtype=float)
-    return float(np.trace(z.T @ np.asarray(binarized) @ z))
-
-
-def objective_discrete(
-    assignment, binarized: np.ndarray, degree: np.ndarray
-) -> float:
-    """Average within-cluster link ratio of a binary assignment.
-
-    Empty clusters contribute zero.  Equals tr(f(X)^T A f(X)) / K where
-    f(X) = X (X^T D X)^-1/2, see :func:`degree_normalize`.
-    """
-    x = np.asarray(getattr(assignment, "matrix", assignment), dtype=float)
-    a = np.asarray(binarized, dtype=float)
-    d = np.asarray(degree, dtype=float)
-    k = x.shape[1]
-    total = 0.0
-    for j in range(k):
-        col = x[:, j]
-        denom = float(col @ (d * col))
-        if denom > 0:
-            total += float(col @ a @ col) / denom
-    return total / k
-
-
-def degree_normalize(assignment, degree: np.ndarray) -> np.ndarray:
-    """Map a binary assignment into the relaxed feasible set.
-
-    Returns X (X^T D X)^-1/2, computed through the symmetric inverse square
-    root; the result satisfies Z^T D Z = I when X has no empty cluster.
-    """
-    x = np.asarray(getattr(assignment, "matrix", assignment), dtype=float)
-    d = np.asarray(degree, dtype=float)
-    gram = x.T @ (d[:, None] * x)
-    w, v = np.linalg.eigh(gram)
-    if w.min() <= 0:
-        raise ContractError(
-            "degree normalization needs every cluster non-empty with positive volume"
-        )
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.T
-    return x @ inv_sqrt

@@ -17,7 +17,6 @@ from diarcut.overlap_decode import (
     OVERLAP,
     SILENCE,
     viterbi,
-    path_score,
 )
 from diarcut.pipeline import diarize_embeddings
 from diarcut.scoring import der_score, map_speakers
@@ -29,6 +28,7 @@ from diarcut.spectral import (
 )
 from diarcut.speaker_count import estimate
 from diarcut.synth import SynthConfig, generate
+from oracles import path_score
 from test_overlap_decode import brute_force_best, frame_config, random_posteriors
 from test_scoring import cooccurrence
 

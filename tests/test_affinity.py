@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import block_affinity
-from diarcut.affinity import (
-    cosine_affinity,
-    laplacian,
-    overlap_aware_binarize,
-    p_binarize,
-)
+from diarcut.affinity import binarize, build_bundle, cosine_affinity, laplacian
 from diarcut.errors import ContractError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
+from oracles import overlap_aware_binarize, p_binarize
 
 
 def seq_from(vectors):
@@ -50,29 +46,29 @@ class TestCosineAffinity:
 class TestPBinarize:
     def test_keep_everything(self, rng):
         a = cosine_affinity(seq_from(rng.standard_normal((6, 3))))
-        assert np.array_equal(p_binarize(a, 6), np.ones((6, 6)))
+        assert np.array_equal(binarize(a, 6), np.ones((6, 6)))
 
     def test_hand_enumerated(self):
         a = np.array([[1.0, 0.9, 0.2], [0.9, 1.0, 0.1], [0.2, 0.1, 1.0]])
         expected = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
-        assert np.array_equal(p_binarize(a, 2), expected)
+        assert np.array_equal(binarize(a, 2), expected)
 
     def test_symmetric_output(self, rng):
         a = rng.uniform(-1, 1, size=(9, 9))
-        out = p_binarize(a, 3)
+        out = binarize(a, 3)
         assert np.array_equal(out, out.T)
 
     def test_diagonal_always_kept(self, rng):
         # the diagonal holds the row maximum, so it survives every p
         a = cosine_affinity(seq_from(rng.standard_normal((10, 5))))
         for p in range(1, 11):
-            assert np.array_equal(np.diag(p_binarize(a, p)), np.ones(10))
+            assert np.array_equal(np.diag(binarize(a, p)), np.ones(10))
 
     def test_support_monotone_in_p(self, rng):
         a = cosine_affinity(seq_from(rng.standard_normal((8, 4))))
-        prev = p_binarize(a, 1) > 0
+        prev = binarize(a, 1) > 0
         for p in range(2, 9):
-            cur = p_binarize(a, p) > 0
+            cur = binarize(a, p) > 0
             assert (cur | prev == cur).all()
             prev = cur
 
@@ -86,28 +82,28 @@ class TestPBinarize:
                 [0.1, 0.85, 0.85, 1.0],
             ]
         )
-        out = p_binarize(a, 2)
+        out = binarize(a, 2)
         # row 0 keeps its whole 0.8 class; rows 1 and 2 do not select row 0
         assert out[0, 1] == 0.5 and out[0, 2] == 0.5
 
     def test_p_out_of_range(self):
         with pytest.raises(ContractError):
-            p_binarize(np.eye(3), 4)
+            binarize(np.eye(3), 4)
         with pytest.raises(ContractError):
-            p_binarize(np.eye(3), 0)
+            binarize(np.eye(3), 0)
 
 
 class TestOverlapAwareBinarize:
     def test_no_flags_matches_plain(self, rng):
         a = cosine_affinity(seq_from(rng.standard_normal((8, 4))))
         ov = OverlapVector.zeros(8)
-        assert np.array_equal(overlap_aware_binarize(a, 3, ov), p_binarize(a, 3))
+        assert np.array_equal(binarize(a, 3, ov), binarize(a, 3))
 
     def test_flagged_rows_avoid_flagged_columns(self, rng):
         a = cosine_affinity(seq_from(rng.standard_normal((10, 4))))
         flags = np.zeros(10, dtype=int)
         flags[[2, 5]] = 1
-        out = overlap_aware_binarize(a, 2, OverlapVector(flags))
+        out = binarize(a, 2, OverlapVector(flags))
         # row 2 selected nothing among flagged columns; only the averaged
         # back-edge from an unflagged row could touch (2, 5)
         assert out[2, 5] <= 0.5
@@ -135,7 +131,7 @@ class TestLaplacian:
             assert abs(np.linalg.eigvalsh(lap)[0]) < 1e-8
 
     def test_rows_sum_to_zero_and_psd(self, rng):
-        a = p_binarize(cosine_affinity(seq_from(rng.standard_normal((15, 5)))), 4)
+        a = binarize(cosine_affinity(seq_from(rng.standard_normal((15, 5)))), 4)
         _, lap = laplacian(a)
         assert np.abs(lap @ np.ones(15)).max() < 1e-9
         for _ in range(20):
@@ -151,3 +147,50 @@ class TestLaplacian:
         _, lap = laplacian(block_affinity([3, 4]))
         lam = np.linalg.eigvalsh(lap)
         assert (np.abs(lam[:2]) < 1e-9).all() and lam[2] > 0.5
+
+
+def flag_cases(n, rng):
+    """None, all and random flags, plus flags leaving one single column."""
+    one_single = np.ones(n, dtype=int)
+    one_single[rng.integers(n)] = 0
+    return [
+        np.zeros(n, dtype=int),
+        np.ones(n, dtype=int),
+        one_single,
+        rng.integers(0, 2, n),
+        (rng.uniform(size=n) < 0.2).astype(int),
+    ]
+
+
+class TestBinarizeMatchesReference:
+    """binarize equals the seed's row-by-row binarizers entry for entry."""
+
+    def _check(self, a, rng):
+        n = a.shape[0]
+        for p in range(1, n + 1):
+            assert np.array_equal(binarize(a, p), p_binarize(a, p))
+            for flags in flag_cases(n, rng):
+                ov = OverlapVector(flags)
+                want = overlap_aware_binarize(a, p, ov)
+                assert np.array_equal(binarize(a, p, ov), want), (p, flags)
+                assert np.array_equal(build_bundle(a, p, ov).binarized, want)
+
+    def test_random_affinities(self, rng):
+        for n in (2, 3, 7, 16):
+            self._check(cosine_affinity(seq_from(rng.standard_normal((n, 4)))), rng)
+
+    def test_quantized_affinities_with_ties(self, rng):
+        # one decimal leaves many equal values per row, so the tie rule decides
+        for n in (5, 12):
+            raw = np.round(rng.uniform(-1, 1, size=(n, n)), 1)
+            a = 0.5 * (raw + raw.T)
+            np.fill_diagonal(a, 1.0)
+            self._check(a, rng)
+
+    def test_duplicate_vectors(self, rng):
+        vecs = rng.standard_normal((4, 3))
+        self._check(cosine_affinity(seq_from(vecs[rng.integers(0, 4, 11)])), rng)
+
+    def test_flag_length_mismatch(self):
+        with pytest.raises(ContractError, match="length"):
+            binarize(np.eye(3), 1, OverlapVector.zeros(2))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -143,21 +144,6 @@ class TestDiarizeCommand:
         assert data["k_hat"] == 3
         assert data["p_values"][0] == 2
 
-    def test_jobs_flag_never_changes_output(self, synth_dir, tmp_path, capsys):
-        outs = []
-        for jobs, name in (("1", "j1.rttm"), ("4", "j4.rttm")):
-            hyp = tmp_path / name
-            code, _, _ = run_cli(
-                capsys,
-                "--jobs", jobs,
-                "diarize",
-                "--embeddings", str(synth_dir / "embeddings.txt"),
-                "--out", str(hyp),
-            )
-            assert code == 0
-            outs.append(hyp.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_dump_matrices(self, synth_dir, tmp_path, capsys):
         dump = tmp_path / "mats"
         code, _, _ = run_cli(
@@ -222,7 +208,7 @@ class TestScoreCommand:
         lib = scoring.der_score(
             ingest.load_rttm(synth_dir / "reference.rttm"), ingest.load_rttm(hyp)
         )
-        assert got == lib.to_dict()
+        assert got == asdict(lib)
 
     def test_malformed_rttm_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.rttm"

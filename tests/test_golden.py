@@ -14,7 +14,7 @@ import pytest
 
 from diarcut import ingest
 from diarcut.cli import main
-from diarcut.synth import WINDOW, STRIDE
+from diarcut.synth import STRIDE, WINDOW
 
 # (speakers, segments, overlap fraction, sigma, seed)
 #   -> (RTTM sha256, p_hat, k_hat) without flags, then the same with oracle

@@ -5,6 +5,7 @@ from conftest import interval_union_length
 from diarcut.errors import ContractError, ParseError
 from diarcut.ingest import (
     EmbeddingSequence,
+    FramePosteriors,
     OverlapVector,
     SegmentSpan,
     Timeline,
@@ -51,6 +52,20 @@ class TestEmbeddings:
         f.write_text("rec\t0\t1\t0 0 0\n")
         with pytest.raises(ParseError, match="zero-norm"):
             load_embeddings(f)
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_component_rejected(self, tmp_path, bad):
+        f = tmp_path / "emb.txt"
+        f.write_text(f"rec\t0\t1\t1 0 0\nrec\t1\t2\t1 {bad} 0\n")
+        with pytest.raises(ParseError, match=":2: non-finite component"):
+            load_embeddings(f)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_sequence_rejects_non_finite(self, bad):
+        vectors = np.ones((3, 2))
+        vectors[1, 0] = bad
+        with pytest.raises(ContractError, match="segment 1 has a non-finite"):
+            EmbeddingSequence(spans(3), vectors)
 
     def test_bad_duration(self, tmp_path):
         f = tmp_path / "emb.txt"
@@ -130,6 +145,17 @@ class TestPosteriors:
         f = tmp_path / "post.txt"
         f.write_text("#frame_shift 0.01\n0.5 0.5 0.5\n")
         with pytest.raises(ParseError, match="sums to"):
+            load_posteriors(f)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        with pytest.raises(ContractError, match="row 1 has a non-finite"):
+            FramePosteriors("r", 0.01, [[0.2, 0.3, 0.5], [bad, 0.5, 0.5]])
+
+    def test_non_finite_row_in_file(self, tmp_path):
+        f = tmp_path / "post.txt"
+        f.write_text("#frame_shift 0.01\n0.2 0.3 0.5\nnan 0.5 0.5\n")
+        with pytest.raises(ParseError, match="non-finite"):
             load_posteriors(f)
 
 

@@ -3,9 +3,10 @@ import pytest
 
 from conftest import block_affinity
 from diarcut.errors import ContractError, IndeterminateSpeakerCountError
-from diarcut.speaker_count import eigengap_vector, estimate
+from diarcut.speaker_count import ZERO_SNAP, eigengap_vector, estimate
 from diarcut.synth import SynthConfig, generate
-from diarcut.affinity import cosine_affinity
+from diarcut.affinity import cosine_affinity, laplacian
+from oracles import p_binarize
 
 
 class TestEigengapVector:
@@ -104,6 +105,14 @@ class TestEstimateContract:
             for lam in report.eigenvalues_per_p:
                 assert lam[0] >= -1e-8
                 assert (np.diff(lam) >= -1e-12).all()
+
+    def test_sweep_spectra_match_reference_binarization(self, rng):
+        a = cosine_affinity(EmbSeqStub(rng.standard_normal((30, 5))))
+        report = estimate(a)
+        for p, lam in zip(report.p_values, report.eigenvalues_per_p):
+            want = np.linalg.eigvalsh(laplacian(p_binarize(a, p))[1])
+            want[np.abs(want) < ZERO_SNAP] = 0.0
+            assert np.array_equal(lam, want)
 
 
 class EmbSeqStub:

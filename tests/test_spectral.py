@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import block_affinity, enumerate_assignments, random_orthonormal
+from oracles import degree_normalize, objective_continuous, objective_discrete
 from diarcut.affinity import laplacian
 from diarcut.errors import ContractError
 from diarcut.ingest import OverlapVector
@@ -11,12 +12,8 @@ from diarcut.spectral import (
     Rotation,
     assignment_distance,
     continuous_solve,
-    degree_normalize,
-    discretize,
     discretize_full,
     nms_assign,
-    objective_continuous,
-    objective_discrete,
     procrustes,
     row_normalize,
 )
@@ -169,7 +166,7 @@ class TestDiscretize:
         a = block_affinity([4, 5])
         degree, _ = laplacian(a)
         sol = continuous_solve(a, degree, 2)
-        out = discretize(sol, OverlapVector.zeros(9))
+        out = discretize_full(sol, OverlapVector.zeros(9)).assignment
         labels = out.matrix.argmax(axis=1)
         assert len(set(labels[:4])) == 1
         assert len(set(labels[4:])) == 1
@@ -189,7 +186,7 @@ class TestDiscretize:
     def test_row_sum_constraint(self, rng):
         xt = row_normalize(rng.standard_normal((12, 4)))
         flags = rng.integers(0, 2, 12)
-        out = discretize(self._solution(xt), OverlapVector(flags))
+        out = discretize_full(self._solution(xt), OverlapVector(flags)).assignment
         assert np.array_equal(out.matrix.sum(axis=1), 1 + flags)
 
     def test_column_permutation_equivariance(self, rng):
