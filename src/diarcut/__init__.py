@@ -36,7 +36,6 @@ from .ingest import (
 from .overlap_decode import (
     DurationConfig,
     FrameLabels,
-    build_duration_hmm,
     frames_to_flags,
     viterbi,
 )

@@ -13,6 +13,7 @@ File formats (all plain UTF-8 text):
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,8 +114,8 @@ class FramePosteriors:
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)
-        if self.frame_shift <= 0:
-            raise ContractError("frame_shift must be positive")
+        if not (math.isfinite(self.frame_shift) and self.frame_shift > 0):
+            raise ContractError("frame_shift must be positive and finite")
         if self.rows.ndim != 2 or self.rows.shape[1] != 3:
             raise ContractError("posterior rows must be T x 3")
         bad = np.flatnonzero(~np.isfinite(self.rows).all(axis=1))
@@ -187,6 +188,18 @@ def _normalize(entries) -> list[tuple[str, float, float]]:
     return merged
 
 
+def _lines(path: Path):
+    """Yield (line number, text) of the non-blank lines of a UTF-8 file."""
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
+            if line.strip():
+                yield lineno, line
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -196,54 +209,53 @@ def load_embeddings(path) -> EmbeddingSequence:
     path = Path(path)
     header_dim: int | None = None
     records: list[tuple[str, float, float, np.ndarray]] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
+    for lineno, raw in _lines(path):
+        line = raw.rstrip("\n")
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if len(parts) == 2 and parts[0] == "dim":
+                try:
+                    header_dim = int(parts[1])
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad dim header {line!r}")
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "dim":
-                    try:
-                        header_dim = int(parts[1])
-                    except ValueError:
-                        raise ParseError(f"{path}:{lineno}: bad dim header {line!r}")
-                    continue
-                raise ParseError(f"{path}:{lineno}: unrecognized header {line!r}")
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
-                )
-            rec, start_s, end_s, vec_s = fields
-            try:
-                start, end = float(start_s), float(end_s)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad time fields {start_s!r} {end_s!r}")
-            if not end > start:
-                raise ParseError(
-                    f"{path}:{lineno}: non-positive duration ({start} .. {end})"
-                )
-            try:
-                vec = np.array([float(v) for v in vec_s.split()], dtype=float)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad vector component")
-            if vec.size == 0:
-                raise ParseError(f"{path}:{lineno}: empty vector")
-            if header_dim is not None and vec.size != header_dim:
-                raise ParseError(
-                    f"{path}:{lineno}: vector has {vec.size} components, header says {header_dim}"
-                )
-            if records and vec.size != records[0][3].size:
-                raise ParseError(
-                    f"{path}:{lineno}: vector has {vec.size} components, "
-                    f"previous rows have {records[0][3].size}"
-                )
-            if not np.isfinite(vec).all():
-                raise ParseError(f"{path}:{lineno}: non-finite component")
-            if not np.linalg.norm(vec) > 0:
-                raise ParseError(f"{path}:{lineno}: zero-norm vector")
-            records.append((rec, start, end, vec))
+            raise ParseError(f"{path}:{lineno}: unrecognized header {line!r}")
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ParseError(
+                f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
+            )
+        rec, start_s, end_s, vec_s = fields
+        try:
+            start, end = float(start_s), float(end_s)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad time fields {start_s!r} {end_s!r}")
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ParseError(f"{path}:{lineno}: non-finite time")
+        if not end > start:
+            raise ParseError(
+                f"{path}:{lineno}: non-positive duration ({start} .. {end})"
+            )
+        try:
+            vec = np.array([float(v) for v in vec_s.split()], dtype=float)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad vector component")
+        if vec.size == 0:
+            raise ParseError(f"{path}:{lineno}: empty vector")
+        if header_dim is not None and vec.size != header_dim:
+            raise ParseError(
+                f"{path}:{lineno}: vector has {vec.size} components, header says {header_dim}"
+            )
+        if records and vec.size != records[0][3].size:
+            raise ParseError(
+                f"{path}:{lineno}: vector has {vec.size} components, "
+                f"previous rows have {records[0][3].size}"
+            )
+        if not np.isfinite(vec).all():
+            raise ParseError(f"{path}:{lineno}: non-finite component")
+        if not np.linalg.norm(vec) > 0:
+            raise ParseError(f"{path}:{lineno}: zero-norm vector")
+        records.append((rec, start, end, vec))
     if not records:
         raise ParseError(f"{path}: no segments found")
     rec_ids = {r[0] for r in records}
@@ -279,14 +291,11 @@ def save_embeddings(seq: EmbeddingSequence, path) -> None:
 def load_overlap_flags(path, expected_length: int | None = None) -> OverlapVector:
     path = Path(path)
     flags: list[int] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line not in ("0", "1"):
-                raise ParseError(f"{path}:{lineno}: expected 0 or 1, got {line!r}")
-            flags.append(int(line))
+    for lineno, raw in _lines(path):
+        line = raw.strip()
+        if line not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: expected 0 or 1, got {line!r}")
+        flags.append(int(line))
     if expected_length is not None and len(flags) != expected_length:
         raise ParseError(
             f"{path}: {len(flags)} flags but {expected_length} segments expected"
@@ -308,29 +317,24 @@ def load_posteriors(path, recording_id: str = "rec") -> FramePosteriors:
     path = Path(path)
     frame_shift: float | None = None
     rows: list[list[float]] = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    for lineno, raw in _lines(path):
+        line = raw.strip()
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if len(parts) == 2 and parts[0] == "frame_shift":
+                try:
+                    frame_shift = float(parts[1])
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: bad frame_shift header")
                 continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "frame_shift":
-                    try:
-                        frame_shift = float(parts[1])
-                    except ValueError:
-                        raise ParseError(f"{path}:{lineno}: bad frame_shift header")
-                    continue
-                raise ParseError(f"{path}:{lineno}: unrecognized header {line!r}")
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 posteriors, got {len(parts)}"
-                )
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad posterior value")
+            raise ParseError(f"{path}:{lineno}: unrecognized header {line!r}")
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 posteriors, got {len(parts)}")
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad posterior value")
     if frame_shift is None:
         raise ParseError(f"{path}: missing '#frame_shift S' header")
     if not rows:
@@ -362,27 +366,26 @@ def load_rttm(path) -> Timeline:
     path = Path(path)
     entries: list[tuple[str, float, float]] = []
     rec_ids: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith(";;"):
-                continue
-            fields = line.split()
-            if fields[0] != "SPEAKER":
-                continue
-            if len(fields) != 10:
-                raise ParseError(
-                    f"{path}:{lineno}: SPEAKER record has {len(fields)} fields, expected 10"
-                )
-            try:
-                onset = float(fields[3])
-                dur = float(fields[4])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad onset/duration")
-            if dur <= 0:
-                raise ParseError(f"{path}:{lineno}: non-positive duration {dur}")
-            rec_ids.add(fields[1])
-            entries.append((fields[7], onset, onset + dur))
+    for lineno, raw in _lines(path):
+        fields = raw.split()
+        if fields[0] != "SPEAKER":
+            continue
+        if len(fields) != 10:
+            raise ParseError(
+                f"{path}:{lineno}: SPEAKER record has {len(fields)} fields, expected 10"
+            )
+        try:
+            onset = float(fields[3])
+            dur = float(fields[4])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: bad onset/duration")
+        if not dur > 0:
+            raise ParseError(f"{path}:{lineno}: non-positive duration {dur}")
+        end = onset + dur
+        if not (math.isfinite(end) and end > onset):
+            raise ParseError(f"{path}:{lineno}: bad onset/duration")
+        rec_ids.add(fields[1])
+        entries.append((fields[7], onset, end))
     if len(rec_ids) > 1:
         raise ParseError(
             f"{path}: contains {len(rec_ids)} recording ids {sorted(rec_ids)}; "

@@ -1,19 +1,34 @@
 """Duration-constrained Viterbi smoothing of frame-level overlap posteriors.
 
-Each class (silence, single-speaker, overlap) expands into a left-to-right
-chain of states: a mandatory prefix enforcing the minimum run duration,
-followed by an extension region up to the maximum (or a self-looping tail
-state when unbounded).  Exits lead only to entry states of permitted classes;
-silence and overlap never touch, so every overlap run is framed by single-
-speaker speech.  All arcs score zero in log space: the decoded path is the
-highest-emission labeling that satisfies the constraints, and ties resolve
-toward the lower state index (silence before single before overlap).
+Each frame is labeled silence, single-speaker or overlap.  A labeling is
+feasible when every maximal run of a class lasts between that class's
+minimum and maximum number of frames and silence and overlap runs never
+touch, so every overlap run is framed by single-speaker speech.  The decoded
+labeling is the feasible one with the highest summed log emission.
+
+The decoder works on runs, not on a duration-expanded state graph (an
+explicit-duration HMM; S.-Z. Yu, "Hidden semi-Markov models", Artificial
+Intelligence 174, 2010).  A run of class c over frames [s, t] scores its
+entry score, the best run of a permitted class ending at s - 1, plus a
+difference of prefix sums of c's emissions.  The best run of c ending at t
+is therefore a sliding-window maximum over s, kept in a monotonic deque, so
+time and memory are O(T) whatever the bounds.  Ties resolve as in the
+equivalent chain graph with class-major states: the lower class first
+(silence, single, overlap), then the shorter run, except that an unbounded
+class with a one-frame minimum keeps its running run over a fresh entry.
+These rules apply to exactly equal scores; scores built from prefix sums
+round differently from frame-by-frame sums, so labelings whose scores differ
+only by rounding may resolve differently from the chain graph.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
+from array import array
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +39,7 @@ from .ingest import FramePosteriors, OverlapVector, SegmentSpan
 log = logging.getLogger(__name__)
 
 SILENCE, SINGLE, OVERLAP = 0, 1, 2
+CLASSES = (SILENCE, SINGLE, OVERLAP)
 CLASS_NAMES = ("silence", "single", "overlap")
 
 # Exits permitted into each class; overlap reaches silence only through
@@ -50,24 +66,17 @@ class DurationConfig:
     bias_overlap: float = 1.0
 
     def __post_init__(self):
-        for name, lo, hi in (
-            ("silence", self.min_silence, self.max_silence),
-            ("single", self.min_single, self.max_single),
-            ("overlap", self.min_overlap, self.max_overlap),
-        ):
-            if lo <= 0:
-                raise ConfigError(f"min_{name} must be positive, got {lo}")
-            if hi is not None and hi < lo:
+        for cls, name in enumerate(CLASS_NAMES):
+            lo, hi = self.bounds(cls)
+            if not (math.isfinite(lo) and lo > 0):
+                raise ConfigError(f"min_{name} must be positive and finite, got {lo}")
+            if hi is not None and not (math.isfinite(hi) and hi >= lo):
                 raise ConfigError(
-                    f"max_{name}={hi} is below min_{name}={lo}"
+                    f"max_{name}={hi} must be finite and at least min_{name}={lo}"
                 )
-        for name, b in (
-            ("silence", self.bias_silence),
-            ("single", self.bias_single),
-            ("overlap", self.bias_overlap),
-        ):
-            if b < 0:
-                raise ConfigError(f"bias_{name} must be non-negative, got {b}")
+            bias = self.biases()[cls]
+            if not (math.isfinite(bias) and bias >= 0):
+                raise ConfigError(f"bias_{name} must be finite and non-negative, got {bias}")
 
     def bounds(self, cls: int) -> tuple[float, float | None]:
         return (
@@ -93,22 +102,20 @@ class FrameLabels:
             raise ContractError("labels must be a vector")
         if self.labels.size and not np.isin(self.labels, (0, 1, 2)).all():
             raise ContractError("labels must be in {0, 1, 2}")
-        if self.frame_shift <= 0:
-            raise ContractError("frame_shift must be positive")
+        if not (math.isfinite(self.frame_shift) and self.frame_shift > 0):
+            raise ContractError("frame_shift must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def runs(self) -> list[tuple[int, int, int]]:
         """Maximal runs as (class, first_frame, end_frame_exclusive)."""
-        out = []
         lab = self.labels
-        start = 0
-        for t in range(1, len(lab) + 1):
-            if t == len(lab) or lab[t] != lab[start]:
-                out.append((int(lab[start]), start, t))
-                start = t
-        return out
+        if not lab.size:
+            return []
+        cuts = (np.flatnonzero(lab[1:] != lab[:-1]) + 1).tolist()
+        starts = [0] + cuts
+        return list(zip(lab[starts].tolist(), starts, cuts + [len(lab)]))
 
     def class_intervals(self, cls: int) -> list[tuple[float, float]]:
         """Time intervals covered by the given class."""
@@ -119,46 +126,22 @@ class FrameLabels:
         ]
 
 
-@dataclass
-class DurationHmm:
-    """Expanded state graph encoding the run-length constraints."""
-
-    frame_shift: float
-    min_frames: tuple[int, int, int]
-    max_frames: tuple[int | None, int | None, int | None]
-    state_class: np.ndarray
-    state_pos: np.ndarray
-    entry_state: tuple[int, int, int]
-    loop_states: np.ndarray
-    final_mask: np.ndarray
-    entry_candidates: dict[int, np.ndarray]
-
-    @property
-    def num_states(self) -> int:
-        return len(self.state_class)
-
-
 def _frames(seconds: float, frame_shift: float) -> int:
     """Frames needed to cover a duration; rounding absorbs float dust."""
-    return math.ceil(round(seconds / frame_shift, 9))
+    frames = round(seconds / frame_shift, 9)
+    if not math.isfinite(frames):
+        raise ConfigError(f"{seconds} s spans too many frames of {frame_shift} s")
+    return math.ceil(frames)
 
 
-def build_duration_hmm(cfg: DurationConfig, frame_shift: float) -> DurationHmm:
-    """Expand the duration constraints into a decodable state graph.
-
-    Args:
-        cfg: run-length bounds; every minimum must be at least one frame.
-        frame_shift: posterior frame period in seconds.
-
-    Returns:
-        DurationHmm whose states are laid out class-major (silence, single,
-        overlap) so that index order realizes the tie-break order.
-    """
-    if frame_shift <= 0:
-        raise ConfigError("frame_shift must be positive")
-    min_frames = []
-    max_frames = []
-    for cls in (SILENCE, SINGLE, OVERLAP):
+def run_bounds(
+    cfg: DurationConfig, frame_shift: float
+) -> tuple[tuple[int, int | None], ...]:
+    """Run-length bounds in frames: (min, max or None) per class."""
+    if not (math.isfinite(frame_shift) and frame_shift > 0):
+        raise ConfigError(f"frame_shift must be positive and finite, got {frame_shift}")
+    out = []
+    for cls in CLASSES:
         lo, hi = cfg.bounds(cls)
         if lo < frame_shift:
             raise ConfigError(
@@ -171,110 +154,106 @@ def build_duration_hmm(cfg: DurationConfig, frame_shift: float) -> DurationHmm:
                 f"{CLASS_NAMES[cls]}: max duration {hi} rounds below min {lo} "
                 f"at frame shift {frame_shift}"
             )
-        min_frames.append(m)
-        max_frames.append(mx)
+        out.append((m, mx))
+    return tuple(out)
 
-    state_class: list[int] = []
-    state_pos: list[int] = []
-    entry_state = []
-    loop_states = []
-    for cls in (SILENCE, SINGLE, OVERLAP):
-        chain = min_frames[cls] if max_frames[cls] is None else max_frames[cls]
-        entry_state.append(len(state_class))
-        for pos in range(1, chain + 1):
-            state_class.append(cls)
-            state_pos.append(pos)
-        if max_frames[cls] is None:
-            loop_states.append(entry_state[cls] + min_frames[cls] - 1)
 
-    state_class = np.array(state_class, dtype=np.int8)
-    state_pos = np.array(state_pos, dtype=np.int32)
-    mins = np.array(min_frames)[state_class]
-    final_mask = state_pos >= mins
+def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
+    """Best feasible labeling of a T x 3 log-emission matrix, as int8 labels.
 
-    # A state may exit exactly when its run already satisfies the minimum.
-    entry_candidates = {}
-    for cls in (SILENCE, SINGLE, OVERLAP):
-        cands = [
-            i
-            for i in range(len(state_class))
-            if state_class[i] in _ALLOWED_INTO[cls] and final_mask[i]
-        ]
-        entry_candidates[cls] = np.array(cands, dtype=np.int64)
+    Args:
+        log_emis: per-frame log emission of each class; -inf forbids the
+            class at that frame.
+        bounds: (min, max or None) run length in frames per class, as from
+            :func:`run_bounds`.
 
-    return DurationHmm(
-        frame_shift,
-        tuple(min_frames),
-        tuple(max_frames),
-        state_class,
-        state_pos,
-        tuple(entry_state),
-        np.array(loop_states, dtype=np.int64),
-        final_mask,
-        entry_candidates,
-    )
+    Raises:
+        InfeasiblePathError: no labeling satisfies the bounds.
+    """
+    log_emis = np.asarray(log_emis, dtype=float)
+    t_len = len(log_emis)
+    neg = -math.inf
+    # Per class and frame t: the class a run starting at t enters from, and
+    # the start of the best run ending at t.
+    came_from = [array("b", bytes(t_len)) for _ in CLASSES]
+    start = [array("i", bytes(4 * t_len)) for _ in CLASSES]
+    lanes = []
+    for c, (m, mx) in zip(CLASSES, bounds):
+        # Shorter runs win ties, except in an unbounded class with a
+        # one-frame minimum, which keeps its running run over a fresh entry.
+        beaten = operator.lt if mx is None and m == 1 else operator.le
+        emis = array("d", log_emis[:, c].tobytes())
+        # The entry score of a run starting at t minus the prefix sum of the
+        # class's emissions before t.
+        key = array("d", bytes(8 * t_len))
+        lanes.append(
+            (c, m, mx, beaten, _ALLOWED_INTO[c], deque(), emis, key, came_from[c], start[c])
+        )
+    total = [0.0, 0.0, 0.0]  # prefix sums of each class's finite emissions
+    blocked = [-1, -1, -1]  # last frame each class may not cover
+    # Score of the best run of each class ending before frame t; the empty
+    # prefix may precede any class.
+    best = [0.0, 0.0, 0.0]
+    for t in range(t_len):
+        last = best[:]
+        for c, m, mx, beaten, sources, window, emis, key, came, starts in lanes:
+            e = emis[t]
+            if e == neg:
+                blocked[c] = t
+                window.clear()
+                best[c] = neg
+                continue
+            # Enter from the best permitted class, the lowest one on ties.
+            score, prev = neg, 0
+            for p in sources:
+                if last[p] > score:
+                    score, prev = last[p], p
+            key[t] = score - total[c]
+            came[t] = prev
+            total[c] += e
+            s = t - m + 1  # a run starting at s just reached the minimum
+            if s > blocked[c] and key[s] > neg:
+                k = key[s]
+                while window and beaten(window[-1][0], k):
+                    window.pop()
+                # An unbounded window never drops its front, so a run queued
+                # behind it could never win.
+                if mx is not None or not window:
+                    window.append((k, s))
+            if mx is not None and window and window[0][1] <= t - mx:
+                window.popleft()
+            if window:
+                k, s = window[0]
+                best[c] = total[c] + k
+                starts[t] = s
+            else:
+                best[c] = neg
+
+    labels = np.empty(t_len, dtype=np.int8)
+    c = int(np.argmax(best))
+    if best[c] == neg:
+        raise InfeasiblePathError(
+            f"no labeling of {t_len} frames satisfies the duration constraints"
+        )
+    t = t_len - 1
+    while t >= 0:
+        s = start[c][t]
+        labels[s : t + 1] = c
+        c, t = came_from[c][s], s - 1
+    return labels
 
 
 def viterbi(posteriors: FramePosteriors, cfg: DurationConfig) -> FrameLabels:
     """Most likely duration-feasible labeling of the posterior sequence.
 
-    Emission score is log(bias_c * p_c(t)); transitions are free or
-    forbidden.  Raises InfeasiblePathError when no labeling satisfies the
-    constraints (e.g. the sequence is shorter than every minimum duration).
+    Emission score is log(bias_c * p_c(t)).  Raises InfeasiblePathError when
+    no labeling satisfies the constraints (e.g. the sequence is shorter than
+    every minimum duration).
     """
-    hmm = build_duration_hmm(cfg, posteriors.frame_shift)
-    t_len = posteriors.num_frames
-    s_len = hmm.num_states
+    bounds = run_bounds(cfg, posteriors.frame_shift)
     with np.errstate(divide="ignore"):
         log_emis = np.log(posteriors.rows * cfg.biases()[None, :])
-
-    bp_dtype = np.uint16 if s_len <= np.iinfo(np.uint16).max else np.int64
-    backptr = np.zeros((t_len, s_len), dtype=bp_dtype)
-
-    advance_dst = np.flatnonzero(hmm.state_pos > 1)
-    entry_items = sorted(hmm.entry_candidates.items(), key=lambda kv: hmm.entry_state[kv[0]])
-
-    score = np.full(s_len, -np.inf)
-    for cls in (SILENCE, SINGLE, OVERLAP):
-        score[hmm.entry_state[cls]] = 0.0
-    score = score + log_emis[0][hmm.state_class]
-
-    for t in range(1, t_len):
-        new = np.full(s_len, -np.inf)
-        new[advance_dst] = score[advance_dst - 1]
-        backptr[t, advance_dst] = advance_dst - 1
-        for s in hmm.loop_states:
-            # Prefer the lower-index predecessor (the advancing one) on ties.
-            if score[s] > new[s]:
-                new[s] = score[s]
-                backptr[t, s] = s
-        for cls, cands in entry_items:
-            entry = hmm.entry_state[cls]
-            if cands.size == 0:
-                continue
-            vals = score[cands]
-            best = int(np.argmax(vals))
-            if vals[best] > new[entry]:
-                new[entry] = vals[best]
-                backptr[t, entry] = cands[best]
-        score = new + log_emis[t][hmm.state_class]
-        if not np.isfinite(score).any():
-            raise InfeasiblePathError(
-                f"no feasible labeling survives frame {t} of {t_len}"
-            )
-
-    final_scores = np.where(hmm.final_mask, score, -np.inf)
-    if not np.isfinite(final_scores).any():
-        raise InfeasiblePathError(
-            f"no labeling of {t_len} frames satisfies the duration constraints"
-        )
-    state = int(np.argmax(final_scores))
-    states = np.empty(t_len, dtype=np.int64)
-    states[-1] = state
-    for t in range(t_len - 1, 0, -1):
-        state = int(backptr[t, state])
-        states[t - 1] = state
-    result = FrameLabels(hmm.state_class[states], posteriors.frame_shift)
+    result = FrameLabels(decode(log_emis, bounds), posteriors.frame_shift)
     check_labels(result, cfg)
     return result
 
@@ -282,18 +261,17 @@ def viterbi(posteriors: FramePosteriors, cfg: DurationConfig) -> FrameLabels:
 def check_labels(labels: FrameLabels, cfg: DurationConfig) -> None:
     """Assert the duration and adjacency invariants of a decoded labeling."""
     runs = labels.runs()
-    shift = labels.frame_shift
+    bounds = run_bounds(cfg, labels.frame_shift)
     for cls, start, end in runs:
-        lo, hi = cfg.bounds(cls)
-        m = _frames(lo, shift)
+        lo, hi = bounds[cls]
         n_frames = end - start
-        if n_frames < m:
+        if n_frames < lo:
             raise ContractError(
-                f"{CLASS_NAMES[cls]} run of {n_frames} frames violates minimum {m}"
+                f"{CLASS_NAMES[cls]} run of {n_frames} frames violates minimum {lo}"
             )
-        if hi is not None and n_frames > _frames(hi, shift):
+        if hi is not None and n_frames > hi:
             raise ContractError(
-                f"{CLASS_NAMES[cls]} run of {n_frames} frames violates maximum"
+                f"{CLASS_NAMES[cls]} run of {n_frames} frames violates maximum {hi}"
             )
     for (c1, _, _), (c2, _, _) in zip(runs, runs[1:]):
         if {c1, c2} == {SILENCE, OVERLAP}:
@@ -308,15 +286,21 @@ def frames_to_flags(labels: FrameLabels, spans: list[SegmentSpan]) -> OverlapVec
     as silence (logged).
     """
     intervals = labels.class_intervals(OVERLAP)
+    ends = [e for _, e in intervals]
     horizon = len(labels) * labels.frame_shift
     flags = np.zeros(len(spans), dtype=np.int8)
     uncovered = 0
     for i, span in enumerate(spans):
         if span.end > horizon + 1e-9:
             uncovered += 1
+        # Only intervals ending after the span starts and starting before it
+        # ends intersect it; they add up in interval order.
         cover = 0.0
-        for s, e in intervals:
-            cover += max(0.0, min(span.end, e) - max(span.start, s))
+        j = bisect_right(ends, span.start)
+        while j < len(intervals) and intervals[j][0] < span.end:
+            s, e = intervals[j]
+            cover += min(span.end, e) - max(span.start, s)
+            j += 1
         if cover + 1e-9 >= 0.5 * span.duration:
             flags[i] = 1
     if uncovered:

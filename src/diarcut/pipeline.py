@@ -85,8 +85,9 @@ def diarize_embeddings(
         epsilon=config.epsilon,
         max_speakers=config.max_speakers,
     )
-    if overlap.any() and report.k_hat < 2:
-        # an overlapping segment means two concurrent speakers by definition
+    if overlap.any() and report.k_hat < 2 <= n:
+        # an overlapping segment means two concurrent speakers by definition;
+        # a lone segment cannot form two clusters
         log.warning("overlap flags present; raising speaker count from 1 to 2")
         report.k_hat = 2
     log.info("binarization factor p=%d, estimated speakers K=%d", report.p_hat, report.k_hat)

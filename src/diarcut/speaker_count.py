@@ -85,7 +85,8 @@ def estimate(
     Args:
         affinity: raw square affinity matrix.
         p_min, p_max: inclusive sweep bounds; the effective upper bound is
-            clipped to N-1.
+            clipped to N-1.  With N-1 < p_min the sweep is empty and the
+            estimate is one speaker at p_hat = N.
         epsilon: guard against division by a zero spectral radius.
         max_speakers: cap on the estimated count; the gap search is limited
             to this many leading positions.
@@ -102,11 +103,13 @@ def estimate(
         raise ContractError("affinity must be square")
     if max_speakers < 1:
         raise ContractError("max_speakers must be at least 1")
+    if not 1 <= p_min <= p_max:
+        raise ContractError(f"empty binarization sweep: p_min={p_min}, p_max={p_max}")
     hi = min(p_max, n - 1)
-    if not 1 <= p_min <= hi:
-        raise ContractError(
-            f"empty binarization sweep: p_min={p_min}, effective p_max={hi} (N={n})"
-        )
+    if hi < p_min:
+        # Too few segments to sweep: one speaker, every segment linked.
+        log.warning("%d segments are too few for a sweep from p=%d; one speaker", n, p_min)
+        return EigengapReport([], [], [], [], [], n, 1, max_speakers)
 
     p_values = list(range(p_min, hi + 1))
     eigenvalues_per_p: list[np.ndarray] = []

@@ -2,16 +2,24 @@
 
 Each is a direct, unoptimized statement of a quantity the package computes
 or relies on: the per-row binarization the vectorized ``binarize`` must
-reproduce, the clustering objectives, the decoder's emission score and its
-dense transition graph.
+reproduce, the clustering objectives, the decoder's emission score, and the
+duration-expanded state graph with its Viterbi decoder, whose labels the
+run-length ``decode`` must reproduce.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from diarcut.affinity import TIE_EPS
-from diarcut.errors import ContractError
+from diarcut.errors import ContractError, InfeasiblePathError
 from diarcut.ingest import FramePosteriors, OverlapVector
-from diarcut.overlap_decode import DurationConfig, DurationHmm
+from diarcut.overlap_decode import (
+    _ALLOWED_INTO,
+    CLASSES,
+    DurationConfig,
+    run_bounds,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +136,126 @@ def path_score(
     with np.errstate(divide="ignore"):
         log_emis = np.log(posteriors.rows * cfg.biases()[None, :])
     return float(log_emis[np.arange(len(labels)), np.asarray(labels)].sum())
+
+
+@dataclass
+class DurationHmm:
+    """Expanded state graph encoding the run-length constraints."""
+
+    frame_shift: float
+    min_frames: tuple[int, int, int]
+    max_frames: tuple[int | None, int | None, int | None]
+    state_class: np.ndarray
+    state_pos: np.ndarray
+    entry_state: tuple[int, int, int]
+    loop_states: np.ndarray
+    final_mask: np.ndarray
+    entry_candidates: dict[int, np.ndarray]
+
+    @property
+    def num_states(self) -> int:
+        return len(self.state_class)
+
+
+def build_duration_hmm(cfg: DurationConfig, frame_shift: float) -> DurationHmm:
+    """Expand the duration constraints into a decodable state graph.
+
+    Each class becomes a left-to-right chain: a mandatory prefix enforcing the
+    minimum run length, then an extension region up to the maximum, or a
+    self-looping tail state when unbounded.  Exits lead only to entry states
+    of permitted classes.  States are laid out class-major (silence, single,
+    overlap), so index order realizes the tie-break order.
+    """
+    min_frames, max_frames = zip(*run_bounds(cfg, frame_shift))
+    state_class: list[int] = []
+    state_pos: list[int] = []
+    entry_state = []
+    loop_states = []
+    for cls in CLASSES:
+        chain = min_frames[cls] if max_frames[cls] is None else max_frames[cls]
+        entry_state.append(len(state_class))
+        for pos in range(1, chain + 1):
+            state_class.append(cls)
+            state_pos.append(pos)
+        if max_frames[cls] is None:
+            loop_states.append(entry_state[cls] + min_frames[cls] - 1)
+
+    state_class = np.array(state_class, dtype=np.int8)
+    state_pos = np.array(state_pos, dtype=np.int32)
+    mins = np.array(min_frames)[state_class]
+    final_mask = state_pos >= mins
+
+    # A state may exit exactly when its run already satisfies the minimum.
+    entry_candidates = {}
+    for cls in CLASSES:
+        cands = [
+            i
+            for i in range(len(state_class))
+            if state_class[i] in _ALLOWED_INTO[cls] and final_mask[i]
+        ]
+        entry_candidates[cls] = np.array(cands, dtype=np.int64)
+
+    return DurationHmm(
+        frame_shift,
+        tuple(min_frames),
+        tuple(max_frames),
+        state_class,
+        state_pos,
+        tuple(entry_state),
+        np.array(loop_states, dtype=np.int64),
+        final_mask,
+        entry_candidates,
+    )
+
+
+def chain_viterbi(log_emis: np.ndarray, hmm: DurationHmm) -> np.ndarray:
+    """Viterbi over the expanded graph: best labeling of a T x 3 log-emission
+    matrix, with a T x S backpointer table.  All arcs score zero; ties go to
+    the lower state index, and a loop state prefers advancing over looping."""
+    t_len = len(log_emis)
+    s_len = hmm.num_states
+    backptr = np.zeros((t_len, s_len), dtype=np.int64)
+
+    advance_dst = np.flatnonzero(hmm.state_pos > 1)
+    entry_items = sorted(hmm.entry_candidates.items(), key=lambda kv: hmm.entry_state[kv[0]])
+
+    score = np.full(s_len, -np.inf)
+    for cls in CLASSES:
+        score[hmm.entry_state[cls]] = 0.0
+    score = score + log_emis[0][hmm.state_class]
+
+    for t in range(1, t_len):
+        new = np.full(s_len, -np.inf)
+        new[advance_dst] = score[advance_dst - 1]
+        backptr[t, advance_dst] = advance_dst - 1
+        for s in hmm.loop_states:
+            # Prefer the lower-index predecessor (the advancing one) on ties.
+            if score[s] > new[s]:
+                new[s] = score[s]
+                backptr[t, s] = s
+        for cls, cands in entry_items:
+            entry = hmm.entry_state[cls]
+            if cands.size == 0:
+                continue
+            vals = score[cands]
+            best = int(np.argmax(vals))
+            if vals[best] > new[entry]:
+                new[entry] = vals[best]
+                backptr[t, entry] = cands[best]
+        score = new + log_emis[t][hmm.state_class]
+
+    final_scores = np.where(hmm.final_mask, score, -np.inf)
+    if not np.isfinite(final_scores).any():
+        raise InfeasiblePathError(
+            f"no labeling of {t_len} frames satisfies the duration constraints"
+        )
+    state = int(np.argmax(final_scores))
+    states = np.empty(t_len, dtype=np.int64)
+    states[-1] = state
+    for t in range(t_len - 1, 0, -1):
+        state = int(backptr[t, state])
+        states[t - 1] = state
+    return hmm.state_class[states]
 
 
 def transition_matrix(hmm: DurationHmm) -> np.ndarray:

@@ -131,6 +131,28 @@ class TestDiarizeCommand:
         assert code == 2
         assert "nope.txt" in err
 
+    @pytest.mark.parametrize("n, flags, k", [(1, None, 1), (1, "1\n", 1), (2, None, 1), (2, "0\n1\n", 2)])
+    def test_short_recordings(self, tmp_path, capsys, n, flags, k):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("".join(f"rec\t{0.75 * i}\t{0.75 * i + 1.5}\t1 {i}\n" for i in range(n)))
+        args = ["diarize", "--embeddings", str(emb), "--out", str(tmp_path / "h.rttm")]
+        if flags:
+            (tmp_path / "flags.txt").write_text(flags)
+            args += ["--flags", str(tmp_path / "flags.txt")]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert last_json(out)["k_hat"] == k
+        assert len(ingest.load_rttm(tmp_path / "h.rttm").speakers) == k
+
+    def test_invalid_utf8_embeddings_exit_2(self, tmp_path, capsys):
+        emb = tmp_path / "emb.txt"
+        emb.write_bytes(b"rec\t0.0\t1.5\t1 0\n\xff\xfe\n")
+        code, _, err = run_cli(
+            capsys, "diarize", "--embeddings", str(emb), "--out", str(tmp_path / "h.rttm")
+        )
+        assert code == 2
+        assert "emb.txt:2: not UTF-8" in err
+
     def test_dump_report(self, synth_dir, tmp_path, capsys):
         report = tmp_path / "report.json"
         run_cli(
@@ -210,6 +232,15 @@ class TestScoreCommand:
         )
         assert got == asdict(lib)
 
+    def test_invalid_utf8_exits_2(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.rttm"
+        bad.write_bytes(b"SPEAKER rec 1 0.0 1.0 <NA> <NA> a <NA> <NA>\n\xff\xfe\n")
+        code, _, err = run_cli(
+            capsys, "score", "--ref", str(synth_dir / "reference.rttm"), "--hyp", str(bad)
+        )
+        assert code == 2
+        assert "bad.rttm:2: not UTF-8" in err
+
     def test_malformed_rttm_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.rttm"
         bad.write_text("SPEAKER rec 1 oops 1.0 <NA> <NA> a <NA> <NA>\n")
@@ -282,6 +313,31 @@ class TestDetectOverlapCommand:
         )
         assert code == 2
         assert "error" in err
+
+
+    @pytest.mark.parametrize(
+        "option, header",
+        [
+            ([], "nan"),
+            (["--frame-shift", "nan"], "0.01"),
+            (["--min-overlap", "nan"], "0.01"),
+            (["--max-single", "nan"], "0.01"),
+            (["--bias-single", "nan"], "0.01"),
+        ],
+    )
+    def test_nan_settings_exit_2(self, tmp_path, capsys, option, header):
+        post, emb = self._write_inputs(tmp_path, [[0.1, 0.8, 0.1]] * 300)
+        post.write_text(post.read_text().replace("0.01", header, 1))
+        code, _, err = run_cli(
+            capsys,
+            "detect-overlap",
+            "--posteriors", str(post),
+            "--segments", str(emb),
+            "--out", str(tmp_path / "f.txt"),
+            *option,
+        )
+        assert code == 2
+        assert "must be" in err
 
 
 class TestUsage:

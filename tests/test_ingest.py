@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import interval_union_length
 from diarcut.errors import ContractError, ParseError
@@ -66,6 +68,12 @@ class TestEmbeddings:
         vectors[1, 0] = bad
         with pytest.raises(ContractError, match="segment 1 has a non-finite"):
             EmbeddingSequence(spans(3), vectors)
+
+    def test_non_finite_time_rejected(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_text("rec\t-inf\tinf\t1 0\n")
+        with pytest.raises(ParseError, match=":1: non-finite time"):
+            load_embeddings(f)
 
     def test_bad_duration(self, tmp_path):
         f = tmp_path / "emb.txt"
@@ -158,6 +166,13 @@ class TestPosteriors:
         with pytest.raises(ParseError, match="non-finite"):
             load_posteriors(f)
 
+    @pytest.mark.parametrize("shift", ["nan", "inf", "-0.01"])
+    def test_bad_frame_shift_header(self, tmp_path, shift):
+        f = tmp_path / "post.txt"
+        f.write_text(f"#frame_shift {shift}\n0.2 0.3 0.5\n")
+        with pytest.raises(ParseError, match="frame_shift"):
+            load_posteriors(f)
+
 
 class TestRttm:
     def test_single_line(self, tmp_path):
@@ -220,6 +235,15 @@ class TestRttm:
         with pytest.raises(ParseError, match="duration"):
             load_rttm(f)
 
+    @pytest.mark.parametrize(
+        "onset, dur", [("nan", "1.0"), ("0.0", "nan"), ("inf", "1.0"), ("0.0", "inf"), ("1e20", "1.0")]
+    )
+    def test_non_finite_or_absorbed_times_rejected(self, tmp_path, onset, dur):
+        f = tmp_path / "a.rttm"
+        f.write_text(f"SPEAKER rec 1 {onset} {dur} <NA> <NA> spkA <NA> <NA>\n")
+        with pytest.raises(ParseError, match=":1"):
+            load_rttm(f)
+
     def test_non_speaker_lines_skipped(self, tmp_path):
         f = tmp_path / "a.rttm"
         f.write_text(
@@ -227,6 +251,45 @@ class TestRttm:
             "SPEAKER rec 1 0.00 1.50 <NA> <NA> spkA <NA> <NA>\n"
         )
         assert len(load_rttm(f).entries) == 1
+
+
+LOADERS = [load_embeddings, load_overlap_flags, load_posteriors, load_rttm]
+
+# Fragments of every format, so that generated files get past the first line.
+TOKENS = [
+    b"SPEAKER", b"rec", b"spk", b"<NA>", b"#dim", b"#frame_shift", b";;",
+    b"0", b"1", b"2", b"0.5", b"-1", b"1e20", b"1e308", b"1e-320", b"nan", b"inf", b"-inf",
+    b" ", b"\t", b"\n", b"\r\n", b"\r", b"\xff", b"\xc3", b"\xe2\x80\xa8",
+]
+
+
+class TestArbitraryBytes:
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_invalid_utf8_names_the_line(self, tmp_path, loader):
+        f = tmp_path / "in.txt"
+        f.write_bytes(b"\n\xff\xfe\n")
+        with pytest.raises(ParseError, match=r"in\.txt:2: not UTF-8"):
+            loader(f)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_only_parse_errors(self, tmp_path_factory, loader):
+        f = tmp_path_factory.mktemp("bytes") / "in.txt"
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(
+            st.one_of(
+                st.binary(max_size=200),
+                st.lists(st.sampled_from(TOKENS), max_size=80).map(b"".join),
+            )
+        )
+        def check(data):
+            f.write_bytes(data)
+            try:
+                loader(f)
+            except ParseError:
+                pass
+
+        check()
 
 
 class TestAssignmentToTimeline:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from diarcut.overlap_decode import (
     SINGLE,
     DurationConfig,
     FrameLabels,
-    build_duration_hmm,
     check_labels,
+    decode,
     frames_to_flags,
+    run_bounds,
     viterbi,
 )
-from oracles import path_score, transition_matrix
+from oracles import build_duration_hmm, chain_viterbi, path_score, transition_matrix
 
 ALLOWED_NEXT = {SILENCE: (SINGLE,), SINGLE: (SILENCE, OVERLAP), OVERLAP: (SINGLE,)}
 
@@ -112,6 +114,14 @@ class TestDurationConfig:
         with pytest.raises(ConfigError):
             DurationConfig(min_silence=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["min_overlap", "max_single", "max_silence", "bias_single", "bias_overlap"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            DurationConfig(**{field: value})
+
 
 class TestBuildDurationHmm:
     def test_chain_lengths(self):
@@ -133,14 +143,20 @@ class TestBuildDurationHmm:
         assert t[np.ix_(sil, ovl)].sum() == 0
         assert t[np.ix_(ovl, sil)].sum() == 0
 
+
+
+class TestRunBounds:
     def test_min_below_frame_shift_rejected(self):
         with pytest.raises(ConfigError, match="shorter than one frame"):
-            build_duration_hmm(DurationConfig(min_silence=0.005), 0.01)
+            run_bounds(DurationConfig(min_silence=0.005), 0.01)
 
     def test_seconds_to_frames(self):
-        hmm = build_duration_hmm(DurationConfig(), 0.01)
-        assert hmm.min_frames == (1, 3, 10)
-        assert hmm.max_frames == (None, 1000, 500)
+        assert run_bounds(DurationConfig(), 0.01) == ((1, None), (3, 1000), (10, 500))
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, 0.0, -0.01, 1e-320])
+    def test_bad_frame_shift_rejected(self, shift):
+        with pytest.raises(ConfigError):
+            run_bounds(DurationConfig(), shift)
 
 
 class TestViterbi:
@@ -238,7 +254,63 @@ class TestViterbi:
         assert (biased.labels == SILENCE).all()
 
 
+def reference_runs(lab):
+    """Maximal runs by a scan over frames."""
+    out = []
+    start = 0
+    for t in range(1, len(lab) + 1):
+        if t == len(lab) or lab[t] != lab[start]:
+            out.append((int(lab[start]), start, t))
+            start = t
+    return out
+
+
+def reference_flags(labels, spans):
+    """Half-span rule summing the overlap of every span with every interval."""
+    intervals = labels.class_intervals(OVERLAP)
+    flags = []
+    for span in spans:
+        cover = 0.0
+        for s, e in intervals:
+            cover += max(0.0, min(span.end, e) - max(span.start, s))
+        flags.append(int(cover + 1e-9 >= 0.5 * span.duration))
+    return flags
+
+
+def random_labels(rng, t_len, shift):
+    runs = np.repeat(rng.integers(0, 3, size=t_len), rng.integers(1, 6, size=t_len))
+    return FrameLabels(runs[:t_len], shift)
+
+
+class TestFrameLabels:
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, 0.0])
+    def test_bad_frame_shift_rejected(self, shift):
+        with pytest.raises(ContractError):
+            FrameLabels(np.zeros(3), shift)
+
+    def test_runs_match_frame_scan(self, rng):
+        assert FrameLabels(np.zeros(0), 0.01).runs() == []
+        for _ in range(50):
+            labels = random_labels(rng, int(rng.integers(1, 200)), 0.01)
+            assert labels.runs() == reference_runs(labels.labels)
+
+
 class TestFramesToFlags:
+    def test_matches_all_pairs_reference(self, rng):
+        for _ in range(100):
+            shift = float(rng.choice([0.01, 0.1, 0.03]))
+            labels = random_labels(rng, int(rng.integers(1, 400)), shift)
+            horizon = len(labels) * shift
+            # short spans, half off the frame grid and half on it, where a
+            # cover of exactly half the span is common
+            starts = rng.uniform(-0.1 * horizon, 1.1 * horizon, size=60)
+            ends = starts + rng.uniform(0.3, 12.0, size=60) * shift
+            starts[30:] = np.round(starts[30:] / shift) * shift
+            ends[30:] = starts[30:] + rng.integers(1, 12, size=30) * shift
+            spans = [SegmentSpan("rec", i, a, b) for i, (a, b) in enumerate(zip(starts, ends))]
+            got = frames_to_flags(labels, spans).flags.tolist()
+            assert got == reference_flags(labels, spans)
+
     def _span(self, start, end):
         return SegmentSpan("rec", 0, start, end)
 
@@ -266,3 +338,108 @@ class TestFramesToFlags:
         labels = self._labels_with_overlap(10, 0, 10)  # 1 s of overlap total
         flags = frames_to_flags(labels, [self._span(0.0, 3.0)])
         assert flags.flags.tolist() == [0]
+
+
+def random_frame_config(rng):
+    """Bounds of 1-5 frames per class, each unbounded with probability 0.4."""
+    kw = {}
+    for name in ("sil", "sing", "ovl"):
+        lo = int(rng.integers(1, 6))
+        kw[f"min_{name}"] = lo
+        kw[f"max_{name}"] = None if rng.random() < 0.4 else lo + int(rng.integers(0, 8))
+    return frame_config(**kw)
+
+
+def outcome(decoder, log_emis, arg):
+    """Labels as a list, or None when the decoder finds no feasible labeling."""
+    try:
+        return decoder(log_emis, arg).tolist()
+    except InfeasiblePathError:
+        return None
+
+
+def both_decoders(log_emis, cfg, shift=1.0):
+    return (
+        outcome(decode, log_emis, run_bounds(cfg, shift)),
+        outcome(chain_viterbi, log_emis, build_duration_hmm(cfg, shift)),
+    )
+
+
+class TestMatchesChainGraph:
+    """The run-length decoder against Viterbi over the duration-expanded graph."""
+
+    @pytest.mark.parametrize(
+        "bounds, t_len, expected",
+        [
+            # the lowest class wins; silence keeps its running run
+            (dict(), 4, [0, 0, 0, 0]),
+            # a run that just reached its minimum beats a longer one
+            (dict(min_sil=2, min_sing=2, min_ovl=2), 5, [1, 1, 1, 0, 0]),
+            # the shortest run within the bounds wins
+            (dict(max_sil=2, max_sing=2, max_ovl=2), 5, [0, 1, 0, 1, 0]),
+        ],
+    )
+    def test_tie_rules_on_flat_emissions(self, bounds, t_len, expected):
+        assert both_decoders(np.zeros((t_len, 3)), frame_config(**bounds)) == (
+            expected,
+            expected,
+        )
+
+    def test_integer_emissions_identical(self, rng):
+        # integer-valued scores add exactly in any order, so every tie is a
+        # true tie and both decoders must break it the same way
+        infeasible = 0
+        for trial in range(1500):
+            cfg = random_frame_config(rng)
+            t_len = int(rng.integers(1, 40))
+            log_emis = -rng.integers(0, 5, size=(t_len, 3)).astype(float)
+            log_emis[rng.random((t_len, 3)) < (0.0, 0.05, 0.2)[trial % 3]] = -np.inf
+            ours, graph = both_decoders(log_emis, cfg)
+            assert ours == graph
+            infeasible += ours is None
+        assert 0 < infeasible < 1500
+
+    def test_continuous_posteriors_identical(self, rng):
+        for _ in range(300):
+            cfg = random_frame_config(rng)
+            post = random_posteriors(rng, int(rng.integers(1, 60)))
+            ours, graph = both_decoders(np.log(post.rows), cfg)
+            assert ours == graph
+
+    def test_default_config_identical(self, rng):
+        classes = np.repeat(rng.integers(0, 3, size=40), rng.integers(20, 80, size=40))
+        rows = rng.dirichlet(np.ones(3), size=len(classes)) * 0.5
+        rows[np.arange(len(classes)), classes] += 0.5
+        ours, graph = both_decoders(np.log(rows), DurationConfig(), shift=0.01)
+        assert ours is not None and ours == graph
+
+    def test_tied_rows_score_equal(self, rng):
+        # quantized posteriors tie often; float rounding may then pick a
+        # different labeling, but never a worse one
+        for _ in range(300):
+            cfg = random_frame_config(rng)
+            counts = rng.integers(0, 3, size=(int(rng.integers(1, 40)), 3))
+            counts[counts.sum(axis=1) == 0] = 1
+            post = posteriors_from(counts)
+            with np.errstate(divide="ignore"):
+                ours, graph = both_decoders(np.log(post.rows), cfg)
+            assert (ours is None) == (graph is None)
+            if ours is not None:
+                check_labels(FrameLabels(np.array(ours), 1.0), cfg)
+                assert path_score(np.array(ours), post, cfg) == pytest.approx(
+                    path_score(np.array(graph), post, cfg), abs=1e-9
+                )
+
+    def test_memory_independent_of_bounds(self, rng):
+        t_len = 5_000
+        log_emis = np.log(rng.dirichlet(np.ones(3), size=t_len))
+        peaks = []
+        for scale in (1.0, 100.0):
+            cfg = DurationConfig(max_single=10.0 * scale, max_overlap=5.0 * scale)
+            tracemalloc.start()
+            decode(log_emis, run_bounds(cfg, 0.01))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # a few bytes per frame and class, where the expanded graph would
+        # need one backpointer per frame and state
+        assert max(peaks) < 100 * t_len

@@ -32,6 +32,12 @@ class TestDiarizeEmbeddings:
         assert out.assignment.k >= 2
         assert out.assignment.matrix[4].sum() == 2
 
+    def test_single_flagged_segment_keeps_one_speaker(self):
+        data = generate(SynthConfig(n_speakers=1, n_segments=1, seed=2))
+        out = diarize_embeddings(data.embeddings, OverlapVector(np.ones(1, dtype=np.int8)))
+        assert out.num_speakers == 1
+        assert out.assignment.matrix.tolist() == [[1]]
+
     def test_result_carries_diagnostics(self):
         data = generate(SynthConfig(n_speakers=3, n_segments=30, seed=4))
         out = diarize_embeddings(data.embeddings)

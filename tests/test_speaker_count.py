@@ -73,6 +73,11 @@ class TestEstimateContract:
         with pytest.raises(ContractError, match="sweep"):
             estimate(np.eye(2), p_min=5, p_max=4)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_too_few_segments_give_one_speaker(self, n):
+        report = estimate(np.ones((n, n)), p_min=n, p_max=20)
+        assert report.p_values == [] and (report.p_hat, report.k_hat) == (n, 1)
+
     def test_indeterminate_affinity(self):
         # isolated pairs at every candidate p: more components than the gap
         # window for p=2, so the only swept candidate scores zero
