@@ -18,28 +18,30 @@ TIE_EPS = 1e-9
 
 @dataclass
 class AffinityBundle:
-    """Raw affinity with its binarized graph and degrees."""
+    """Raw affinity with its binarized graph."""
 
     raw: np.ndarray
     p: int
     binarized: np.ndarray
-    degree: np.ndarray
 
 
 def cosine_affinity(seq: EmbeddingSequence) -> np.ndarray:
     """Pairwise cosine similarity matrix of the segment embeddings.
 
+    Each row is first scaled by the power of two that brings its largest
+    component into [0.5, 1), so the norm neither over- nor underflows; the
+    scaling is exact, and in-range rows normalize bit for bit as v / ||v||.
+
     Args:
-        seq: embedding sequence; every vector must have positive norm.
+        seq: embedding sequence; its vectors are nonzero.
 
     Returns:
         N x N symmetric matrix with entries in [-1, 1] and unit diagonal.
     """
     vecs = np.asarray(seq.vectors, dtype=float)
-    norms = np.linalg.norm(vecs, axis=1)
-    if not (norms > 0).all():
-        raise ContractError("cosine affinity requires nonzero embedding vectors")
-    unit = vecs / norms[:, None]
+    _, exp = np.frexp(np.abs(vecs).max(axis=1))
+    scaled = np.ldexp(vecs, -exp[:, None])
+    unit = scaled / np.linalg.norm(scaled, axis=1)[:, None]
     aff = unit @ unit.T
     aff = 0.5 * (aff + aff.T)
     np.fill_diagonal(aff, 1.0)
@@ -128,8 +130,5 @@ def laplacian(binarized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_bundle(
     affinity: np.ndarray, p: int, overlap: OverlapVector | None = None
 ) -> AffinityBundle:
-    """Bundle the binarized graph and its degrees for one p."""
-    binarized = binarize(affinity, p, overlap)
-    return AffinityBundle(
-        np.asarray(affinity, dtype=float), p, binarized, binarized.sum(axis=1)
-    )
+    """Bundle the raw affinity with its binarized graph for one p."""
+    return AffinityBundle(np.asarray(affinity, dtype=float), p, binarize(affinity, p, overlap))

@@ -12,7 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from importlib import metadata
 from pathlib import Path
 
@@ -55,6 +55,22 @@ def _manifest(command: str, args: argparse.Namespace) -> None:
             default=str,
         ),
     )
+
+
+# Options that map one to one onto config fields; p_min and p_max share --p-range.
+DIARIZE_FIELDS = [f for f in fields(DiarizationConfig) if f.name not in ("p_min", "p_max")]
+DURATION_FIELDS = fields(overlap_decode.DurationConfig)
+
+
+def _add_field_options(parser: argparse.ArgumentParser, config_fields) -> None:
+    """Add one ``--field-name`` option per field, with the field's default."""
+    for f in config_fields:
+        kind = float if f.default is None else type(f.default)
+        parser.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
+
+
+def _field_values(args: argparse.Namespace, config_fields) -> dict:
+    return {f.name: getattr(args, f.name) for f in config_fields}
 
 
 def _parse_p_range(text: str) -> tuple[int, int]:
@@ -104,15 +120,7 @@ def _cmd_diarize(args) -> int:
     overlap = None
     if args.flags:
         overlap = ingest.load_overlap_flags(args.flags, expected_length=len(seq))
-    config = DiarizationConfig(
-        p_min=p_min,
-        p_max=p_max,
-        max_speakers=args.max_speakers,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    config = DiarizationConfig(p_min=p_min, p_max=p_max, **_field_values(args, DIARIZE_FIELDS))
     result = diarize_embeddings(seq, overlap, config)
     ingest.write_rttm(result.timeline, args.out)
     if args.dump_report:
@@ -130,11 +138,11 @@ def _cmd_diarize(args) -> int:
         "out": str(args.out),
         "n_segments": len(seq),
         "p_hat": result.report.p_hat,
-        "k_hat": result.report.k_hat,
+        "k_hat": result.num_speakers,
         "phi": result.discretization.phi,
     }
     print(
-        f"{len(seq)} segments -> {result.report.k_hat} speakers "
+        f"{len(seq)} segments -> {result.num_speakers} speakers "
         f"(p={result.report.p_hat}); wrote {args.out}"
     )
     print(json.dumps(summary, sort_keys=True))
@@ -146,17 +154,7 @@ def _cmd_detect_overlap(args) -> int:
     post = ingest.load_posteriors(args.posteriors)
     if args.frame_shift is not None:
         post = ingest.FramePosteriors(post.recording_id, args.frame_shift, post.rows)
-    cfg = overlap_decode.DurationConfig(
-        min_single=args.min_single,
-        max_single=args.max_single,
-        min_overlap=args.min_overlap,
-        max_overlap=args.max_overlap,
-        min_silence=args.min_silence,
-        max_silence=args.max_silence,
-        bias_silence=args.bias_silence,
-        bias_single=args.bias_single,
-        bias_overlap=args.bias_overlap,
-    )
+    cfg = overlap_decode.DurationConfig(**_field_values(args, DURATION_FIELDS))
     labels = overlap_decode.viterbi(post, cfg)
     seq = ingest.load_embeddings(args.segments)
     flags = overlap_decode.frames_to_flags(labels, seq.spans)
@@ -210,12 +208,11 @@ def build_parser() -> _Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--flags", default=None, help="overlap-flag file; omit for none")
     p.add_argument("--out", required=True)
-    p.add_argument("--p-range", default="2:20", metavar="MIN:MAX")
-    p.add_argument("--max-speakers", type=int, default=10)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = DiarizationConfig()
+    p.add_argument(
+        "--p-range", default=f"{defaults.p_min}:{defaults.p_max}", metavar="MIN:MAX"
+    )
+    _add_field_options(p, DIARIZE_FIELDS)
     p.add_argument("--dump-report", default=None, help="write the eigengap report JSON")
     p.add_argument("--dump-matrices", default=None, help="dump A, binarized A, L as CSV")
     p.set_defaults(func=_cmd_diarize)
@@ -225,15 +222,7 @@ def build_parser() -> _Parser:
     p.add_argument("--segments", required=True, help="embeddings file providing spans")
     p.add_argument("--out", required=True)
     p.add_argument("--frame-shift", type=float, default=None, help="override the header")
-    p.add_argument("--min-single", type=float, default=0.03)
-    p.add_argument("--max-single", type=float, default=10.0)
-    p.add_argument("--min-overlap", type=float, default=0.1)
-    p.add_argument("--max-overlap", type=float, default=5.0)
-    p.add_argument("--min-silence", type=float, default=0.01)
-    p.add_argument("--max-silence", type=float, default=None)
-    p.add_argument("--bias-silence", type=float, default=1.0)
-    p.add_argument("--bias-single", type=float, default=1.0)
-    p.add_argument("--bias-overlap", type=float, default=1.0)
+    _add_field_options(p, DURATION_FIELDS)
     p.add_argument("--lab", default=None, help="also write overlap regions as a .lab file")
     p.set_defaults(func=_cmd_detect_overlap)
 

@@ -67,10 +67,9 @@ class EmbeddingSequence:
         bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
         if bad.size:
             raise ContractError(f"segment {bad[0]} has a non-finite embedding component")
-        norms = np.linalg.norm(self.vectors, axis=1)
-        if self.vectors.size and not (norms > 0).all():
-            bad = int(np.argmin(norms))
-            raise ContractError(f"segment {bad} has a zero-norm embedding")
+        bad = np.flatnonzero(~self.vectors.any(axis=1))
+        if bad.size:
+            raise ContractError(f"segment {bad[0]} has a zero-norm embedding")
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -253,7 +252,7 @@ def load_embeddings(path) -> EmbeddingSequence:
             )
         if not np.isfinite(vec).all():
             raise ParseError(f"{path}:{lineno}: non-finite component")
-        if not np.linalg.norm(vec) > 0:
+        if not vec.any():
             raise ParseError(f"{path}:{lineno}: zero-norm vector")
         records.append((rec, start, end, vec))
     if not records:

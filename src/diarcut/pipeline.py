@@ -26,7 +26,6 @@ class DiarizationConfig:
     p_min: int = 2
     p_max: int = 20
     max_speakers: int = 10
-    epsilon: float = 1e-10
     max_iters: int = 100
     tol: float = 1e-6
     restarts: int = 3
@@ -43,7 +42,8 @@ class DiarizationResult:
 
     @property
     def num_speakers(self) -> int:
-        return self.report.k_hat
+        """Final cluster count; ``report.k_hat`` keeps the eigengap's choice."""
+        return self.assignment.k
 
 
 def diarize_embeddings(
@@ -66,8 +66,7 @@ def diarize_embeddings(
         overlap = OverlapVector.zeros(n)
     raw = affinity.cosine_affinity(seq)
 
-    flags = overlap.flags
-    singles = np.flatnonzero(flags == 0)
+    singles = np.flatnonzero(overlap.flags == 0)
     # Counting needs a meaningful sweep over the rows it sees; with too few
     # single-speaker rows fall back to the full matrix.
     use_submatrix = overlap.any() and singles.size > config.p_min + 1
@@ -79,28 +78,24 @@ def diarize_embeddings(
         )
     estimate_input = raw[np.ix_(singles, singles)] if use_submatrix else raw
     report = speaker_count.estimate(
-        estimate_input,
-        p_min=config.p_min,
-        p_max=config.p_max,
-        epsilon=config.epsilon,
-        max_speakers=config.max_speakers,
+        estimate_input, config.p_min, config.p_max, config.max_speakers
     )
-    if overlap.any() and report.k_hat < 2 <= n:
+    k = report.k_hat
+    if overlap.any() and k < 2:
         # an overlapping segment means two concurrent speakers by definition;
-        # a lone segment cannot form two clusters
-        log.warning("overlap flags present; raising speaker count from 1 to 2")
-        report.k_hat = 2
-    log.info("binarization factor p=%d, estimated speakers K=%d", report.p_hat, report.k_hat)
+        # a lone segment cannot form two clusters, so its flag is dropped
+        if n >= 2:
+            log.warning("overlap flags present; raising speaker count from 1 to 2")
+            k = 2
+        else:
+            log.warning("one segment cannot carry two labels; dropping its overlap flag")
+            overlap = OverlapVector.zeros(n)
+    log.info("binarization factor p=%d, estimated speakers K=%d", report.p_hat, k)
 
     bundle = affinity.build_bundle(raw, report.p_hat, overlap)
-    solution = spectral.continuous_solve(bundle.binarized, bundle.degree, report.k_hat)
+    solution = spectral.continuous_solve(bundle.binarized, k)
     result = spectral.discretize_full(
-        solution,
-        overlap,
-        max_iters=config.max_iters,
-        tol=config.tol,
-        restarts=config.restarts,
-        seed=config.seed,
+        solution, overlap, config.max_iters, config.tol, config.restarts, config.seed
     )
     timeline = assignment_to_timeline(result.assignment, seq.spans)
     return DiarizationResult(timeline, result.assignment, report, result, bundle)

@@ -41,8 +41,8 @@ def _regions(reference: Timeline, hypothesis: Timeline, collar: float):
     speaker sets; collar exclusion edges are cut points too, so each region
     is either fully scored or fully excluded.
     """
-    if collar < 0:
-        raise ContractError("collar must be non-negative")
+    if not collar >= 0:
+        raise ContractError(f"collar must be non-negative, got {collar}")
     excluded: list[tuple[float, float]] = []
     if collar > 0:
         merged: list[tuple[float, float]] = []

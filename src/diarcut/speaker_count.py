@@ -23,6 +23,9 @@ log = logging.getLogger(__name__)
 # multiplicity of the zero eigenvalue (= connected components) is stable.
 ZERO_SNAP = 1e-10
 
+# Guards g_p against division by a zero spectral radius.
+EPSILON = 1e-10
+
 
 @dataclass
 class EigengapReport:
@@ -65,7 +68,6 @@ def estimate(
     affinity: np.ndarray,
     p_min: int = 2,
     p_max: int = 20,
-    epsilon: float = 1e-10,
     max_speakers: int = 10,
 ) -> EigengapReport:
     """Sweep the binarization factor and estimate the number of speakers.
@@ -73,7 +75,7 @@ def estimate(
     For each p in [p_min, min(p_max, N-1)]: binarize, form the Laplacian,
     take the full eigenvalue set, snap near-zeros, and compute
 
-        g_p = max(gaps[:max_speakers]) / (lambda_max + epsilon)
+        g_p = max(gaps[:max_speakers]) / (lambda_max + EPSILON)
         r(p) = p / g_p
 
     p_hat minimizes r (ties to the smaller p).  The estimated count is one
@@ -87,7 +89,6 @@ def estimate(
         p_min, p_max: inclusive sweep bounds; the effective upper bound is
             clipped to N-1.  With N-1 < p_min the sweep is empty and the
             estimate is one speaker at p_hat = N.
-        epsilon: guard against division by a zero spectral radius.
         max_speakers: cap on the estimated count; the gap search is limited
             to this many leading positions.
 
@@ -126,7 +127,7 @@ def estimate(
         lam[np.abs(lam) < ZERO_SNAP] = 0.0
         gaps = eigengap_vector(lam)
         window = gaps[:max_speakers]
-        g = float(window.max()) / (float(lam[-1]) + epsilon) if window.size else 0.0
+        g = float(window.max()) / (float(lam[-1]) + EPSILON) if window.size else 0.0
         r = p / g if g > 0 else float("inf")
         eigenvalues_per_p.append(lam)
         gaps_per_p.append(gaps)

@@ -59,10 +59,6 @@ class AssignmentMatrix:
             raise ContractError("overlap vector length does not match row count")
         sums = self.matrix.sum(axis=1)
         want = 1 + self.overlap.flags
-        if self.k == 1:
-            # A single cluster cannot carry a second label; flagged rows
-            # degrade to one label (warned at assignment time).
-            want = np.ones_like(want)
         if not (sums == want).all():
             bad = int(np.argmax(sums != want))
             raise ContractError(
@@ -104,18 +100,16 @@ class DiscretizeResult:
     best_restart: int
 
 
-def continuous_solve(
-    binarized: np.ndarray, degree: np.ndarray, k: int
-) -> ContinuousSolution:
+def continuous_solve(binarized: np.ndarray, k: int) -> ContinuousSolution:
     """Solve the relaxed clustering problem for the top-K eigenvectors.
 
     The eigenproblem of the non-symmetric D^-1 A is computed through the
     similar symmetric matrix D^-1/2 A D^-1/2, whose orthonormal eigenvectors
-    W give Z = D^-1/2 W with Z^T D Z = I by construction.
+    W give Z = D^-1/2 W with Z^T D Z = I by construction.  D holds the row
+    sums of the graph; isolated nodes get a floored degree.
 
     Args:
         binarized: symmetric nonnegative affinity graph.
-        degree: its row-sum degree vector.
         k: number of eigenvectors, 1 <= k <= N.
 
     Returns:
@@ -125,7 +119,7 @@ def continuous_solve(
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ContractError(f"k={k} outside [1, {n}]")
-    d = np.asarray(degree, dtype=float).copy()
+    d = a.sum(axis=1)
     if (d <= 0).any():
         log.warning(
             "%d isolated nodes after binarization; flooring degrees at %g",
@@ -169,6 +163,9 @@ def nms_assign(rotated: np.ndarray, overlap: OverlapVector) -> AssignmentMatrix:
     Args:
         rotated: N x K continuous matrix (typically x_tilde_star @ R).
         overlap: per-row flags; flagged rows need K >= 2 for a second peak.
+
+    Raises:
+        ContractError: flagged rows with K = 1.
     """
     m = np.asarray(rotated, dtype=float)
     n, k = m.shape
@@ -181,16 +178,12 @@ def nms_assign(rotated: np.ndarray, overlap: OverlapVector) -> AssignmentMatrix:
     flagged = np.flatnonzero(flags == 1)
     if flagged.size:
         if k == 1:
-            log.warning(
-                "%d overlap-flagged rows but only one cluster; "
-                "emitting a single label for them",
-                flagged.size,
+            raise ContractError(
+                f"{flagged.size} overlap-flagged rows need a second cluster, K = 1"
             )
-        else:
-            masked = m[flagged].copy()
-            masked[np.arange(flagged.size), first[flagged]] = -np.inf
-            second = np.argmax(masked, axis=1)
-            x[flagged, second] = 1
+        masked = m[flagged].copy()
+        masked[np.arange(flagged.size), first[flagged]] = -np.inf
+        x[flagged, np.argmax(masked, axis=1)] = 1
     return AssignmentMatrix(x, overlap)
 
 
@@ -266,6 +259,11 @@ def discretize_full(
     k = solution.k
     if k < 1:
         raise ContractError("discretization needs at least one cluster")
+    if restarts < 1 or max_iters < 1 or not tol >= 0:
+        raise ContractError(
+            f"need restarts >= 1, max_iters >= 1 and tol >= 0; got "
+            f"restarts={restarts}, max_iters={max_iters}, tol={tol}"
+        )
     best: DiscretizeResult | None = None
     histories: list[list[float]] = []
     for restart in range(restarts):

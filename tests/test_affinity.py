@@ -43,6 +43,20 @@ class TestCosineAffinity:
         assert np.allclose(a1, a2, atol=1e-12)
 
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-30, 1e30, 1e300])
+    def test_extreme_scales_normalize(self, scale):
+        a = cosine_affinity(seq_from([[scale, scale], [scale, -scale], [scale, 0.0]]))
+        assert np.allclose(a, [[1, 0, 0.5**0.5], [0, 1, 0.5**0.5], [0.5**0.5, 0.5**0.5, 1]])
+
+    def test_in_range_rows_normalize_exactly(self, rng):
+        vecs = rng.standard_normal((20, 5)) * 10.0 ** rng.integers(-30, 30, (20, 1))
+        unit = vecs / np.linalg.norm(vecs, axis=1)[:, None]
+        want = unit @ unit.T
+        want = 0.5 * (want + want.T)
+        np.fill_diagonal(want, 1.0)
+        assert np.array_equal(cosine_affinity(seq_from(vecs)), want)
+
+
 class TestPBinarize:
     def test_keep_everything(self, rng):
         a = cosine_affinity(seq_from(rng.standard_normal((6, 3))))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -144,6 +145,65 @@ class TestDiarizeCommand:
         assert last_json(out)["k_hat"] == k
         assert len(ingest.load_rttm(tmp_path / "h.rttm").speakers) == k
 
+    def test_huge_components_give_two_speakers(self, tmp_path, capsys):
+        # the squared norms overflow; unscaled, every row became a zero vector
+        rows = ["1e308 1e308"] * 3 + ["1e308 -1e308"] * 2
+        emb = tmp_path / "emb.txt"
+        emb.write_text(
+            "".join(f"rec\t{0.75 * i}\t{0.75 * i + 1.5}\t{r}\n" for i, r in enumerate(rows))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run_cli(
+                capsys, "diarize", "--embeddings", str(emb), "--out", str(tmp_path / "h.rttm")
+            )
+        assert code == 0
+        assert last_json(out)["k_hat"] == 2
+        assert len(ingest.load_rttm(tmp_path / "h.rttm").speakers) == 2
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--restarts", "0"],
+            ["--restarts", "-2"],
+            ["--max-iters", "0"],
+            ["--tol", "nan"],
+            ["--tol", "-1"],
+        ],
+    )
+    def test_degenerate_settings_exit_2(self, synth_dir, tmp_path, capsys, option):
+        code, _, err = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(synth_dir / "embeddings.txt"),
+            "--out", str(tmp_path / "h.rttm"),
+            *option,
+        )
+        assert code == 2
+        assert "error: need restarts >= 1" in err
+
+    def test_forced_count_dumps_the_eigengap_choice(self, tmp_path, capsys):
+        # one speaker with one flagged segment: the eigengap says 1, the
+        # run uses 2 so the flagged segment gets its second label
+        data = tmp_path / "one"
+        run_cli(capsys, "synth", "--speakers", "1", "--segments", "12", "--seed", "2",
+                "--out-dir", str(data))
+        flags = tmp_path / "flags.txt"
+        flags.write_text("".join("1\n" if i == 4 else "0\n" for i in range(12)))
+        report = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(data / "embeddings.txt"),
+            "--flags", str(flags),
+            "--out", str(tmp_path / "h.rttm"),
+            "--dump-report", str(report),
+        )
+        assert code == 0
+        assert json.loads(report.read_text())["k_hat"] == 1
+        assert last_json(out)["k_hat"] == 2
+        assert "12 segments -> 2 speakers" in out
+
     def test_invalid_utf8_embeddings_exit_2(self, tmp_path, capsys):
         emb = tmp_path / "emb.txt"
         emb.write_bytes(b"rec\t0.0\t1.5\t1 0\n\xff\xfe\n")
@@ -240,6 +300,13 @@ class TestScoreCommand:
         )
         assert code == 2
         assert "bad.rttm:2: not UTF-8" in err
+
+    @pytest.mark.parametrize("collar", ["nan", "-0.5"])
+    def test_bad_collar_exits_2(self, synth_dir, capsys, collar):
+        ref = str(synth_dir / "reference.rttm")
+        code, _, err = run_cli(capsys, "score", "--ref", ref, "--hyp", ref, "--collar", collar)
+        assert code == 2
+        assert "collar must be non-negative" in err
 
     def test_malformed_rttm_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.rttm"

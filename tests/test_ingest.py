@@ -55,6 +55,12 @@ class TestEmbeddings:
         with pytest.raises(ParseError, match="zero-norm"):
             load_embeddings(f)
 
+    def test_tiny_norm_loads(self, tmp_path):
+        # the squared norm of 1e-200 underflows to zero; the vector does not
+        f = tmp_path / "emb.txt"
+        f.write_text("rec\t0\t1\t1e-200 0\n")
+        assert load_embeddings(f).vectors.tolist() == [[1e-200, 0.0]]
+
     @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
     def test_non_finite_component_rejected(self, tmp_path, bad):
         f = tmp_path / "emb.txt"
@@ -328,6 +334,21 @@ class TestTimeline:
     def test_non_positive_interval_rejected(self):
         with pytest.raises(ContractError):
             Timeline.from_entries([("a", 1.0, 1.0)])
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("abc"),
+                st.floats(0.0, 1e4),
+                st.floats(1e-3, 1e3),
+            ),
+            max_size=20,
+        )
+    )
+    def test_from_entries_idempotent(self, raw):
+        once = Timeline.from_entries([(spk, t, t + d) for spk, t, d in raw])
+        assert Timeline.from_entries(once.entries).entries == once.entries
 
     def test_float_dust_merged(self):
         tl = Timeline.from_entries([("a", 0.0, 1.0), ("a", 1.0 + 5e-7, 2.0)])

@@ -1,6 +1,10 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from diarcut.ingest import OverlapVector
+from diarcut.errors import DiarcutError
+from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
 from diarcut.pipeline import DiarizationConfig, diarize_embeddings
 from diarcut.scoring import der_score
 from diarcut.synth import SynthConfig, generate
@@ -29,8 +33,10 @@ class TestDiarizeEmbeddings:
         flags = np.zeros(12, dtype=np.int8)
         flags[4] = 1
         out = diarize_embeddings(data.embeddings, OverlapVector(flags))
-        assert out.assignment.k >= 2
+        assert out.assignment.k == out.num_speakers == 2
         assert out.assignment.matrix[4].sum() == 2
+        # the report keeps what the eigengap picked
+        assert out.report.k_hat == 1
 
     def test_single_flagged_segment_keeps_one_speaker(self):
         data = generate(SynthConfig(n_speakers=1, n_segments=1, seed=2))
@@ -58,3 +64,22 @@ class TestDiarizeEmbeddings:
         out = diarize_embeddings(data.embeddings, data.overlap)
         result = der_score(data.reference, out.timeline)
         assert result.der <= 10.0
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_typed_error_or_row_sums_hold(data):
+    n = data.draw(st.integers(1, 8))
+    dim = data.draw(st.integers(1, 3))
+    component = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+    vectors = data.draw(arrays(float, (n, dim), elements=component))
+    flags = data.draw(arrays(np.int8, n, elements=st.integers(0, 1)))
+    spans = [SegmentSpan("rec", i, 0.75 * i, 0.75 * i + 1.5) for i in range(n)]
+    try:
+        out = diarize_embeddings(EmbeddingSequence(spans, vectors), OverlapVector(flags))
+    except DiarcutError:
+        return
+    want = 1 + flags if n > 1 else np.ones(1)
+    assert np.array_equal(out.assignment.matrix.sum(axis=1), want)
+    raised = n > 1 and flags.any() and out.report.k_hat < 2
+    assert out.num_speakers == (2 if raised else out.report.k_hat)

@@ -1,11 +1,25 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_timeline
 from diarcut.errors import EmptyReferenceError
 from diarcut.ingest import Timeline
 from diarcut.scoring import der_score, map_speakers
+
+
+def timelines(speakers: str):
+    """Non-empty timelines with millisecond-aligned boundaries."""
+    interval = st.tuples(
+        st.sampled_from(speakers), st.integers(0, 60_000), st.integers(1, 5_000)
+    )
+    return st.lists(interval, min_size=1, max_size=12).map(
+        lambda raw: Timeline.from_entries(
+            [(spk, a / 1000, (a + d) / 1000) for spk, a, d in raw]
+        )
+    )
 
 
 def cooccurrence(ref: Timeline, hyp: Timeline, h: str, r: str) -> float:
@@ -108,6 +122,19 @@ class TestDerScore:
             hyp = random_timeline(rng, prefix="hyp")
             out = der_score(ref, hyp)
             assert out.der == out.missed + out.false_alarm + out.confusion
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(timelines("abc"))
+    def test_self_score_is_zero(self, ref):
+        assert der_score(ref, ref).der == 0
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(timelines("abc"), timelines("xyz"), st.integers(-1000, 1000))
+    def test_shift_invariant(self, ref, hyp, offset):
+        base = der_score(ref, hyp)
+        moved = der_score(ref.shifted(offset), hyp.shifted(offset))
+        # shifted boundaries round differently, and DER is relative to the reference time
+        assert moved.der == pytest.approx(base.der, rel=1e-7, abs=1e-9)
 
     def test_empty_reference_rejected(self):
         with pytest.raises(EmptyReferenceError):

@@ -29,14 +29,13 @@ def random_feasible_z(n, k, degree, rng):
 class TestContinuousSolve:
     def test_identity_contract(self):
         degree, _ = laplacian(np.eye(5))
-        sol = continuous_solve(np.eye(5), degree, 5)
+        sol = continuous_solve(np.eye(5), 5)
         gram = sol.z_star.T @ (degree[:, None] * sol.z_star)
         assert np.abs(gram - np.eye(5)).max() < 1e-6
 
     def test_two_blocks_piecewise_constant(self):
         a = block_affinity([4, 5])
-        degree, _ = laplacian(a)
-        sol = continuous_solve(a, degree, 2)
+        sol = continuous_solve(a, 2)
         xt = sol.x_tilde_star
         # rows within a block agree; the two block directions are orthogonal
         for block in (range(4), range(4, 9)):
@@ -46,8 +45,7 @@ class TestContinuousSolve:
 
     def test_unit_row_norms(self, rng):
         a = block_affinity([4, 5], off_value=0.2)
-        degree, _ = laplacian(a)
-        sol = continuous_solve(a, degree, 3)
+        sol = continuous_solve(a, 3)
         assert np.abs(np.linalg.norm(sol.x_tilde_star, axis=1) - 1.0).max() < 1e-8
 
     def test_trace_optimality_against_random_feasible(self, rng):
@@ -56,21 +54,19 @@ class TestContinuousSolve:
         a = 0.5 * (raw + raw.T)
         degree, _ = laplacian(a)
         k = 3
-        sol = continuous_solve(a, degree, k)
+        sol = continuous_solve(a, k)
         best = objective_continuous(sol.z_star, a)
         for _ in range(100):
             z = random_feasible_z(12, k, degree, rng)
             assert objective_continuous(z, a) <= best + 1e-8
 
     def test_k_out_of_range(self):
-        degree, _ = laplacian(np.eye(3))
         with pytest.raises(ContractError):
-            continuous_solve(np.eye(3), degree, 4)
+            continuous_solve(np.eye(3), 4)
 
     def test_eigenvalues_descending(self, rng):
         a = block_affinity([5, 5], off_value=0.1)
-        degree, _ = laplacian(a)
-        sol = continuous_solve(a, degree, 4)
+        sol = continuous_solve(a, 4)
         assert (np.diff(sol.lambda_star) <= 1e-12).all()
 
 
@@ -87,9 +83,10 @@ class TestNmsAssign:
         out = nms_assign(np.array([[0.5, 0.5, 0.1]]), OverlapVector(np.array([1])))
         assert np.array_equal(out.matrix, [[1, 1, 0]])
 
-    def test_k1_overlap_falls_back_to_single_label(self):
-        out = nms_assign(np.array([[0.7]]), OverlapVector(np.array([1])))
-        assert np.array_equal(out.matrix, [[1]])
+    def test_k1_overlap_is_a_contract_error(self):
+        # one cluster cannot give a flagged row its second label
+        with pytest.raises(ContractError, match="second cluster"):
+            nms_assign(np.array([[0.7]]), OverlapVector(np.array([1])))
 
     def test_row_sums_match_constraint(self, rng):
         for _ in range(20):
@@ -164,8 +161,7 @@ class TestDiscretize:
 
     def test_two_blocks_recovered(self):
         a = block_affinity([4, 5])
-        degree, _ = laplacian(a)
-        sol = continuous_solve(a, degree, 2)
+        sol = continuous_solve(a, 2)
         out = discretize_full(sol, OverlapVector.zeros(9)).assignment
         labels = out.matrix.argmax(axis=1)
         assert len(set(labels[:4])) == 1
@@ -229,8 +225,7 @@ class TestObjectives:
 
     def test_rotation_invariance(self, rng):
         a = block_affinity([4, 4], off_value=0.3)
-        degree, _ = laplacian(a)
-        sol = continuous_solve(a, degree, 2)
+        sol = continuous_solve(a, 2)
         base = objective_continuous(sol.z_star, a)
         for _ in range(10):
             q = random_orthonormal(2, rng)
