@@ -13,12 +13,11 @@ import json
 import logging
 import sys
 from dataclasses import asdict, fields
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
-from . import affinity, ingest, overlap_decode, scoring, synth
+from . import __version__, affinity, ingest, overlap_decode, scoring, synth
 from .errors import ConfigError, DiarcutError, NumericalError
 from .pipeline import DiarizationConfig, diarize_embeddings
 
@@ -36,21 +35,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _version() -> str:
-    try:
-        return metadata.version("diarcut")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
-def _manifest(command: str, args: argparse.Namespace) -> None:
+def _manifest(args: argparse.Namespace) -> None:
     resolved = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")
     }
     log.info(
         "manifest %s",
         json.dumps(
-            {"version": _version(), "command": command, "config": resolved},
+            {"version": __version__, "command": args.command, "config": resolved},
             sort_keys=True,
             default=str,
         ),
@@ -92,7 +84,6 @@ def _cmd_synth(args) -> int:
         min_centroid_angle=args.min_angle,
         seed=args.seed,
     )
-    _manifest("synth", args)
     result = synth.generate(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -114,7 +105,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_diarize(args) -> int:
-    _manifest("diarize", args)
     p_min, p_max = _parse_p_range(args.p_range)
     seq = ingest.load_embeddings(args.embeddings)
     overlap = None
@@ -150,10 +140,7 @@ def _cmd_diarize(args) -> int:
 
 
 def _cmd_detect_overlap(args) -> int:
-    _manifest("detect-overlap", args)
     post = ingest.load_posteriors(args.posteriors)
-    if args.frame_shift is not None:
-        post = ingest.FramePosteriors(post.recording_id, args.frame_shift, post.rows)
     cfg = overlap_decode.DurationConfig(**_field_values(args, DURATION_FIELDS))
     labels = overlap_decode.viterbi(post, cfg)
     seq = ingest.load_embeddings(args.segments)
@@ -175,7 +162,6 @@ def _cmd_detect_overlap(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    _manifest("score", args)
     reference = ingest.load_rttm(args.ref)
     hypothesis = ingest.load_rttm(args.hyp)
     breakdown = scoring.der_score(reference, hypothesis, collar=args.collar)
@@ -221,7 +207,6 @@ def build_parser() -> _Parser:
     p.add_argument("--posteriors", required=True)
     p.add_argument("--segments", required=True, help="embeddings file providing spans")
     p.add_argument("--out", required=True)
-    p.add_argument("--frame-shift", type=float, default=None, help="override the header")
     _add_field_options(p, DURATION_FIELDS)
     p.add_argument("--lab", default=None, help="also write overlap regions as a .lab file")
     p.set_defaults(func=_cmd_detect_overlap)
@@ -243,6 +228,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    _manifest(args)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -3,8 +3,10 @@
 File formats (all plain UTF-8 text):
 
 * embeddings: optional ``#dim D`` header, then one segment per line,
-  ``recording_id<TAB>start<TAB>end<TAB>v1 v2 ... vD``
-* overlap flags: one ``0`` or ``1`` per line, aligned with the embeddings file
+  ``recording_id<TAB>start<TAB>end<TAB>v1 v2 ... vD``; segments are used in
+  file order, so segment i is data line i
+* overlap flags: one ``0`` or ``1`` per line; flag line i belongs to
+  embeddings data line i
 * posteriors: ``#frame_shift S`` header, then one ``p_silence p_single
   p_overlap`` row per frame
 * RTTM: standard 10-field ``SPEAKER`` records
@@ -51,7 +53,7 @@ class SegmentSpan:
 
 @dataclass
 class EmbeddingSequence:
-    """Per-segment embedding vectors with their time spans, sorted by span."""
+    """Per-segment embedding vectors with their time spans, in file order."""
 
     spans: list[SegmentSpan]
     vectors: np.ndarray
@@ -103,6 +105,14 @@ class OverlapVector:
         return bool(self.flags.any())
 
 
+class _PosteriorRowError(ContractError):
+    """A posterior row breaks one of the rules of :class:`FramePosteriors`."""
+
+    def __init__(self, row, problem: str):
+        super().__init__(f"posterior row {row} {problem}")
+        self.row = int(row)
+
+
 @dataclass
 class FramePosteriors:
     """T x 3 class posteriors, columns ordered (silence, single, overlap)."""
@@ -119,15 +129,14 @@ class FramePosteriors:
             raise ContractError("posterior rows must be T x 3")
         bad = np.flatnonzero(~np.isfinite(self.rows).all(axis=1))
         if bad.size:
-            raise ContractError(f"posterior row {bad[0]} has a non-finite value")
-        if (self.rows < 0).any():
-            raise ContractError("posteriors must be non-negative")
+            raise _PosteriorRowError(bad[0], "has a non-finite value")
+        bad = np.flatnonzero((self.rows < 0).any(axis=1))
+        if bad.size:
+            raise _PosteriorRowError(bad[0], "has a negative value")
         sums = self.rows.sum(axis=1)
-        if self.rows.size and np.abs(sums - 1.0).max() > 1e-4:
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise ContractError(
-                f"posterior row {bad} sums to {sums[bad]:.6f}, expected 1"
-            )
+        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-4)
+        if bad.size:
+            raise _PosteriorRowError(bad[0], f"sums to {sums[bad[0]]:.6f}, expected 1")
 
     @property
     def num_frames(self) -> int:
@@ -199,12 +208,22 @@ def _lines(path: Path):
                 yield lineno, line
 
 
+def _one_recording(path: Path, rec_ids: set[str]) -> str:
+    """The one recording id of a file ("rec" if it names none)."""
+    if len(rec_ids) > 1:
+        raise ParseError(
+            f"{path}: contains {len(rec_ids)} recording ids {sorted(rec_ids)}; "
+            "split into one file per recording"
+        )
+    return next(iter(rec_ids), "rec")
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
 
 def load_embeddings(path) -> EmbeddingSequence:
-    """Parse an embeddings file into a validated, span-sorted sequence."""
+    """Parse an embeddings file into a validated sequence, in file order."""
     path = Path(path)
     header_dim: int | None = None
     records: list[tuple[str, float, float, np.ndarray]] = []
@@ -257,13 +276,7 @@ def load_embeddings(path) -> EmbeddingSequence:
         records.append((rec, start, end, vec))
     if not records:
         raise ParseError(f"{path}: no segments found")
-    rec_ids = {r[0] for r in records}
-    if len(rec_ids) > 1:
-        raise ParseError(
-            f"{path}: contains {len(rec_ids)} recording ids {sorted(rec_ids)}; "
-            "split into one file per recording"
-        )
-    records.sort(key=lambda r: (r[1], r[2]))
+    _one_recording(path, {r[0] for r in records})
     spans = [
         SegmentSpan(rec, i, start, end)
         for i, (rec, start, end, _) in enumerate(records)
@@ -312,7 +325,7 @@ def save_overlap_flags(overlap: OverlapVector, path) -> None:
 # posteriors
 
 
-def load_posteriors(path, recording_id: str = "rec") -> FramePosteriors:
+def load_posteriors(path) -> FramePosteriors:
     path = Path(path)
     frame_shift: float | None = None
     rows: list[list[float]] = []
@@ -339,7 +352,11 @@ def load_posteriors(path, recording_id: str = "rec") -> FramePosteriors:
     if not rows:
         raise ParseError(f"{path}: no posterior rows")
     try:
-        return FramePosteriors(recording_id, frame_shift, np.array(rows))
+        return FramePosteriors("rec", frame_shift, np.array(rows))
+    except _PosteriorRowError as exc:
+        # every non-header line parsed as a row; find the bad one's line only now
+        lineno = [n for n, line in _lines(path) if not line.strip().startswith("#")][exc.row]
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
     except ContractError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -385,13 +402,7 @@ def load_rttm(path) -> Timeline:
             raise ParseError(f"{path}:{lineno}: bad onset/duration")
         rec_ids.add(fields[1])
         entries.append((fields[7], onset, end))
-    if len(rec_ids) > 1:
-        raise ParseError(
-            f"{path}: contains {len(rec_ids)} recording ids {sorted(rec_ids)}; "
-            "split into one file per recording"
-        )
-    recording_id = rec_ids.pop() if rec_ids else "rec"
-    return Timeline.from_entries(entries, recording_id)
+    return Timeline.from_entries(entries, _one_recording(path, rec_ids))
 
 
 def write_rttm(timeline: Timeline, path) -> None:

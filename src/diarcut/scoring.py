@@ -10,7 +10,6 @@ collar excludes a window around every reference boundary from scoring.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,59 +36,45 @@ class DerBreakdown:
 def _regions(reference: Timeline, hypothesis: Timeline, collar: float):
     """Elementary scored regions as (duration, ref_speakers, hyp_speakers).
 
-    A single sweep over the sorted boundary instants maintains the active
-    speaker sets; collar exclusion edges are cut points too, so each region
-    is either fully scored or fully excluded.
+    A single sweep over the sorted boundary instants keeps three counted
+    tracks: the active reference speakers, the active hypothesis speakers,
+    and the collar windows ``[b - collar, b + collar]`` around each reference
+    boundary b.  A region is scored only while no collar window is open.
     """
     if not collar >= 0:
         raise ContractError(f"collar must be non-negative, got {collar}")
-    excluded: list[tuple[float, float]] = []
-    if collar > 0:
-        merged: list[tuple[float, float]] = []
-        for b in sorted({t for _, s, e in reference.entries for t in (s, e)}):
-            lo, hi = b - collar, b + collar
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        excluded = merged
-
-    # (time, end-events first) so an interval never appears active at its
-    # own right edge
     events: dict[float, list[tuple[int, int, str]]] = {}
     for which, timeline in ((0, reference), (1, hypothesis)):
         for spk, s, e in timeline.entries:
             events.setdefault(s, []).append((which, +1, spk))
             events.setdefault(e, []).append((which, -1, spk))
-    for s, e in excluded:
-        events.setdefault(s, [])
-        events.setdefault(e, [])
+    if collar > 0:
+        for b in {t for _, s, e in reference.entries for t in (s, e)}:
+            events.setdefault(b - collar, []).append((2, +1, "collar"))
+            events.setdefault(b + collar, []).append((2, -1, "collar"))
 
-    exclusion_starts = [s for s, _ in excluded]
     times = sorted(events)
-    active = ({}, {})  # multiplicity-counted, though normalization makes it 0/1
+    # every event at an instant applies before the region that starts there,
+    # so an interval is never active at its own right edge
+    active = ({}, {}, {})
     regions = []
     for left, right in zip(times, times[1:]):
-        for which, delta, spk in events[left]:
-            count = active[which].get(spk, 0) + delta
+        for which, delta, key in events[left]:
+            count = active[which].get(key, 0) + delta
             if count:
-                active[which][spk] = count
+                active[which][key] = count
             else:
-                active[which].pop(spk, None)
-        if right <= left:
-            continue
-        if excluded:
-            i = bisect.bisect_right(exclusion_starts, left) - 1
-            if i >= 0 and right <= excluded[i][1]:
-                continue
-        if active[0] or active[1]:
+                active[which].pop(key, None)
+        if not active[2] and (active[0] or active[1]):
             regions.append(
                 (right - left, frozenset(active[0]), frozenset(active[1]))
             )
     return regions
 
 
-def _cooccurrence(regions, ref_speakers, hyp_speakers) -> np.ndarray:
+def _optimal_mapping(regions, ref_speakers, hyp_speakers) -> dict[str, str]:
+    if not ref_speakers or not hyp_speakers:
+        return {}
     matrix = np.zeros((len(hyp_speakers), len(ref_speakers)))
     h_index = {s: i for i, s in enumerate(hyp_speakers)}
     r_index = {s: i for i, s in enumerate(ref_speakers)}
@@ -97,13 +82,6 @@ def _cooccurrence(regions, ref_speakers, hyp_speakers) -> np.ndarray:
         for h in hyp_active:
             for r in ref_active:
                 matrix[h_index[h], r_index[r]] += dur
-    return matrix
-
-
-def _optimal_mapping(regions, ref_speakers, hyp_speakers) -> dict[str, str]:
-    if not ref_speakers or not hyp_speakers:
-        return {}
-    matrix = _cooccurrence(regions, ref_speakers, hyp_speakers)
     rows, cols = linear_sum_assignment(-matrix)
     return {
         hyp_speakers[i]: ref_speakers[j]

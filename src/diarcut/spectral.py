@@ -259,10 +259,10 @@ def discretize_full(
     k = solution.k
     if k < 1:
         raise ContractError("discretization needs at least one cluster")
-    if restarts < 1 or max_iters < 1 or not tol >= 0:
+    if restarts < 1 or max_iters < 1 or not tol >= 0 or seed < 0:
         raise ContractError(
-            f"need restarts >= 1, max_iters >= 1 and tol >= 0; got "
-            f"restarts={restarts}, max_iters={max_iters}, tol={tol}"
+            f"need restarts >= 1, max_iters >= 1, tol >= 0 and seed >= 0; got "
+            f"restarts={restarts}, max_iters={max_iters}, tol={tol}, seed={seed}"
         )
     best: DiscretizeResult | None = None
     histories: list[list[float]] = []

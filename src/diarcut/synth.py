@@ -47,6 +47,8 @@ class SynthConfig:
             raise ConfigError("overlaps require at least 2 speakers")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -2,18 +2,21 @@
 
 Each is a direct, unoptimized statement of a quantity the package computes
 or relies on: the per-row binarization the vectorized ``binarize`` must
-reproduce, the clustering objectives, the decoder's emission score, and the
+reproduce, the clustering objectives, the decoder's emission score, the
 duration-expanded state graph with its Viterbi decoder, whose labels the
-run-length ``decode`` must reproduce.
+run-length ``decode`` must reproduce, and the scorer's regions with the
+collar windows merged up front, which the one-sweep ``_regions`` must
+reproduce.
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
 from diarcut.affinity import TIE_EPS
 from diarcut.errors import ContractError, InfeasiblePathError
-from diarcut.ingest import FramePosteriors, OverlapVector
+from diarcut.ingest import FramePosteriors, OverlapVector, Timeline
 from diarcut.overlap_decode import (
     _ALLOWED_INTO,
     CLASSES,
@@ -273,3 +276,53 @@ def transition_matrix(hmm: DurationHmm) -> np.ndarray:
     for cls, cands in hmm.entry_candidates.items():
         t[cands, hmm.entry_state[cls]] = 1.0
     return t
+
+
+# ---------------------------------------------------------------------------
+# scoring
+
+
+def merged_window_regions(reference: Timeline, hypothesis: Timeline, collar: float):
+    """Scored regions as (duration, ref_speakers, hyp_speakers).
+
+    The collar windows around the reference boundaries are merged into
+    disjoint excluded intervals first; a region between two consecutive cut
+    points is dropped when it lies inside one of them.
+    """
+    if not collar >= 0:
+        raise ContractError(f"collar must be non-negative, got {collar}")
+    excluded: list[tuple[float, float]] = []
+    if collar > 0:
+        for b in sorted({t for _, s, e in reference.entries for t in (s, e)}):
+            lo, hi = b - collar, b + collar
+            if excluded and lo <= excluded[-1][1]:
+                excluded[-1] = (excluded[-1][0], max(excluded[-1][1], hi))
+            else:
+                excluded.append((lo, hi))
+
+    events: dict[float, list[tuple[int, int, str]]] = {}
+    for which, timeline in ((0, reference), (1, hypothesis)):
+        for spk, s, e in timeline.entries:
+            events.setdefault(s, []).append((which, +1, spk))
+            events.setdefault(e, []).append((which, -1, spk))
+    for s, e in excluded:
+        events.setdefault(s, [])
+        events.setdefault(e, [])
+
+    exclusion_starts = [s for s, _ in excluded]
+    times = sorted(events)
+    active = ({}, {})
+    regions = []
+    for left, right in zip(times, times[1:]):
+        for which, delta, spk in events[left]:
+            count = active[which].get(spk, 0) + delta
+            if count:
+                active[which][spk] = count
+            else:
+                active[which].pop(spk, None)
+        i = bisect.bisect_right(exclusion_starts, left) - 1
+        if i >= 0 and right <= excluded[i][1]:
+            continue
+        if active[0] or active[1]:
+            regions.append((right - left, frozenset(active[0]), frozenset(active[1])))
+    return regions

@@ -1,12 +1,17 @@
 import json
+import logging
+import tomllib
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diarcut
 from diarcut import ingest, scoring
 from diarcut.cli import main
+from diarcut.pipeline import diarize_embeddings
 from diarcut.synth import SynthConfig, generate
 
 
@@ -18,6 +23,15 @@ def run_cli(capsys, *argv):
 
 def last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
+
+
+def reversed_copy(src, dst):
+    """Write the data lines of ``src`` to ``dst`` in reverse, headers first."""
+    lines = src.read_text().splitlines(keepends=True)
+    headers = [line for line in lines if line.startswith("#")]
+    data = [line for line in lines if not line.startswith("#")]
+    dst.write_text("".join(headers + data[::-1]))
+    return dst
 
 
 @pytest.fixture
@@ -45,6 +59,12 @@ class TestSynthCommand:
         seq = ingest.load_embeddings(synth_dir / "embeddings.txt")
         lib = generate(SynthConfig(n_speakers=3, n_segments=30, seed=5))
         assert np.array_equal(seq.vectors, lib.embeddings.vectors)
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "synth", "--speakers", "2", "--segments", "10",
+                               "--seed", "-1", "--out-dir", str(tmp_path / "d"))
+        assert code == 2
+        assert "seed must be non-negative" in err
 
 
 class TestDiarizeCommand:
@@ -122,6 +142,37 @@ class TestDiarizeCommand:
         assert code == 0
         assert last_json(out)["der"] == 0.0
 
+    def _reversed_overlap_files(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        run_cli(capsys, "synth", "--speakers", "3", "--segments", "30", "--sigma", "0.1",
+                "--overlap-frac", "0.2", "--seed", "1", "--out-dir", str(data))
+        emb = reversed_copy(data / "embeddings.txt", tmp_path / "emb.txt")
+        flags = reversed_copy(data / "overlap_flags.txt", tmp_path / "flags.txt")
+        return data, emb, flags
+
+    def test_reversed_files_score_as_in_order(self, tmp_path, capsys):
+        # flag line i belongs to embeddings line i, not to the i-th earliest segment
+        data, emb, flags = self._reversed_overlap_files(tmp_path, capsys)
+        hyp = tmp_path / "hyp.rttm"
+        code, out, _ = run_cli(capsys, "diarize", "--embeddings", str(emb),
+                               "--flags", str(flags), "--out", str(hyp))
+        assert code == 0
+        assert last_json(out)["k_hat"] == 3
+        code, out, _ = run_cli(capsys, "score", "--ref", str(data / "reference.rttm"),
+                               "--hyp", str(hyp))
+        assert code == 0
+        assert last_json(out)["der"] == 0.0
+
+    def test_flagged_lines_get_two_labels(self, tmp_path, capsys):
+        _, emb, flags = self._reversed_overlap_files(tmp_path, capsys)
+        seq = ingest.load_embeddings(emb)
+        flagged = ingest.load_overlap_flags(flags, len(seq))
+        two = diarize_embeddings(seq, flagged).assignment.matrix.sum(axis=1) == 2
+        lab = generate(SynthConfig(n_speakers=3, n_segments=30, noise_sigma=0.1,
+                                   overlap_fraction=0.2, seed=1))
+        want = {(s.start, s.end) for s, f in zip(lab.embeddings.spans, lab.overlap.flags) if f}
+        assert {(s.start, s.end) for s, t in zip(seq.spans, two) if t} == want
+
     def test_missing_embeddings_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -181,6 +232,17 @@ class TestDiarizeCommand:
         )
         assert code == 2
         assert "error: need restarts >= 1" in err
+
+    def test_negative_seed_exits_2(self, synth_dir, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(synth_dir / "embeddings.txt"),
+            "--out", str(tmp_path / "h.rttm"),
+            "--seed", "-1",
+        )
+        assert code == 2
+        assert "seed >= 0" in err
 
     def test_forced_count_dumps_the_eigengap_choice(self, tmp_path, capsys):
         # one speaker with one flagged segment: the eigengap says 1, the
@@ -386,7 +448,6 @@ class TestDetectOverlapCommand:
         "option, header",
         [
             ([], "nan"),
-            (["--frame-shift", "nan"], "0.01"),
             (["--min-overlap", "nan"], "0.01"),
             (["--max-single", "nan"], "0.01"),
             (["--bias-single", "nan"], "0.01"),
@@ -406,6 +467,27 @@ class TestDetectOverlapCommand:
         assert code == 2
         assert "must be" in err
 
+    def test_flags_follow_segment_lines(self, tmp_path, capsys):
+        # overlap on [0.5 s, 1.6 s) flags the windows starting at 0 and 0.75
+        rows = []
+        for t in range(300):
+            mid = (t + 0.5) * 0.01
+            rows.append([0.0, 0.05, 0.95] if 0.5 <= mid < 1.6 else [0.0, 0.95, 0.05])
+        post, emb = self._write_inputs(tmp_path, rows)
+        reversed_copy(emb, emb)
+        out = tmp_path / "flags.txt"
+        code, _, _ = run_cli(capsys, "detect-overlap", "--posteriors", str(post),
+                             "--segments", str(emb), "--out", str(out))
+        assert code == 0
+        assert out.read_text() == "0\n1\n1\n"
+
+    def test_frame_shift_option_is_gone(self, tmp_path, capsys):
+        post, emb = self._write_inputs(tmp_path, [[0.1, 0.8, 0.1]] * 300)
+        with pytest.raises(SystemExit) as exc:
+            main(["detect-overlap", "--posteriors", str(post), "--segments", str(emb),
+                  "--out", str(tmp_path / "f.txt"), "--frame-shift", "0.02"])
+        assert exc.value.code == 1
+
 
 class TestUsage:
     def test_unknown_flag_exits_1(self, capsys):
@@ -423,3 +505,20 @@ class TestUsage:
         )
         assert code == 2
         assert "MIN:MAX" in err
+
+
+class TestManifest:
+    def test_logged_once_with_package_version(self, synth_dir, capsys, caplog):
+        ref = str(synth_dir / "reference.rttm")
+        with caplog.at_level(logging.INFO, logger="diarcut"):
+            assert run_cli(capsys, "score", "--ref", ref, "--hyp", ref)[0] == 0
+        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("manifest ")]
+        assert len(logged) == 1
+        manifest = json.loads(logged[0].removeprefix("manifest "))
+        assert manifest["version"] == diarcut.__version__
+        assert manifest["command"] == "score"
+
+    def test_pyproject_version_matches_package(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == diarcut.__version__

@@ -99,12 +99,13 @@ class TestEmbeddings:
         with pytest.raises(ParseError, match="recording ids"):
             load_embeddings(f)
 
-    def test_sorted_by_span(self, tmp_path):
+    def test_file_order_kept(self, tmp_path):
+        # segment i is data line i, whatever the times say
         f = tmp_path / "emb.txt"
         f.write_text("rec\t0.75\t2.25\t0 1\nrec\t0.0\t1.5\t1 0\n")
         seq = load_embeddings(f)
-        assert seq.spans[0].start == 0.0
-        assert seq.vectors[0, 0] == 1.0
+        assert [(s.index, s.start) for s in seq.spans] == [(0, 0.75), (1, 0.0)]
+        assert seq.vectors.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_save_load_round_trip(self, tmp_path, rng):
         # the written file must reproduce every value bit for bit
@@ -170,6 +171,22 @@ class TestPosteriors:
         f = tmp_path / "post.txt"
         f.write_text("#frame_shift 0.01\n0.2 0.3 0.5\nnan 0.5 0.5\n")
         with pytest.raises(ParseError, match="non-finite"):
+            load_posteriors(f)
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("nan 0.5 0.5", "has a non-finite value"),
+            ("-0.1 0.6 0.5", "has a negative value"),
+            # the first bad row is named, not the worst one
+            ("0.5 0.5 0.5\n1 1 1", "sums to 1.500000, expected 1"),
+        ],
+        ids=["non-finite", "negative", "sum"],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
+        f = tmp_path / "post.txt"
+        f.write_text(f"#frame_shift 0.01\n0.2 0.3 0.5\n\n{bad_row}\n")
+        with pytest.raises(ParseError, match=f"post.txt:4: posterior row 1 {message}"):
             load_posteriors(f)
 
     @pytest.mark.parametrize("shift", ["nan", "inf", "-0.01"])

@@ -1,13 +1,17 @@
 import itertools
+from dataclasses import asdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_timeline
+from diarcut import scoring
 from diarcut.errors import EmptyReferenceError
 from diarcut.ingest import Timeline
 from diarcut.scoring import der_score, map_speakers
+from oracles import merged_window_regions
 
 
 def timelines(speakers: str):
@@ -20,6 +24,25 @@ def timelines(speakers: str):
             [(spk, a / 1000, (a + d) / 1000) for spk, a, d in raw]
         )
     )
+
+
+def quarter_timelines(speakers: str):
+    """Timelines on a quarter-second grid, so collar windows touch exactly."""
+    interval = st.tuples(st.sampled_from(speakers), st.integers(0, 160), st.integers(1, 24))
+    return st.lists(interval, min_size=1, max_size=10).map(
+        lambda raw: Timeline.from_entries([(spk, a / 4, (a + d) / 4) for spk, a, d in raw])
+    )
+
+
+# eighths of a second make windows touch and overlap; floats make them straddle
+collars = st.one_of(st.integers(0, 24).map(lambda k: k / 8), st.floats(0, 3))
+
+
+def breakdown(reference: Timeline, hypothesis: Timeline, collar: float):
+    try:
+        return asdict(der_score(reference, hypothesis, collar))
+    except EmptyReferenceError:
+        return None
 
 
 def cooccurrence(ref: Timeline, hyp: Timeline, h: str, r: str) -> float:
@@ -139,6 +162,15 @@ class TestDerScore:
     def test_empty_reference_rejected(self):
         with pytest.raises(EmptyReferenceError):
             der_score(Timeline(), Timeline.from_entries([("a", 0.0, 1.0)]))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.one_of(quarter_timelines("abc"), timelines("abc")), quarter_timelines("xyz"), collars)
+    def test_collar_sweep_matches_merged_windows(self, ref, hyp, collar):
+        got = breakdown(ref, hyp, collar)
+        with mock.patch.object(scoring, "_regions", merged_window_regions):
+            want = breakdown(ref, hyp, collar)
+        assert got == want
+        assert scoring._regions(ref, hyp, collar) == merged_window_regions(ref, hyp, collar)
 
     def test_collar_excludes_boundaries(self):
         ref = Timeline.from_entries([("A", 0.0, 10.0)])
