@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractError, EmptyReferenceError
 from .ingest import Timeline
@@ -82,6 +81,10 @@ def _optimal_mapping(regions, ref_speakers, hyp_speakers) -> dict[str, str]:
         for h in hyp_active:
             for r in ref_active:
                 matrix[h_index[h], r_index[r]] += dur
+    # Imported here: scipy.optimize is most of the package's import time,
+    # and only scoring needs it.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-matrix)
     return {
         hyp_speakers[i]: ref_speakers[j]

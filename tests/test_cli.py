@@ -1,5 +1,8 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 import tomllib
 import warnings
 from dataclasses import asdict
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import diarcut
-from diarcut import ingest, scoring
+from diarcut import ingest, scoring, speaker_count
 from diarcut.cli import main
 from diarcut.pipeline import diarize_embeddings
 from diarcut.synth import SynthConfig, generate
@@ -287,6 +290,30 @@ class TestDiarizeCommand:
         data = json.loads(report.read_text())
         assert data["k_hat"] == 3
         assert data["p_values"][0] == 2
+        swept = len(data["p_values"])
+        assert len(data["lambda_max_per_p"]) == len(data["eigenvalues_per_p"]) == swept
+        for lam, gaps in zip(data["eigenvalues_per_p"], data["gaps_per_p"]):
+            assert len(lam) == data["max_speakers"] + 1 and len(gaps) == len(lam) - 1
+
+    def test_eigensolver_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        from scipy.sparse import linalg as sla
+
+        data = tmp_path / "data"
+        run_cli(capsys, "synth", "--speakers", "3", "--segments", "60", "--out-dir", str(data))
+
+        def fail(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(speaker_count, "SPARSE_MIN_N", 0)
+        monkeypatch.setattr(sla, "eigsh", fail)
+        code, _, err = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(data / "embeddings.txt"),
+            "--out", str(tmp_path / "h.rttm"),
+        )
+        assert code == 3
+        assert "Lanczos eigensolve failed" in err
 
     def test_dump_matrices(self, synth_dir, tmp_path, capsys):
         dump = tmp_path / "mats"
@@ -487,6 +514,30 @@ class TestDetectOverlapCommand:
             main(["detect-overlap", "--posteriors", str(post), "--segments", str(emb),
                   "--out", str(tmp_path / "f.txt"), "--frame-shift", "0.02"])
         assert exc.value.code == 1
+
+
+class TestStartup:
+    def test_optional_scipy_modules_not_imported(self, tmp_path):
+        # scipy.optimize serves only `score`, scipy.sparse only large graphs;
+        # importing either costs every other command its start-up time
+        post, emb = TestDetectOverlapCommand._write_inputs(None, tmp_path, [[0.0, 1.0, 0.0]] * 300)
+        script = (
+            "import json, sys\n"
+            "import diarcut.cli\n"
+            "wanted = ('scipy.optimize', 'scipy.sparse')\n"
+            "before = [m for m in wanted if m in sys.modules]\n"
+            "code = diarcut.cli.main(sys.argv[1:])\n"
+            "after = [m for m in wanted if m in sys.modules]\n"
+            "print(json.dumps([code, before, after]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "detect-overlap", "--posteriors", str(post),
+             "--segments", str(emb), "--out", str(tmp_path / "flags.txt")],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, [], []]
 
 
 class TestUsage:

@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from conftest import block_affinity
-from diarcut.errors import ContractError, IndeterminateSpeakerCountError
+from diarcut import speaker_count
+from diarcut.errors import ContractError, IndeterminateSpeakerCountError, NumericalError
 from diarcut.speaker_count import ZERO_SNAP, eigengap_vector, estimate
 from diarcut.synth import SynthConfig, generate
 from diarcut.affinity import cosine_affinity, laplacian
@@ -114,10 +117,114 @@ class TestEstimateContract:
     def test_sweep_spectra_match_reference_binarization(self, rng):
         a = cosine_affinity(EmbSeqStub(rng.standard_normal((30, 5))))
         report = estimate(a)
-        for p, lam in zip(report.p_values, report.eigenvalues_per_p):
+        m = report.max_speakers + 1
+        for p, lam, lam_max in zip(
+            report.p_values, report.eigenvalues_per_p, report.lambda_max_per_p
+        ):
             want = np.linalg.eigvalsh(laplacian(p_binarize(a, p))[1])
             want[np.abs(want) < ZERO_SNAP] = 0.0
-            assert np.array_equal(lam, want)
+            assert np.array_equal(lam, want[:m])
+            assert lam_max == want[-1]
+
+    def test_g_recomputable_from_report(self):
+        cfg = SynthConfig(n_speakers=3, n_segments=30, noise_sigma=0.15, seed=3)
+        report = estimate(cosine_affinity(generate(cfg).embeddings))
+        for lam, gaps, lam_max, g in zip(
+            report.eigenvalues_per_p, report.gaps_per_p,
+            report.lambda_max_per_p, report.g_values,
+        ):
+            assert np.array_equal(gaps, np.diff(lam))
+            assert g == gaps.max() / (lam_max + speaker_count.EPSILON)
+
+
+def synth_affinity(speakers, segments, sigma, seed):
+    cfg = SynthConfig(n_speakers=speakers, n_segments=segments, noise_sigma=sigma, seed=seed)
+    return cosine_affinity(generate(cfg).embeddings)
+
+
+class TestClampWarning:
+    def test_silent_below_the_cap(self, caplog):
+        a = synth_affinity(2, 120, 0.15, 0)
+        with caplog.at_level(logging.WARNING, logger="diarcut.speaker_count"):
+            report = estimate(a)
+        assert report.k_hat == 2
+        assert "clamped" not in caplog.text
+
+    def test_fires_at_the_cap(self, caplog):
+        a = synth_affinity(10, 300, 0.02, 1)
+        with caplog.at_level(logging.WARNING, logger="diarcut.speaker_count"):
+            report = estimate(a)
+        assert report.k_hat == report.max_speakers == 10
+        assert "clamped" in caplog.text
+
+
+class TestLanczosBranch:
+    """The sparse branch, forced at small N, against the dense branch."""
+
+    @pytest.fixture
+    def sparse(self, monkeypatch):
+        monkeypatch.setattr(speaker_count, "SPARSE_MIN_N", 0)
+
+    # 9-10 speakers with little noise: several components at many p, where
+    # undeflated Lanczos drops copies of the zero eigenvalue
+    @pytest.mark.parametrize(
+        "speakers, segments, sigma, seed",
+        [(10, 300, 0.02, 1), (9, 250, 0.03, 2), (10, 400, 0.05, 3), (9, 350, 0.04, 4)],
+    )
+    def test_matches_dense(self, monkeypatch, speakers, segments, sigma, seed):
+        a = synth_affinity(speakers, segments, sigma, seed)
+        dense = estimate(a)
+        monkeypatch.setattr(speaker_count, "SPARSE_MIN_N", 0)
+        lanczos = estimate(a)
+        assert lanczos.p_values == dense.p_values
+        for got, want in zip(lanczos.eigenvalues_per_p, dense.eigenvalues_per_p):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=1e-9)
+        assert np.allclose(lanczos.lambda_max_per_p, dense.lambda_max_per_p, rtol=1e-12, atol=0)
+        r_got, r_want = np.array(lanczos.r_values), np.array(dense.r_values)
+        assert np.array_equal(np.isfinite(r_got), np.isfinite(r_want))
+        finite = np.isfinite(r_want)
+        assert np.allclose(r_got[finite], r_want[finite], rtol=1e-9, atol=0)
+        assert (lanczos.p_hat, lanczos.k_hat) == (dense.p_hat, dense.k_hat)
+
+    def test_graph_narrower_than_basis_stays_dense(self, monkeypatch):
+        a = synth_affinity(3, 30, 0.1, 2)
+        want = estimate(a).to_dict()
+        monkeypatch.setattr(speaker_count, "SPARSE_MIN_N", 0)
+        assert estimate(a).to_dict() == want
+
+    def test_deterministic(self, sparse):
+        a = synth_affinity(4, 100, 0.1, 6)
+        assert estimate(a).to_dict() == estimate(a).to_dict()
+
+    def test_many_components_skip_the_solve(self, sparse, monkeypatch):
+        from scipy.sparse import linalg as sla
+
+        calls = []
+        real = sla.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["which"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", counted)
+        # 40 disjoint triangles: 40 zero eigenvalues, more than the 11 wanted
+        lam, lam_max = speaker_count.low_spectrum(np.kron(np.eye(40), np.ones((3, 3))), 11)
+        assert np.array_equal(lam, np.zeros(11)) and lam_max == pytest.approx(3.0)
+        assert calls == ["LA"]
+
+    @pytest.mark.parametrize("error", ["no-convergence", "breakdown"])
+    def test_arpack_failure_is_numerical_error(self, sparse, monkeypatch, error):
+        from scipy.sparse import linalg as sla
+
+        def fail(*args, **kwargs):
+            if error == "no-convergence":
+                raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+            raise sla.ArpackError(-9999)
+
+        monkeypatch.setattr(sla, "eigsh", fail)
+        with pytest.raises(NumericalError, match="Lanczos"):
+            estimate(synth_affinity(3, 60, 0.1, 2))
 
 
 class EmbSeqStub:
