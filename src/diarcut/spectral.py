@@ -25,6 +25,11 @@ log = logging.getLogger(__name__)
 
 DEGREE_FLOOR = 1e-10
 
+# A later restart wins only when its final objective is lower by more than
+# this fraction; restarts that reach one partition in another column order
+# differ by rounding (a relative 6e-14 was seen), and the earlier one stays.
+PHI_TIE_RTOL = 1e-9
+
 
 @dataclass
 class ContinuousSolution:
@@ -253,7 +258,7 @@ def discretize_full(
     Each round performs the exact assignment step followed by the exact
     rotation step, so the objective recorded after each full round is
     non-increasing.  The restart whose final objective is smallest wins;
-    ties keep the earlier restart.
+    ties within a relative PHI_TIE_RTOL keep the earlier restart.
     """
     xt = solution.x_tilde_star
     k = solution.k
@@ -281,7 +286,7 @@ def discretize_full(
                 break
             phi_prev = phi
         histories.append(phis)
-        if best is None or phis[-1] < best.phi:
+        if best is None or phis[-1] < best.phi * (1.0 - PHI_TIE_RTOL):
             best = DiscretizeResult(x, rotation, phis[-1], [], restart)
     best.phi_histories = histories
     return best

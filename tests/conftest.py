@@ -1,3 +1,6 @@
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,3 +82,20 @@ def block_affinity(sizes, off_value: float = 0.0) -> np.ndarray:
         a[offset : offset + m, offset : offset + m] = 1.0
         offset += m
     return a
+
+
+def rttm_same_partition(path_a, path_b) -> bool:
+    """Whether two RTTM files agree up to a bijection of speaker names.
+
+    Each speaker's lines, with the name field removed, form one block; the
+    files agree when they hold the same multiset of blocks.
+    """
+
+    def blocks(path):
+        per_speaker: dict[str, set] = {}
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
+            fields = line.split()
+            per_speaker.setdefault(fields[7], set()).add(tuple(fields[:7] + fields[8:]))
+        return Counter(frozenset(lines) for lines in per_speaker.values())
+
+    return blocks(path_a) == blocks(path_b)

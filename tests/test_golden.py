@@ -1,6 +1,8 @@
 """Golden outputs: pinned digests of CLI outputs on fixed synthetic inputs.
 
 Refactors that must not change behaviour are checked against these bytes.
+Speaker names are canonical (in order of each cluster's first segment), so
+the digests pin the partition, not the column order of the clustering.
 RTTM files carry three decimals, so the digests are stable against last-ulp
 differences in the floating-point libraries; the pinned ``p_hat``/``k_hat``
 pairs fail with a readable message before the digest does.
@@ -21,19 +23,19 @@ from diarcut.synth import STRIDE, WINDOW
 #      flags when the recording has overlaps
 DIARIZE_GOLDEN = {
     (3, 30, 0.0, 0.0, 5): (
-        "f09b1b758b0fb604a00e9e0451ecc07b24f7944a404c93d5a0796ae8da446812", 2, 3,
+        "a150ec541e1e81abebfc7219b8f96e9c08c7897f756596de660661c39f735c03", 2, 3,
     ),
     (4, 60, 0.2, 0.1, 17): (
-        "556b731b5364e33f72a261dfdbedd6ca66979f57e72f2e53dbbf510b63348fae", 17, 4,
-        "dbaae03a11e8ecd3ac0771107c9d9ee9472891628e25efdf5002b172910a995c", 9, 4,
+        "b02df29d7d54638e667d57e11cac7ef7df433a87fcd34e80b9a00081ceaf326a", 17, 4,
+        "936ce5745d9996e4a2fc21b26e94f0f3dcebf57c931553e9b3bc98f6d294ff36", 9, 4,
     ),
     (5, 120, 0.3, 0.15, 3): (
-        "5899166945d703a8231655ac5b2d26f0d7012bbf027fa10cd025a1d42ef8d61d", 17, 5,
-        "e00b929809047e839e61be2af34b6261cc9365561ce98461083c3bac802d3d71", 12, 5,
+        "b540973aa6d58486646a6d316a546d16fe9d02db5fb8400e2aa4ba131fe2871a", 17, 5,
+        "6022c1bba8ad1acbb7553581096b896442dc639741ea910bf6a7ce6c12ba6da6", 12, 5,
     ),
     (6, 200, 0.15, 0.15, 11): (
-        "ea3e1d944b4db6838b0b1797f4e646e6cffaa71dbc81740cf7b926ec81e7b4dc", 12, 6,
-        "306044e7d5823f2bb24d560681ad77075c2399a418cfac71e62bf539a52ffafe", 16, 6,
+        "bd2eb6bba8c2a026e70dfa67de201bef0558994865204ee2a168f866ca4e43e2", 12, 6,
+        "085fe10eaa50e67d79463aa9149a834639525b5e7456251a2f238943506e3ea0", 16, 6,
     ),
 }
 

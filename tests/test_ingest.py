@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_union_length
+from conftest import interval_union_length, rttm_same_partition
 from diarcut.errors import ContractError, ParseError
 from diarcut.ingest import (
     EmbeddingSequence,
@@ -332,6 +332,48 @@ class TestAssignmentToTimeline:
         with pytest.raises(ContractError, match="rows"):
             assignment_to_timeline(np.array([[1, 0]]), spans(2))
 
+    def test_names_follow_first_segment(self):
+        # column 1 owns segment 0, column 0 starts later, column 2 is empty
+        x = np.array([[0, 1, 0], [1, 0, 0], [0, 1, 0]])
+        tl = assignment_to_timeline(x, spans(3))
+        assert tl.speakers == ["spk0", "spk1"]
+        assert ("spk1", 0.75, 2.25) in tl.entries
+        # two clusters start at an overlap row: the next differing row decides
+        tl = assignment_to_timeline(np.array([[1, 1], [0, 1]]), spans(2, stride=2.0))
+        assert tl.entries == [("spk0", 0.0, 1.5), ("spk1", 0.0, 1.5), ("spk0", 2.0, 3.5)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.integers(0, 4), min_size=1, max_size=2, unique=True),
+            min_size=1, max_size=25,
+        ),
+        perm=st.permutations(range(5)),
+    )
+    def test_rttm_bytes_ignore_column_order(self, tmp_path_factory, rows, perm):
+        x = np.zeros((len(rows), 5), dtype=np.int8)
+        for i, cols in enumerate(rows):
+            x[i, cols] = 1
+        out = tmp_path_factory.mktemp("rttm")
+        write_rttm(assignment_to_timeline(x, spans(len(rows))), out / "a.rttm")
+        write_rttm(assignment_to_timeline(x[:, list(perm)], spans(len(rows))), out / "b.rttm")
+        assert (out / "a.rttm").read_bytes() == (out / "b.rttm").read_bytes()
+
+    def test_same_partition_helper(self, tmp_path):
+        x = np.array([[1, 0], [0, 1], [1, 0]])
+        paths = [tmp_path / f"{name}.rttm" for name in "abc"]
+        write_rttm(assignment_to_timeline(x, spans(3)), paths[0])
+        write_rttm(
+            Timeline.from_entries(
+                [(f"other{1 - j}", s.start, s.end) for s, j in zip(spans(3), x.argmax(1))]
+            ),
+            paths[1],
+        )
+        write_rttm(assignment_to_timeline(np.array([[1, 0], [1, 0], [0, 1]]), spans(3)), paths[2])
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+        assert rttm_same_partition(paths[0], paths[1])
+        assert not rttm_same_partition(paths[0], paths[2])
+
     def test_per_speaker_duration_equals_window_union(self, rng):
         # oracle: union length computed by an independent sweep
         n, k = 30, 3
@@ -339,11 +381,14 @@ class TestAssignmentToTimeline:
         x[np.arange(n), rng.integers(0, k, n)] = 1
         sp = spans(n)
         tl = assignment_to_timeline(x, sp)
+        # clusters are named in order of their first segment
+        first = [np.flatnonzero(x[:, j])[0] for j in range(k)]
+        names = {int(j): f"spk{rank}" for rank, j in enumerate(np.argsort(first))}
         for j in range(k):
             windows = [
                 (sp[i].start, sp[i].end) for i in range(n) if x[i, j] == 1
             ]
-            got = sum(e - s for spk, s, e in tl.entries if spk == f"spk{j}")
+            got = sum(e - s for spk, s, e in tl.entries if spk == names[j])
             assert got == pytest.approx(interval_union_length(windows), abs=1e-9)
 
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import block_affinity, enumerate_assignments, random_orthonormal
 from oracles import degree_normalize, objective_continuous, objective_discrete
-from diarcut.affinity import laplacian
+from diarcut import spectral
+from diarcut.affinity import binarize, cosine_affinity, laplacian
 from diarcut.errors import ContractError
-from diarcut.ingest import OverlapVector
+from diarcut.ingest import OverlapVector, assignment_to_timeline, write_rttm
+from diarcut.synth import SynthConfig, generate
 from diarcut.spectral import (
     AssignmentMatrix,
     ContinuousSolution,
@@ -194,6 +198,43 @@ class TestDiscretize:
         base = nms_assign(m, flags)
         permuted = nms_assign(m[:, perm], flags)
         assert np.array_equal(base.matrix[:, perm], permuted.matrix)
+
+    @pytest.mark.parametrize("relative_drop, winner", [(1e-12, 0), (1e-6, 1)])
+    def test_near_tie_keeps_earlier_restart(self, monkeypatch, relative_drop, winner):
+        # each restart converges after two rounds at a constant objective
+        finals = [1.0, 1.0 - relative_drop]
+        calls = []
+
+        def phi(*args):
+            calls.append(None)
+            return finals[(len(calls) - 1) // 2]
+
+        monkeypatch.setattr(spectral, "assignment_distance", phi)
+        xt = row_normalize(np.random.default_rng(0).standard_normal((8, 2)))
+        result = discretize_full(self._solution(xt), OverlapVector.zeros(8), restarts=2)
+        assert result.best_restart == winner
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**16), perm=st.permutations(range(4)))
+    def test_swapped_tied_restarts_give_same_rttm(self, tmp_path_factory, seed, perm):
+        # restart 1 starts from restart 0's rotation with its columns
+        # permuted, so both reach one partition in two column orders with
+        # equal objectives; which of them runs first must not show
+        cfg = SynthConfig(n_speakers=4, n_segments=40, overlap_fraction=0.2,
+                          noise_sigma=0.15, seed=seed)
+        data = generate(cfg)
+        sol = continuous_solve(binarize(cosine_affinity(data.embeddings), 6, data.overlap), 4)
+        start = spectral._seed_rotation(sol.x_tilde_star, 4, np.random.default_rng(seed))
+        out = tmp_path_factory.mktemp("restarts")
+        for name, order in (("a", [start, start[:, list(perm)]]),
+                            ("b", [start[:, list(perm)], start])):
+            queue = list(order)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral, "_seed_rotation", lambda *args: queue.pop(0))
+                result = discretize_full(sol, data.overlap, restarts=2)
+            timeline = assignment_to_timeline(result.assignment, data.embeddings.spans)
+            write_rttm(timeline, out / f"{name}.rttm")
+        assert (out / "a.rttm").read_bytes() == (out / "b.rttm").read_bytes()
 
     def test_brute_force_reachability(self, rng):
         # enumeration gives phi*(X) = min over feasible X of the per-X optimal
