@@ -120,9 +120,12 @@ def _cmd_diarize(args) -> int:
     if args.dump_matrices:
         dump_dir = Path(args.dump_matrices)
         dump_dir.mkdir(parents=True, exist_ok=True)
+        binarized = result.bundle.binarized
+        if not isinstance(binarized, np.ndarray):  # CSR on large graphs
+            binarized = binarized.toarray()
         np.savetxt(dump_dir / "affinity_raw.csv", result.bundle.raw, delimiter=",")
-        np.savetxt(dump_dir / "affinity_binarized.csv", result.bundle.binarized, delimiter=",")
-        _, lap = affinity.laplacian(result.bundle.binarized)
+        np.savetxt(dump_dir / "affinity_binarized.csv", binarized, delimiter=",")
+        _, lap = affinity.laplacian(binarized)
         np.savetxt(dump_dir / "laplacian.csv", lap, delimiter=",")
     summary = {
         "out": str(args.out),

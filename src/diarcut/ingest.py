@@ -422,23 +422,19 @@ def assignment_to_timeline(assignment, spans) -> Timeline:
 
     Each set bit (i, k) contributes the interval of span i; overlapping
     windows of the same speaker merge during normalization. Clusters are
-    named ``spk0``, ``spk1``, ... in order of their first segment in file
-    order (a cluster that starts at a later row comes later; clusters
-    sharing a first row are ordered by the next row where they differ), so
-    the names depend only on the partition, not on the column order.
-    Empty clusters get no name.
+    named ``spk0``, ``spk1``, ... by first segment (ties by the next differing
+    row), so names follow the partition, not the column order.
     """
     matrix = np.asarray(getattr(assignment, "matrix", assignment))
     if matrix.shape[0] != len(spans):
         raise ContractError(
             f"assignment has {matrix.shape[0]} rows but {len(spans)} spans given"
         )
-    # Lexicographic order of the columns read from row 0 down, set bits first.
-    order = np.lexsort(-matrix[::-1].astype(np.int64)) if matrix.size else []
-    names = {int(col): f"spk{rank}" for rank, col in enumerate(order)}
+    # Rank of each column in lexicographic order read from row 0 down, set bits first.
+    rank = np.argsort(np.lexsort(-matrix[::-1].astype(np.int64))) if matrix.size else []
     entries = []
     for i, span in enumerate(spans):
         for j in np.flatnonzero(matrix[i]):
-            entries.append((names[int(j)], span.start, span.end))
+            entries.append((f"spk{rank[j]}", span.start, span.end))
     recording_id = spans[0].recording_id if spans else "rec"
     return Timeline.from_entries(entries, recording_id)

@@ -7,9 +7,9 @@ among the low ones relative to the spectral radius scores the candidate.  The
 factor minimizing r(p) = p / g_p wins, and the position of its largest
 eigengap gives the estimated number of speakers.
 
-Small graphs take the full dense spectrum; large ones take the low end from
-Lanczos iteration with the graph's null space (one zero per connected
-component) deflated, which yields the same eigenvalues to rounding.
+Small graphs are dense and take the full spectrum; CSR graphs (SPARSE_MIN_N
+rows or more) take the low end from Lanczos iteration with the null space
+(one zero per connected component) deflated: the same values to rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import affinity as aff
-from .errors import ContractError, IndeterminateSpeakerCountError, NumericalError
+from .errors import ContractError, IndeterminateSpeakerCountError
 
 log = logging.getLogger(__name__)
 
@@ -30,20 +30,6 @@ ZERO_SNAP = 1e-10
 
 # Guards g_p against division by a zero spectral radius.
 EPSILON = 1e-10
-
-# Graphs with fewer rows take the dense full spectrum, which is faster there
-# than Lanczos iteration: whole sweeps crossed over near N = 700 (one BLAS
-# thread, 2-core x86 VM, sigma 0.15, 3-7 speakers).
-SPARSE_MIN_N = 700
-
-# Lanczos basis size for the ARPACK solves; 32-48 timed alike, while 24,
-# about ARPACK's own default for k = 11, made sweeps up to 1.4 times slower.
-ARPACK_NCV = 36
-
-# Seed of the fixed ARPACK start vector. The natural all-ones start lies in
-# the Laplacian's null space, so a random one is drawn, the same every call.
-ARPACK_SEED = 0
-
 
 @dataclass
 class EigengapReport:
@@ -89,22 +75,20 @@ def eigengap_vector(eigenvalues: np.ndarray) -> np.ndarray:
     return np.diff(lam)
 
 
-def low_spectrum(binarized: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     """Lowest ``m`` eigenvalues and the largest one of a graph's Laplacian.
 
-    The Laplacian is L = diag(d) - A of the symmetric binarized graph A.
-    Below SPARSE_MIN_N rows the full spectrum comes from dense ``eigvalsh``.
-    Above it, the connected components c are counted first: L has exactly c
-    zero eigenvalues (one per component), so with c >= m the low end is m
-    zeros. Otherwise the zeros are set in place and ARPACK's Lanczos finds
-    the next m - c on L + s P, where P projects onto the normalized
-    component indicators and s exceeds lambda_max; this lifts the null
-    space above the wanted eigenvalues, which plain Lanczos would otherwise
-    report with missing copies of zero. Eigenvalues within ZERO_SNAP of zero
-    are snapped to exactly zero on both paths.
+    The Laplacian is L = diag(d) - A of the symmetric binarized graph A. A
+    dense graph, or one narrower than the Lanczos basis, takes the full
+    spectrum from ``eigvalsh``. A CSR graph takes lambda_max from Lanczos
+    and the low end from ``affinity.deflated_eigsh``: L has one zero per
+    connected component, the indicator its eigenvector, so c >= m components
+    give m zeros and no solve; otherwise the next m - c come from Lanczos
+    with the null space lifted above lambda_max. Eigenvalues within
+    ZERO_SNAP of zero are snapped to exactly zero on both paths.
 
     Args:
-        binarized: symmetric nonnegative N x N graph.
+        binarized: symmetric nonnegative N x N graph, dense or CSR.
         m: number of lowest eigenvalues wanted; fewer come back when N < m.
 
     Returns:
@@ -114,46 +98,18 @@ def low_spectrum(binarized: np.ndarray, m: int) -> tuple[np.ndarray, float]:
         NumericalError: ARPACK failed to converge or broke down.
     """
     n = binarized.shape[0]
-    # The Lanczos basis must exceed the wanted count and fit in N rows.
-    ncv = max(ARPACK_NCV, 2 * m + 1)
-    if n < max(SPARSE_MIN_N, ncv):
+    if isinstance(binarized, np.ndarray) or n < aff.lanczos_ncv(m):
+        dense = binarized if isinstance(binarized, np.ndarray) else binarized.toarray()
         # Symmetric by construction: skip the checks of aff.laplacian.
-        lam = np.linalg.eigvalsh(np.diag(binarized.sum(axis=1)) - binarized)
+        lam = np.linalg.eigvalsh(np.diag(dense.sum(axis=1)) - dense)
         lam[np.abs(lam) < ZERO_SNAP] = 0.0
         return lam[:m], float(lam[-1])
 
-    # Imported here: only large graphs pay scipy.sparse's import time.
-    from scipy import sparse
-    from scipy.sparse import csgraph
-    from scipy.sparse import linalg as sla
-
-    adj = sparse.csr_matrix(binarized)
-    lap = (sparse.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
-    components, labels = csgraph.connected_components(adj, directed=False)
-    v0 = np.random.default_rng(ARPACK_SEED).standard_normal(n)
-    low = np.zeros(m)
-    try:
-        lam_max = float(
-            sla.eigsh(lap, k=1, which="LA", v0=v0, ncv=ncv, return_eigenvectors=False)[0]
-        )
-        if components < m:
-            indicators = np.zeros((n, components))
-            indicators[np.arange(n), labels] = 1.0
-            indicators /= np.sqrt(indicators.sum(axis=0))
-            shift = lam_max + 1.0
-
-            def deflated(x):
-                return lap @ x + shift * (indicators @ (indicators.T @ x))
-
-            op = sla.LinearOperator((n, n), matvec=deflated, dtype=float)
-            low[components:] = np.sort(
-                sla.eigsh(
-                    op, k=m - components, which="SA", v0=v0, ncv=ncv,
-                    return_eigenvectors=False,
-                )
-            )
-    except sla.ArpackError as exc:  # ArpackNoConvergence is a subclass
-        raise NumericalError(f"Lanczos eigensolve failed on {n} rows: {exc}") from exc
+    from scipy import sparse  # only large graphs pay its import time
+    lap = (sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized).tocsr()
+    lam_max = float(aff.deflated_eigsh(lap, 1, "LA", np.zeros(n), vectors=False)[1][0])
+    basis, values, _ = aff.deflated_eigsh(lap, m, "SA", np.ones(n), lam_max + 1.0, False)
+    low = np.concatenate([np.zeros(basis.shape[1]), values])[:m]
     low[np.abs(low) < ZERO_SNAP] = 0.0
     return low, lam_max
 
@@ -177,7 +133,9 @@ def estimate(
     plus the position of the largest of those max_speakers gaps of the
     winning spectrum, i.e. the number of eigenvalues below that gap.
     Restricting the gap search bounds the estimate by max_speakers and keeps
-    sparse graphs with many tiny components from dominating the sweep.
+    sparse graphs with many tiny components from dominating the sweep. If
+    every g_p is zero (more than max_speakers components at every p), the
+    count is clamped to max_speakers at the largest swept p.
 
     Args:
         affinity: raw square affinity matrix.
@@ -192,7 +150,7 @@ def estimate(
         (p_hat, k_hat).
 
     Raises:
-        IndeterminateSpeakerCountError: every candidate produced g_p = 0.
+        IndeterminateSpeakerCountError: every g_p = 0 with N <= max_speakers.
     """
     a = np.asarray(affinity, dtype=float)
     n = a.shape[0]
@@ -215,10 +173,9 @@ def estimate(
     g_values: list[float] = []
     r_values: list[float] = []
 
-    # One descending sort per row serves every p in the sweep.
-    row_sorted = np.sort(a, axis=1)[:, ::-1]
+    order = np.argsort(-a, axis=1)  # one descending sort serves every p
     for p in p_values:
-        lam, lam_max = low_spectrum(aff.binarize_sorted(a, row_sorted, p), max_speakers + 1)
+        lam, lam_max = low_spectrum(aff.binarize_ranked(a, order, p), max_speakers + 1)
         gaps = eigengap_vector(lam)
         g = float(gaps.max()) / (lam_max + EPSILON) if gaps.size else 0.0
         r = p / g if g > 0 else float("inf")
@@ -228,20 +185,20 @@ def estimate(
         g_values.append(g)
         r_values.append(r)
 
-    if not np.isfinite(r_values).any():
+    if np.isfinite(r_values).any():
+        best = int(np.argmin(r_values))
+        k_hat = int(np.argmax(gaps_per_p[best])) + 1
+    elif n > max_speakers:
+        # every swept graph has more than max_speakers components
+        best, k_hat = len(p_values) - 1, max_speakers
+    else:
         raise IndeterminateSpeakerCountError(
             "all candidate binarizations have zero eigengap ratio; "
             "the affinity carries no cluster structure"
         )
-    best = int(np.argmin(r_values))
     p_hat = p_values[best]
-    k_hat = int(np.argmax(gaps_per_p[best])) + 1
     if k_hat == max_speakers:
-        log.warning(
-            "eigengap count clamped: the largest gap is the last one searched, "
-            "so the count reached max_speakers=%d",
-            max_speakers,
-        )
+        log.warning("eigengap count clamped: the count reached max_speakers=%d", max_speakers)
     return EigengapReport(
         p_values,
         eigenvalues_per_p,

@@ -8,7 +8,10 @@ discrete answer is recovered by alternating two exact subproblem solvers:
 non-maximal suppression for the best binary matrix at a fixed rotation, and
 an orthogonal Procrustes fit for the best rotation at a fixed binary matrix.
 Rows flagged as overlapping keep their two largest entries instead of one,
-so their row sum is 2 and the segment carries two speaker labels.
+so their row sum is 2 and the segment carries two speaker labels.  Only K
+eigenvectors are needed (Yu & Shi, ICCV 2003): dense graphs take them from a
+full LAPACK solve, CSR graphs (SPARSE_MIN_N rows or more) from
+component-deflated Lanczos iteration.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import affinity
 from .errors import ContractError, NumericalError
 from .ingest import OverlapVector
 
@@ -25,9 +29,8 @@ log = logging.getLogger(__name__)
 
 DEGREE_FLOOR = 1e-10
 
-# A later restart wins only when its final objective is lower by more than
-# this fraction; restarts that reach one partition in another column order
-# differ by rounding (a relative 6e-14 was seen), and the earlier one stays.
+# Relative margin by which a later restart must lower the best objective; one
+# partition reached in two column orders differs only by rounding.
 PHI_TIE_RTOL = 1e-9
 
 
@@ -105,7 +108,7 @@ class DiscretizeResult:
     best_restart: int
 
 
-def continuous_solve(binarized: np.ndarray, k: int) -> ContinuousSolution:
+def continuous_solve(binarized, k: int) -> ContinuousSolution:
     """Solve the relaxed clustering problem for the top-K eigenvectors.
 
     The eigenproblem of the non-symmetric D^-1 A is computed through the
@@ -113,38 +116,57 @@ def continuous_solve(binarized: np.ndarray, k: int) -> ContinuousSolution:
     W give Z = D^-1/2 W with Z^T D Z = I by construction.  D holds the row
     sums of the graph; isolated nodes get a floored degree.
 
+    A dense graph takes all eigenpairs from LAPACK. A CSR graph takes the top
+    K from ``affinity.deflated_eigsh``, with the eigenvalue-1 vectors
+    D^1/2 1_C of its c components of positive degree set in place; with
+    c > K, where that space has no preferred basis, the dense solve runs.
+
     Args:
-        binarized: symmetric nonnegative affinity graph.
+        binarized: symmetric nonnegative affinity graph, dense or CSR.
         k: number of eigenvectors, 1 <= k <= N.
 
     Returns:
         ContinuousSolution with eigenvalues in descending order.
     """
-    a = np.asarray(binarized, dtype=float)
-    n = a.shape[0]
+    n = binarized.shape[0]
     if not 1 <= k <= n:
         raise ContractError(f"k={k} outside [1, {n}]")
-    d = a.sum(axis=1)
-    if (d <= 0).any():
+    d = np.asarray(binarized.sum(axis=1), dtype=float).ravel()
+    isolated = d <= 0
+    if isolated.any():
         log.warning(
             "%d isolated nodes after binarization; flooring degrees at %g",
-            int((d <= 0).sum()),
+            int(isolated.sum()),
             DEGREE_FLOOR,
         )
         d = d + DEGREE_FLOOR
     dinv_sqrt = 1.0 / np.sqrt(d)
-    sym = dinv_sqrt[:, None] * a * dinv_sqrt[None, :]
-    sym = 0.5 * (sym + sym.T)
-    try:
-        w, vec = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver failed on the normalized affinity "
-            f"(degree range [{d.min():.3e}, {d.max():.3e}])"
-        ) from exc
-    top = np.argsort(w)[::-1][:k]
-    z_star = dinv_sqrt[:, None] * vec[:, top]
-    lambda_star = w[top]
+    c = k + 1  # the dense solve runs unless Lanczos sets c <= k
+    if not isinstance(binarized, np.ndarray) and n >= affinity.lanczos_ncv(k):
+        sym = binarized.tocsr(copy=True)
+        rows = np.repeat(np.arange(n), np.diff(sym.indptr))
+        sym.data *= dinv_sqrt[rows] * dinv_sqrt[sym.indices]
+        # Component vectors D^1/2 1_C move from eigenvalue 1 to -2, below the
+        # spectrum; isolated nodes (eigenvalue 0) get no such vector.
+        weight = np.where(isolated, 0.0, np.sqrt(d))
+        basis, values, vectors = affinity.deflated_eigsh(sym, k, "LA", weight, -3.0)
+        c = basis.shape[1]
+        lambda_star = np.concatenate([np.ones(c), values[::-1]])
+        vec = np.hstack([basis, vectors[:, ::-1]])
+    if c > k:
+        a = binarized if isinstance(binarized, np.ndarray) else binarized.toarray()
+        sym = dinv_sqrt[:, None] * a * dinv_sqrt[None, :]
+        sym = 0.5 * (sym + sym.T)
+        try:
+            w, vec = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigensolver failed on the normalized affinity "
+                f"(degree range [{d.min():.3e}, {d.max():.3e}])"
+            ) from exc
+        top = np.argsort(w)[::-1][:k]
+        lambda_star, vec = w[top], vec[:, top]
+    z_star = dinv_sqrt[:, None] * vec
     x_tilde_star = row_normalize(z_star)
     return ContinuousSolution(z_star, lambda_star, x_tilde_star)
 

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import block_affinity
-from diarcut.affinity import binarize, build_bundle, cosine_affinity, laplacian
+from diarcut import affinity
+from diarcut.affinity import (
+    binarize,
+    binarize_ranked,
+    build_bundle,
+    cosine_affinity,
+    laplacian,
+)
 from diarcut.errors import ContractError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
 from oracles import overlap_aware_binarize, p_binarize
@@ -176,18 +183,42 @@ def flag_cases(n, rng):
     ]
 
 
+def same_csr(got, want: np.ndarray) -> bool:
+    """Whether a CSR graph holds exactly the arrays scipy builds from ``want``."""
+    from scipy import sparse
+
+    ref = sparse.csr_matrix(want)
+    return got.format == "csr" and all(
+        np.array_equal(getattr(got, name), getattr(ref, name))
+        for name in ("indptr", "indices", "data")
+    )
+
+
 class TestBinarizeMatchesReference:
-    """binarize equals the seed's row-by-row binarizers entry for entry."""
+    """binarize equals the seed's row-by-row binarizers entry for entry.
+
+    Each case runs twice: as built below SPARSE_MIN_N (dense), and with
+    SPARSE_MIN_N forced to 0, where every graph is CSR and must hold exactly
+    the arrays scipy builds from the dense reference.
+    """
 
     def _check(self, a, rng):
         n = a.shape[0]
-        for p in range(1, n + 1):
-            assert np.array_equal(binarize(a, p), p_binarize(a, p))
-            for flags in flag_cases(n, rng):
-                ov = OverlapVector(flags)
-                want = overlap_aware_binarize(a, p, ov)
-                assert np.array_equal(binarize(a, p, ov), want), (p, flags)
-                assert np.array_equal(build_bundle(a, p, ov).binarized, want)
+        order = np.argsort(-a, axis=1)
+        for csr in (False, True):
+            same = same_csr if csr else np.array_equal
+            with pytest.MonkeyPatch.context() as mp:
+                if csr:
+                    mp.setattr(affinity, "SPARSE_MIN_N", 0)
+                for p in range(1, n + 1):
+                    want = p_binarize(a, p)
+                    assert same(binarize(a, p), want)
+                    assert same(binarize_ranked(a, order, p), want)
+                    for flags in flag_cases(n, rng):
+                        ov = OverlapVector(flags)
+                        want = overlap_aware_binarize(a, p, ov)
+                        assert same(binarize(a, p, ov), want), (p, flags, csr)
+                        assert same(build_bundle(a, p, ov).binarized, want)
 
     def test_random_affinities(self, rng):
         for n in (2, 3, 7, 16):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import diarcut
-from diarcut import ingest, scoring, speaker_count
+from diarcut import affinity, ingest, scoring
 from diarcut.cli import main
 from diarcut.pipeline import diarize_embeddings
 from diarcut.synth import SynthConfig, generate
@@ -304,7 +304,7 @@ class TestDiarizeCommand:
         def fail(*args, **kwargs):
             raise sla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        monkeypatch.setattr(speaker_count, "SPARSE_MIN_N", 0)
+        monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
         monkeypatch.setattr(sla, "eigsh", fail)
         code, _, err = run_cli(
             capsys,
@@ -314,6 +314,51 @@ class TestDiarizeCommand:
         )
         assert code == 3
         assert "Lanczos eigensolve failed" in err
+
+    def test_clustering_eigensolver_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        from scipy.sparse import linalg as sla
+
+        data = tmp_path / "data"
+        # noisy enough that the graph is one component, so Lanczos must run
+        run_cli(capsys, "synth", "--speakers", "3", "--segments", "60", "--sigma", "0.3",
+                "--out-dir", str(data))
+        real = sla.eigsh
+
+        def fail_top_k(*args, **kwargs):
+            # counting asks for "SA" and the one largest value; clustering for "LA", k > 1
+            if kwargs["which"] == "LA" and kwargs["k"] > 1:
+                raise sla.ArpackError(-9999)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
+        monkeypatch.setattr(sla, "eigsh", fail_top_k)
+        code, _, err = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(data / "embeddings.txt"),
+            "--out", str(tmp_path / "h.rttm"),
+        )
+        assert code == 3
+        assert "Lanczos eigensolve failed" in err
+
+    def test_more_speakers_than_the_cap_clamp(self, tmp_path, capsys, caplog):
+        # 12 noiseless speakers: every swept graph has at least 12 components,
+        # so every eigengap ratio is zero; the count clamps to max_speakers
+        # and clustering, with more components than clusters, solves dense
+        data = tmp_path / "data"
+        run_cli(capsys, "synth", "--speakers", "12", "--segments", "900", "--sigma", "0",
+                "--seed", "8", "--out-dir", str(data))
+        with caplog.at_level(logging.WARNING):
+            code, out, _ = run_cli(
+                capsys,
+                "diarize",
+                "--embeddings", str(data / "embeddings.txt"),
+                "--out", str(tmp_path / "h.rttm"),
+            )
+        assert code == 0
+        assert last_json(out)["k_hat"] == 10
+        assert last_json(out)["p_hat"] == 20
+        assert "clamped" in caplog.text
 
     def test_dump_matrices(self, synth_dir, tmp_path, capsys):
         dump = tmp_path / "mats"
@@ -330,6 +375,20 @@ class TestDiarizeCommand:
         lap = np.loadtxt(dump / "laplacian.csv", delimiter=",")
         assert raw.shape == binarized.shape == lap.shape == (30, 30)
         assert np.abs(lap.sum(axis=1)).max() < 1e-9
+
+    def test_dump_matrices_of_a_csr_graph(self, synth_dir, tmp_path, capsys, monkeypatch):
+        dumps = []
+        for sparse_min_n in (affinity.SPARSE_MIN_N, 0):
+            monkeypatch.setattr(affinity, "SPARSE_MIN_N", sparse_min_n)
+            dump = tmp_path / f"mats{sparse_min_n}"
+            code, _, _ = run_cli(
+                capsys, "diarize", "--embeddings", str(synth_dir / "embeddings.txt"),
+                "--out", str(tmp_path / "h.rttm"), "--dump-matrices", str(dump),
+            )
+            assert code == 0
+            dumps.append(dump)
+        for name in ("affinity_raw.csv", "affinity_binarized.csv", "laplacian.csv"):
+            assert (dumps[0] / name).read_bytes() == (dumps[1] / name).read_bytes()
 
     def test_determinism_byte_identical(self, synth_dir, tmp_path, capsys):
         outs = []
@@ -517,10 +576,11 @@ class TestDetectOverlapCommand:
 
 
 class TestStartup:
-    def test_optional_scipy_modules_not_imported(self, tmp_path):
-        # scipy.optimize serves only `score`, scipy.sparse only large graphs;
-        # importing either costs every other command its start-up time
-        post, emb = TestDetectOverlapCommand._write_inputs(None, tmp_path, [[0.0, 1.0, 0.0]] * 300)
+    # scipy.optimize serves only `score`, scipy.sparse only large graphs;
+    # importing either costs every other command its start-up time
+
+    def _loaded(self, tmp_path, argv):
+        """Exit code and the optional scipy modules loaded before and after a run."""
         script = (
             "import json, sys\n"
             "import diarcut.cli\n"
@@ -533,11 +593,26 @@ class TestStartup:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-c", script, "detect-overlap", "--posteriors", str(post),
-             "--segments", str(emb), "--out", str(tmp_path / "flags.txt")],
+            [sys.executable, "-c", script, *map(str, argv)],
             capture_output=True, text=True, env=env, timeout=120, check=True,
         )
-        assert json.loads(proc.stdout.strip().splitlines()[-1]) == [0, [], []]
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_optional_scipy_modules_not_imported(self, tmp_path):
+        post, emb = TestDetectOverlapCommand._write_inputs(None, tmp_path, [[0.0, 1.0, 0.0]] * 300)
+        argv = ["detect-overlap", "--posteriors", post, "--segments", emb,
+                "--out", tmp_path / "flags.txt"]
+        assert self._loaded(tmp_path, argv) == [0, [], []]
+
+    def test_small_diarize_loads_no_sparse(self, tmp_path):
+        data = tmp_path / "data"
+        synth = generate(SynthConfig(n_speakers=3, n_segments=60, overlap_fraction=0.2, seed=2))
+        data.mkdir()
+        ingest.save_embeddings(synth.embeddings, data / "emb.txt")
+        ingest.save_overlap_flags(synth.overlap, data / "flags.txt")
+        argv = ["diarize", "--embeddings", data / "emb.txt", "--flags", data / "flags.txt",
+                "--out", tmp_path / "h.rttm"]
+        assert self._loaded(tmp_path, argv) == [0, [], []]
 
 
 class TestUsage:

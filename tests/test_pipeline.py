@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from diarcut import affinity
 from diarcut.errors import DiarcutError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
 from diarcut.pipeline import DiarizationConfig, diarize_embeddings
@@ -50,6 +52,29 @@ class TestDiarizeEmbeddings:
         assert out.report.p_hat in out.report.p_values
         assert len(out.discretization.phi_histories) == 3
         assert out.bundle.binarized.shape == (30, 30)
+
+    @pytest.mark.parametrize(
+        "speakers, segments, sigma, overlap, seed",
+        [(4, 150, 0.1, 0.2, 1), (6, 240, 0.15, 0.15, 2), (3, 120, 0.15, 0.0, 3)],
+    )
+    @pytest.mark.parametrize("flags", [True, False])
+    def test_sparse_graphs_give_the_same_partition(
+        self, monkeypatch, speakers, segments, sigma, overlap, seed, flags
+    ):
+        # every graph CSR, counting and clustering by Lanczos, against dense
+        data = generate(SynthConfig(n_speakers=speakers, n_segments=segments,
+                                    noise_sigma=sigma, overlap_fraction=overlap, seed=seed))
+        ov = data.overlap if flags else None
+        dense = diarize_embeddings(data.embeddings, ov)
+        monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
+        lanczos = diarize_embeddings(data.embeddings, ov)
+        assert not isinstance(lanczos.bundle.binarized, np.ndarray)
+        assert (lanczos.report.p_hat, lanczos.report.k_hat) == (dense.report.p_hat, dense.report.k_hat)
+        assert lanczos.timeline.entries == dense.timeline.entries
+        assert lanczos.discretization.phi == pytest.approx(dense.discretization.phi, rel=1e-9)
+        again = diarize_embeddings(data.embeddings, ov)
+        assert np.array_equal(again.assignment.matrix, lanczos.assignment.matrix)
+        assert again.discretization.phi_histories == lanczos.discretization.phi_histories
 
     def test_restart_and_seed_config_respected(self):
         data = generate(SynthConfig(n_speakers=3, n_segments=30, noise_sigma=0.2, seed=5))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import block_affinity
-from diarcut import speaker_count
+from diarcut import affinity, speaker_count
 from diarcut.errors import ContractError, IndeterminateSpeakerCountError, NumericalError
 from diarcut.speaker_count import ZERO_SNAP, eigengap_vector, estimate
 from diarcut.synth import SynthConfig, generate
@@ -82,15 +82,26 @@ class TestEstimateContract:
         assert report.p_values == [] and (report.p_hat, report.k_hat) == (n, 1)
 
     def test_indeterminate_affinity(self):
-        # isolated pairs at every candidate p: more components than the gap
-        # window for p=2, so the only swept candidate scores zero
+        # p=1 keeps only the diagonal: every segment is its own component, and
+        # with no more segments than max_speakers the count is undetermined
+        a = np.full((6, 6), 0.5)
+        np.fill_diagonal(a, 1.0)
+        with pytest.raises(IndeterminateSpeakerCountError):
+            estimate(a, p_min=1, p_max=1)
+
+    def test_more_components_than_the_cap_clamp(self, caplog):
+        # isolated pairs at every candidate p: 12 components, more than the
+        # max_speakers + 1 eigenvalues of the gap window, so every g_p is zero
         n = 24
         a = np.zeros((n, n))
         for i in range(0, n, 2):
             a[i, i + 1] = a[i + 1, i] = 0.9
         np.fill_diagonal(a, 1.0)
-        with pytest.raises(IndeterminateSpeakerCountError):
-            estimate(a, p_min=2, p_max=2)
+        with caplog.at_level(logging.WARNING, logger="diarcut.speaker_count"):
+            report = estimate(a, p_min=2, p_max=2)
+        assert (report.p_hat, report.k_hat) == (2, 10)
+        assert report.g_values == [0.0]
+        assert "clamped" in caplog.text
 
     def test_k_hat_capped_by_max_speakers(self):
         a = block_affinity([3] * 6)
@@ -163,7 +174,7 @@ class TestLanczosBranch:
 
     @pytest.fixture
     def sparse(self, monkeypatch):
-        monkeypatch.setattr(speaker_count, "SPARSE_MIN_N", 0)
+        monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
 
     # 9-10 speakers with little noise: several components at many p, where
     # undeflated Lanczos drops copies of the zero eigenvalue
@@ -174,7 +185,7 @@ class TestLanczosBranch:
     def test_matches_dense(self, monkeypatch, speakers, segments, sigma, seed):
         a = synth_affinity(speakers, segments, sigma, seed)
         dense = estimate(a)
-        monkeypatch.setattr(speaker_count, "SPARSE_MIN_N", 0)
+        monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
         lanczos = estimate(a)
         assert lanczos.p_values == dense.p_values
         for got, want in zip(lanczos.eigenvalues_per_p, dense.eigenvalues_per_p):
@@ -190,7 +201,7 @@ class TestLanczosBranch:
     def test_graph_narrower_than_basis_stays_dense(self, monkeypatch):
         a = synth_affinity(3, 30, 0.1, 2)
         want = estimate(a).to_dict()
-        monkeypatch.setattr(speaker_count, "SPARSE_MIN_N", 0)
+        monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
         assert estimate(a).to_dict() == want
 
     def test_deterministic(self, sparse):
@@ -209,7 +220,10 @@ class TestLanczosBranch:
 
         monkeypatch.setattr(sla, "eigsh", counted)
         # 40 disjoint triangles: 40 zero eigenvalues, more than the 11 wanted
-        lam, lam_max = speaker_count.low_spectrum(np.kron(np.eye(40), np.ones((3, 3))), 11)
+        from scipy import sparse
+
+        graph = sparse.csr_matrix(np.kron(np.eye(40), np.ones((3, 3))))
+        lam, lam_max = speaker_count.low_spectrum(graph, 11)
         assert np.array_equal(lam, np.zeros(11)) and lam_max == pytest.approx(3.0)
         assert calls == ["LA"]
 

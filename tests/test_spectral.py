@@ -74,6 +74,106 @@ class TestContinuousSolve:
         assert (np.diff(sol.lambda_star) <= 1e-12).all()
 
 
+def sparse_graph(speakers, segments, sigma, seed, p=6, overlap=0.0):
+    """CSR binarized graph of a synthetic recording."""
+    from scipy import sparse
+
+    cfg = SynthConfig(n_speakers=speakers, n_segments=segments, noise_sigma=sigma,
+                      overlap_fraction=overlap, seed=seed)
+    data = generate(cfg)
+    graph = binarize(cosine_affinity(data.embeddings), p, data.overlap)
+    return sparse.csr_matrix(graph)
+
+
+def components(graph) -> int:
+    from scipy.sparse import csgraph
+
+    return csgraph.connected_components(graph, directed=False)[0]
+
+
+def block_graph(*parts):
+    from scipy import sparse
+
+    return sparse.block_diag(parts, format="csr")
+
+
+class TestLanczosSolve:
+    """The CSR branch of continuous_solve against the dense solve."""
+
+    def _compare(self, graph, k):
+        from scipy.linalg import subspace_angles
+
+        got = continuous_solve(graph, k)
+        want = continuous_solve(graph.toarray(), k)
+        assert np.allclose(got.lambda_star, want.lambda_star, rtol=0, atol=1e-9)
+        assert subspace_angles(got.z_star, want.z_star).max() < 1e-8
+        d = np.asarray(graph.sum(axis=1)).ravel()
+        assert np.allclose(got.z_star.T @ (d[:, None] * got.z_star), np.eye(k), atol=1e-9)
+        return got
+
+    @pytest.mark.parametrize(
+        "speakers, segments, sigma, seed, overlap",
+        [(4, 120, 0.15, 1, 0.0), (5, 200, 0.1, 2, 0.2), (7, 300, 0.15, 3, 0.15), (3, 90, 0.2, 4, 0.0)],
+    )
+    def test_matches_dense(self, speakers, segments, sigma, seed, overlap):
+        self._compare(sparse_graph(speakers, segments, sigma, seed, overlap=overlap), speakers)
+
+    def test_components_fewer_than_k(self):
+        # two components give two eigenvalues 1; Lanczos finds the other two
+        graph = block_graph(sparse_graph(2, 60, 0.15, 5), sparse_graph(2, 60, 0.15, 13))
+        assert components(graph) == 2
+        got = self._compare(graph, 4)
+        assert np.allclose(got.lambda_star[:2], 1.0) and got.lambda_star[2] < 1 - 1e-6
+
+    def test_components_equal_k_need_no_solve(self, monkeypatch):
+        from scipy.sparse import linalg as sla
+
+        monkeypatch.setattr(sla, "eigsh", lambda *a, **k: pytest.fail("no solve expected"))
+        graph = block_graph(*[sparse_graph(1, 40, 0.15, seed) for seed in (7, 8, 9)])
+        assert components(graph) == 3
+        got = continuous_solve(graph, 3)
+        assert np.array_equal(got.lambda_star, np.ones(3))
+        # the row-normalized vectors are one unit vector per component
+        labels = np.repeat([0, 1, 2], 40)
+        rows = got.x_tilde_star
+        assert np.allclose(rows @ rows.T, labels[:, None] == labels[None, :], rtol=0, atol=1e-12)
+
+    def test_components_beyond_k_fall_back_to_dense(self, monkeypatch):
+        from scipy.sparse import linalg as sla
+
+        monkeypatch.setattr(sla, "eigsh", lambda *a, **k: pytest.fail("no solve expected"))
+        graph = block_graph(*[sparse_graph(1, 40, 0.15, seed) for seed in range(10, 15)])
+        assert components(graph) == 5
+        got = continuous_solve(graph, 3)
+        assert np.array_equal(got.z_star, continuous_solve(graph.toarray(), 3).z_star)
+
+    def test_floored_isolated_node(self, caplog):
+        from scipy import sparse
+
+        graph = sparse_graph(3, 100, 0.15, 15)
+        n = graph.shape[0]
+        # a last row and column with no link at all
+        graph = sparse.csr_matrix(sparse.bmat([[graph, None], [None, sparse.csr_matrix((1, 1))]]))
+        assert graph.shape == (n + 1, n + 1)
+        with caplog.at_level("WARNING", logger="diarcut.spectral"):
+            self._compare(graph, 3)
+        assert "1 isolated nodes" in caplog.text
+
+    def test_deterministic(self):
+        graph = sparse_graph(5, 150, 0.2, 16)
+        a, b = continuous_solve(graph, 5), continuous_solve(graph, 5)
+        assert np.array_equal(a.z_star, b.z_star)
+        assert np.array_equal(a.lambda_star, b.lambda_star)
+
+    def test_narrow_graph_stays_dense(self, monkeypatch):
+        from scipy.sparse import linalg as sla
+
+        monkeypatch.setattr(sla, "eigsh", lambda *a, **k: pytest.fail("no solve expected"))
+        graph = sparse_graph(3, 30, 0.1, 17)
+        got = continuous_solve(graph, 3)
+        assert np.array_equal(got.z_star, continuous_solve(graph.toarray(), 3).z_star)
+
+
 class TestNmsAssign:
     def test_single_peak(self):
         out = nms_assign(np.array([[0.8, 0.5, 0.1]]), OverlapVector.zeros(1))
