@@ -111,21 +111,22 @@ def binarize_ranked(values: np.ndarray, order: np.ndarray, budget: int | np.ndar
     """
     n = values.shape[0]
     rows = np.arange(n)
-    budget = np.broadcast_to(budget, (n,))
+    budget = np.asarray(budget)
     cutoff = values[rows, order[rows, budget - 1]] - TIE_EPS
     # Widen the window until no row's kept prefix can run past it.
     width = int(budget.max())
     while True:
         width = min(2 * width, n)
-        kept = np.take_along_axis(values, order[:, :width], axis=1) >= cutoff[:, None]
+        head = order[:, :width]
+        kept = values[rows[:, None], head] >= cutoff[:, None]
         if width == n or not kept[:, -1].any():
             break
-    cols = order[:, :width][kept]
-    rows = rows.repeat(kept.sum(axis=1))
     if n < SPARSE_MIN_N:
         dense = np.zeros((n, n))
-        dense[rows, cols] = 1.0
+        np.put_along_axis(dense, head, kept, axis=1)
         return 0.5 * (dense + dense.T)
+    cols = head[kept]
+    rows = rows.repeat(kept.sum(axis=1))
     from scipy import sparse  # only large graphs pay its import time
     # Duplicates sum on conversion: 0.5 + 0.5 where both rows keep the pair.
     pairs = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
