@@ -181,7 +181,7 @@ def deflated_eigsh(mat, k: int, which: str, weight, shift: float = 0.0, vectors:
     basis = np.zeros((n, labels.max() + 1))
     basis[np.arange(n), labels] = weight
     norms = np.linalg.norm(basis, axis=0)
-    basis = np.compress(norms > 0, basis, axis=1) / norms[norms > 0]  # kept C-ordered
+    basis = np.compress(norms > 0, basis, axis=1) / norms[norms > 0]  # C order fixes P x rounding
     want = k - basis.shape[1]
     if want <= 0:
         return basis, np.empty(0), np.empty((n, 0))

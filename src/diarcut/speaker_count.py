@@ -188,8 +188,7 @@ def estimate(
     if np.isfinite(r_values).any():
         best = int(np.argmin(r_values))
         k_hat = int(np.argmax(gaps_per_p[best])) + 1
-    elif n > max_speakers:
-        # every swept graph has more than max_speakers components
+    elif n > max_speakers:  # every swept graph has more than max_speakers components
         best, k_hat = len(p_values) - 1, max_speakers
     else:
         raise IndeterminateSpeakerCountError(
