@@ -100,11 +100,11 @@ def binarize(affinity: np.ndarray, p: int, overlap: OverlapVector | None = None)
         if 0 < n_single < n:
             aff = np.where(flagged[:, None] & flagged[None, :], -np.inf, aff)
             budget[flagged] = min(2 * p, n_single)
-    return binarize_ranked(aff, np.argsort(-aff, axis=1), budget)
+    return binarize_ranked(aff, np.argsort(aff, axis=1)[:, ::-1], budget)
 
 
 def binarize_ranked(values: np.ndarray, order: np.ndarray, budget: int | np.ndarray):
-    """Top-``budget`` binarization given ``order = np.argsort(-values, axis=1)``.
+    """Top-``budget`` binarization given ``order = np.argsort(values, axis=1)[:, ::-1]``.
 
     One sort serves any budget (one for all rows or one per row); masked -inf
     entries are never kept. Each row keeps a prefix of its order.

@@ -173,7 +173,7 @@ def estimate(
     g_values: list[float] = []
     r_values: list[float] = []
 
-    order = np.argsort(-a, axis=1)  # one descending sort serves every p
+    order = np.argsort(a, axis=1)[:, ::-1]  # one descending sort serves every p
     for p in p_values:
         lam, lam_max = low_spectrum(aff.binarize_ranked(a, order, p), max_speakers + 1)
         gaps = eigengap_vector(lam)
