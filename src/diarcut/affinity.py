@@ -15,9 +15,8 @@ from .ingest import EmbeddingSequence, OverlapVector
 # split such classes by accident of column order.
 TIE_EPS = 1e-9
 
-# Graphs with at least this many rows are CSR and their spectra come from
-# Lanczos; below it dense LAPACK is faster (counting sweeps crossed near
-# N = 700, one BLAS thread, 2-core x86 VM, sigma 0.15, 3-7 speakers).
+# Graphs of this many rows or more are CSR with Lanczos spectra; below, dense
+# LAPACK is faster (counting sweeps crossed near N = 700; 2-core x86 VM).
 SPARSE_MIN_N = 700
 
 # Lanczos basis size for the ARPACK solves; 32-48 timed alike, while 24,
@@ -100,37 +99,40 @@ def binarize(affinity: np.ndarray, p: int, overlap: OverlapVector | None = None)
         if 0 < n_single < n:
             aff = np.where(flagged[:, None] & flagged[None, :], -np.inf, aff)
             budget[flagged] = min(2 * p, n_single)
-    return binarize_ranked(aff, np.argsort(aff, axis=1)[:, ::-1], budget)
+    return next(binarize_sweep(aff, [budget]))
 
 
-def binarize_ranked(values: np.ndarray, order: np.ndarray, budget: int | np.ndarray):
-    """Top-``budget`` binarization given ``order = np.argsort(values, axis=1)[:, ::-1]``.
+def binarize_sweep(values: np.ndarray, budgets):
+    """Top-``budget`` binarizations of ``values``, one graph per budget in turn.
 
-    One sort serves any budget (one for all rows or one per row); masked -inf
-    entries are never kept. Each row keeps a prefix of its order.
+    A budget is one count for all rows or one per row; masked -inf entries are
+    never kept. One sort per row serves every budget: a row keeps a prefix of
+    its descending order, found in a window of the sorted row that widens until
+    no prefix reaches its end. Dense graphs keep the entries at least the
+    prefix's last value; CSR graphs take its columns from one argsort.
     """
     n = values.shape[0]
     rows = np.arange(n)
-    budget = np.asarray(budget)
-    cutoff = values[rows, order[rows, budget - 1]] - TIE_EPS
-    # Widen the window until no row's kept prefix can run past it.
-    width = int(budget.max())
-    while True:
-        width = min(2 * width, n)
-        head = order[:, :width]
-        kept = values[rows[:, None], head] >= cutoff[:, None]
-        if width == n or not kept[:, -1].any():
-            break
-    if n < SPARSE_MIN_N:
-        dense = np.zeros((n, n))
-        np.put_along_axis(dense, head, kept, axis=1)
-        return 0.5 * (dense + dense.T)
-    cols = head[kept]
-    rows = rows.repeat(kept.sum(axis=1))
-    from scipy import sparse  # only large graphs pay its import time
-    # Duplicates sum on conversion: 0.5 + 0.5 where both rows keep the pair.
-    pairs = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
-    return sparse.csr_matrix((np.full(2 * cols.size, 0.5), pairs), shape=(n, n))
+    row_sorted = np.sort(values, axis=1)[:, ::-1]
+    order = None if n < SPARSE_MIN_N else np.argsort(values, axis=1)[:, ::-1]
+    for budget in map(np.asarray, budgets):
+        cutoff = row_sorted[rows, budget - 1] - TIE_EPS
+        width = int(budget.max())
+        while True:
+            width = min(2 * width, n)
+            kept = row_sorted[:, :width] >= cutoff[:, None]
+            if width == n or not kept[:, -1].any():
+                break
+        counts = kept.sum(axis=1)
+        if order is None:
+            dense = (values >= row_sorted[rows, counts - 1][:, None]).astype(float)
+            yield 0.5 * (dense + dense.T)
+            continue
+        from scipy import sparse  # only large graphs pay its import time
+        # Duplicates sum on conversion: 0.5 + 0.5 where both rows keep the pair.
+        cols, pair_rows = order[:, :width][kept], rows.repeat(counts)
+        pairs = (np.concatenate([pair_rows, cols]), np.concatenate([cols, pair_rows]))
+        yield sparse.csr_matrix((np.full(2 * cols.size, 0.5), pairs), shape=(n, n))
 
 
 def laplacian(binarized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

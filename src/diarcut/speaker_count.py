@@ -82,10 +82,9 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     dense graph, or one narrower than the Lanczos basis, takes the full
     spectrum from ``eigvalsh``. A CSR graph takes lambda_max from Lanczos
     and the low end from ``affinity.deflated_eigsh``: L has one zero per
-    connected component, the indicator its eigenvector, so c >= m components
-    give m zeros and no solve; otherwise the next m - c come from Lanczos
-    with the null space lifted above lambda_max. Eigenvalues within
-    ZERO_SNAP of zero are snapped to exactly zero on both paths.
+    component (indicator eigenvectors), so c >= m components give m zeros;
+    otherwise Lanczos finds the next m - c with the null space lifted above
+    lambda_max. Values within ZERO_SNAP of zero snap to zero on both paths.
 
     Args:
         binarized: symmetric nonnegative N x N graph, dense or CSR.
@@ -173,9 +172,8 @@ def estimate(
     g_values: list[float] = []
     r_values: list[float] = []
 
-    order = np.argsort(a, axis=1)[:, ::-1]  # one descending sort serves every p
-    for p in p_values:
-        lam, lam_max = low_spectrum(aff.binarize_ranked(a, order, p), max_speakers + 1)
+    for p, graph in zip(p_values, aff.binarize_sweep(a, p_values)):
+        lam, lam_max = low_spectrum(graph, max_speakers + 1)
         gaps = eigengap_vector(lam)
         g = float(gaps.max()) / (lam_max + EPSILON) if gaps.size else 0.0
         r = p / g if g > 0 else float("inf")

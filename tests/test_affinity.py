@@ -5,7 +5,7 @@ from conftest import block_affinity
 from diarcut import affinity
 from diarcut.affinity import (
     binarize,
-    binarize_ranked,
+    binarize_sweep,
     build_bundle,
     cosine_affinity,
     laplacian,
@@ -204,16 +204,16 @@ class TestBinarizeMatchesReference:
 
     def _check(self, a, rng):
         n = a.shape[0]
-        order = np.argsort(a, axis=1)[:, ::-1]
         for csr in (False, True):
             same = same_csr if csr else np.array_equal
             with pytest.MonkeyPatch.context() as mp:
                 if csr:
                     mp.setattr(affinity, "SPARSE_MIN_N", 0)
-                for p in range(1, n + 1):
+                sweep = binarize_sweep(a, range(1, n + 1))
+                for p, graph in zip(range(1, n + 1), sweep):
                     want = p_binarize(a, p)
                     assert same(binarize(a, p), want)
-                    assert same(binarize_ranked(a, order, p), want)
+                    assert same(graph, want)
                     for flags in flag_cases(n, rng):
                         ov = OverlapVector(flags)
                         want = overlap_aware_binarize(a, p, ov)
