@@ -196,8 +196,7 @@ def deflated_eigsh(mat, k: int, which: str, weight, shift: float = 0.0, vectors:
                         return_eigenvectors=vectors)
     except sla.ArpackError as exc:  # ArpackNoConvergence is a subclass
         raise NumericalError(f"Lanczos eigensolve failed on {n} rows: {exc}") from exc
-    # ARPACK returns the eigenvalues ascending only together with eigenvectors.
-    return (basis, *out) if vectors else (basis, np.sort(out), None)
+    return (basis, *out) if vectors else (basis, np.sort(out), None)  # sorted only with vectors
 
 
 def build_bundle(

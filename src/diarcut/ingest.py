@@ -430,8 +430,9 @@ def assignment_to_timeline(assignment, spans) -> Timeline:
         raise ContractError(
             f"assignment has {matrix.shape[0]} rows but {len(spans)} spans given"
         )
-    # Rank of each column in lexicographic order read from row 0 down, set bits first.
-    rank = np.argsort(np.lexsort(-matrix[::-1].astype(np.int64))) if matrix.size else []
+    # Each column's rank in lexicographic order from row 0 down, set bits first.
+    packed = 255 - np.packbits(matrix != 0, axis=0)
+    rank = np.argsort(np.lexsort(packed[::-1])) if matrix.size else []
     entries = []
     for i, span in enumerate(spans):
         for j in np.flatnonzero(matrix[i]):
