@@ -108,19 +108,23 @@ def binarize_sweep(values: np.ndarray, budgets):
     A budget is one count for all rows or one per row; masked -inf entries are
     never kept. One sort per row serves every budget: a row keeps a prefix of
     its descending order, found in a window of the sorted row that widens until
-    no prefix reaches its end. Dense graphs keep the entries at least the
-    prefix's last value; CSR graphs take its columns from one argsort.
+    no prefix reaches its end. Dense graphs sort the values and keep the entries
+    at least the prefix's last value; CSR graphs argsort, gather each window's
+    values through the order and take the prefix's columns from it.
     """
     n = values.shape[0]
     rows = np.arange(n)
-    row_sorted = np.sort(values, axis=1)[:, ::-1]
-    order = None if n < SPARSE_MIN_N else np.argsort(values, axis=1)[:, ::-1]
+    if n < SPARSE_MIN_N:
+        row_sorted, order = np.sort(values, axis=1)[:, ::-1], None
+    else:
+        order = np.argsort(values, axis=1)[:, ::-1]
     for budget in map(np.asarray, budgets):
-        cutoff = row_sorted[rows, budget - 1] - TIE_EPS
         width = int(budget.max())
         while True:
             width = min(2 * width, n)
-            kept = row_sorted[:, :width] >= cutoff[:, None]
+            window = (row_sorted[:, :width] if order is None
+                      else np.take_along_axis(values, order[:, :width], axis=1))
+            kept = window >= (window[rows, budget - 1] - TIE_EPS)[:, None]
             if width == n or not kept[:, -1].any():
                 break
         counts = kept.sum(axis=1)

@@ -6,6 +6,11 @@ speech, false alarm and confusion accumulate region by region under the
 one-to-one speaker mapping that maximizes total co-occurrence duration, and
 are reported as percentages of total reference speaker time.  An optional
 collar excludes a window around every reference boundary from scoring.
+
+The mapping is an exact linear assignment by Crouse's shortest augmenting
+path (D. F. Crouse, "On implementing 2D rectangular assignment algorithms",
+IEEE TAES 2016), ported line for line from scipy's ``linear_sum_assignment``
+so that ties resolve as there.
 """
 
 from __future__ import annotations
@@ -71,6 +76,63 @@ def _regions(reference: Timeline, hypothesis: Timeline, collar: float):
     return regions
 
 
+def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment ``(rows, cols)``, exactly as scipy returns it.
+
+    A port of scipy's rectangular LSAP: remaining columns start in reverse
+    order and are swap-removed, a later equal reduced cost wins only if its
+    column is unassigned, and a tall matrix is solved transposed with the
+    pairs sorted by row.  The cost must be finite.
+    """
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    u, v = np.zeros(nr), np.zeros(nc)
+    path, col4row, row4col = np.full(nc, -1), np.full(nr, -1), np.full(nc, -1)
+    for cur_row in range(nr):
+        # shortest augmenting path from cur_row to an unassigned column
+        shortest = np.full(nc, np.inf)
+        seen_rows, seen_cols = np.zeros(nr, bool), np.zeros(nc, bool)
+        remaining, n_left = np.arange(nc)[::-1].copy(), nc
+        i, min_val, sink = cur_row, 0.0, -1
+        while sink == -1:
+            seen_rows[i] = True
+            left = remaining[:n_left]
+            reduced = min_val + cost[i, left] - u[i] - v[left]
+            better = reduced < shortest[left]
+            path[left[better]] = i
+            shortest[left[better]] = reduced[better]
+            min_val = shortest[left].min()
+            ties = np.flatnonzero(shortest[left] == min_val)
+            free = ties[row4col[left[ties]] == -1]
+            index = free[-1] if free.size else ties[0]
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            n_left -= 1
+            remaining[index] = remaining[n_left]
+        # dual update, then flip the path
+        u[cur_row] += min_val
+        seen_rows[cur_row] = False
+        u[seen_rows] += min_val - shortest[col4row[seen_rows]]
+        v[seen_cols] -= min_val - shortest[seen_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr), col4row
+
+
 def _optimal_mapping(regions, ref_speakers, hyp_speakers) -> dict[str, str]:
     if not ref_speakers or not hyp_speakers:
         return {}
@@ -81,11 +143,9 @@ def _optimal_mapping(regions, ref_speakers, hyp_speakers) -> dict[str, str]:
         for h in hyp_active:
             for r in ref_active:
                 matrix[h_index[h], r_index[r]] += dur
-    # Imported here: scipy.optimize is most of the package's import time,
-    # and only scoring needs it.
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(-matrix)
+    if not np.isfinite(matrix).all():
+        raise ContractError("speaker co-occurrence time overflows float64")
+    rows, cols = _linear_sum_assignment(-matrix)
     return {
         hyp_speakers[i]: ref_speakers[j]
         for i, j in zip(rows, cols)
@@ -119,6 +179,7 @@ def der_score(
 
     Raises:
         EmptyReferenceError: the reference has no scored speaker time.
+        ContractError: a speaker time total overflows float64.
     """
     regions = _regions(reference, hypothesis, collar)
     mapping = _optimal_mapping(regions, reference.speakers, hypothesis.speakers)
@@ -137,6 +198,8 @@ def der_score(
         missed += max(0, n_ref - n_hyp) * dur
         false_alarm += max(0, n_hyp - n_ref) * dur
         confusion += (min(n_ref, n_hyp) - correct) * dur
+    if not np.isfinite([ref_time, missed, false_alarm, confusion]).all():
+        raise ContractError("speaker time total overflows float64; DER is undefined")
     if ref_time <= 0:
         raise EmptyReferenceError(
             "reference timeline has no scored speaker time; DER is undefined"

@@ -1,9 +1,9 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
-import tomllib
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -456,6 +456,25 @@ class TestScoreCommand:
         assert code == 2
         assert "collar must be non-negative" in err
 
+    @pytest.mark.parametrize("ref_lines, hyp_lines", [
+        # each speaker's time is finite, the total reference time is not
+        (["0 1e308 a", "0 1e308 b"], ["0 1e308 x"]),
+        # one region spans [-1e308, 1e308], so its duration is infinite
+        (["-1e308 1e308 a", "0 1e308 a"], ["-1e308 1e308 x", "0 1e308 x"]),
+    ])
+    def test_overflowing_speaker_time_exits_2(self, tmp_path, capsys, ref_lines, hyp_lines):
+        paths = []
+        for name, lines in (("ref", ref_lines), ("hyp", hyp_lines)):
+            path = tmp_path / f"{name}.rttm"
+            path.write_text("".join(
+                f"SPEAKER r 1 {onset} {dur} <NA> <NA> {spk} <NA> <NA>\n"
+                for onset, dur, spk in map(str.split, lines)
+            ))
+            paths.append(str(path))
+        code, out, err = run_cli(capsys, "score", "--ref", paths[0], "--hyp", paths[1])
+        assert (code, out) == (2, "")
+        assert "overflows float64" in err
+
     def test_malformed_rttm_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.rttm"
         bad.write_text("SPEAKER rec 1 oops 1.0 <NA> <NA> a <NA> <NA>\n")
@@ -576,43 +595,63 @@ class TestDetectOverlapCommand:
 
 
 class TestStartup:
-    # scipy.optimize serves only `score`, scipy.sparse only large graphs;
-    # importing either costs every other command its start-up time
+    # scipy.sparse serves only graphs of SPARSE_MIN_N rows or more, and scoring
+    # runs on numpy alone; importing scipy costs every run its start-up time
 
-    def _loaded(self, tmp_path, argv):
-        """Exit code and the optional scipy modules loaded before and after a run."""
+    def _loaded(self, *argvs):
+        """Exit codes of the runs, made in one process, and the scipy modules
+        loaded before the first and after the last."""
         script = (
             "import json, sys\n"
             "import diarcut.cli\n"
-            "wanted = ('scipy.optimize', 'scipy.sparse')\n"
-            "before = [m for m in wanted if m in sys.modules]\n"
-            "code = diarcut.cli.main(sys.argv[1:])\n"
-            "after = [m for m in wanted if m in sys.modules]\n"
-            "print(json.dumps([code, before, after]))\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "before = scipy()\n"
+            "codes = [diarcut.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, before, scipy()]))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = json.dumps([list(map(str, argv)) for argv in argvs])
         proc = subprocess.run(
-            [sys.executable, "-c", script, *map(str, argv)],
+            [sys.executable, "-c", script, runs],
             capture_output=True, text=True, env=env, timeout=120, check=True,
         )
         return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    @staticmethod
+    def _small_recording(data):
+        synth = generate(SynthConfig(n_speakers=3, n_segments=60, overlap_fraction=0.2, seed=2))
+        data.mkdir()
+        ingest.save_embeddings(synth.embeddings, data / "emb.txt")
+        ingest.save_overlap_flags(synth.overlap, data / "flags.txt")
+        ingest.write_rttm(synth.reference, data / "ref.rttm")
+        return ["diarize", "--embeddings", data / "emb.txt", "--flags", data / "flags.txt",
+                "--out", data / "h.rttm"]
 
     def test_optional_scipy_modules_not_imported(self, tmp_path):
         post, emb = TestDetectOverlapCommand._write_inputs(None, tmp_path, [[0.0, 1.0, 0.0]] * 300)
         argv = ["detect-overlap", "--posteriors", post, "--segments", emb,
                 "--out", tmp_path / "flags.txt"]
-        assert self._loaded(tmp_path, argv) == [0, [], []]
+        assert self._loaded(argv) == [[0], [], []]
 
     def test_small_diarize_loads_no_sparse(self, tmp_path):
+        argv = self._small_recording(tmp_path / "data")
+        assert self._loaded(argv) == [[0], [], []]
+
+    def test_score_leaves_optimize_unloaded(self, tmp_path):
+        ref = tmp_path / "ref.rttm"
+        ref.write_text("SPEAKER r 1 0 2 <NA> <NA> a <NA> <NA>\n"
+                       "SPEAKER r 1 1 3 <NA> <NA> b <NA> <NA>\n")
+        codes, _, after = self._loaded(["score", "--ref", ref, "--hyp", ref])
+        assert codes == [0]
+        assert "scipy.optimize" not in after
+
+    def test_small_diarize_then_score_loads_no_scipy(self, tmp_path):
         data = tmp_path / "data"
-        synth = generate(SynthConfig(n_speakers=3, n_segments=60, overlap_fraction=0.2, seed=2))
-        data.mkdir()
-        ingest.save_embeddings(synth.embeddings, data / "emb.txt")
-        ingest.save_overlap_flags(synth.overlap, data / "flags.txt")
-        argv = ["diarize", "--embeddings", data / "emb.txt", "--flags", data / "flags.txt",
-                "--out", tmp_path / "h.rttm"]
-        assert self._loaded(tmp_path, argv) == [0, [], []]
+        diarize = self._small_recording(data)
+        score = ["score", "--ref", data / "ref.rttm", "--hyp", data / "h.rttm"]
+        assert self._loaded(diarize, score) == [[0, 0], [], []]
 
 
 class TestUsage:
@@ -645,6 +684,6 @@ class TestManifest:
         assert manifest["command"] == "score"
 
     def test_pyproject_version_matches_package(self):
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-        with pyproject.open("rb") as fh:
-            assert tomllib.load(fh)["project"]["version"] == diarcut.__version__
+        # read without tomllib, which Python 3.10 lacks
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^version = "(.*)"$', pyproject, re.M)[1] == diarcut.__version__

@@ -2,9 +2,11 @@ import itertools
 from dataclasses import asdict
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_timeline
 from diarcut import scoring
@@ -198,6 +200,12 @@ class TestMapSpeakers:
         mapping = map_speakers(ref, hyp)
         assert mapping == {"x": "a"}
 
+    def test_equal_cooccurrence_maps_to_first_reference(self):
+        # x co-occurs 1 s with both a and b; scipy's tie rule maps it to a
+        ref = Timeline.from_entries([("a", 0.0, 1.0), ("b", 1.0, 2.0)])
+        hyp = Timeline.from_entries([("x", 0.0, 2.0)])
+        assert map_speakers(ref, hyp) == {"x": "a"}
+
     def test_matches_factorial_brute_force(self, rng):
         # oracle: best bijection over all 3! pairings
         for trial in range(25):
@@ -215,3 +223,33 @@ class TestMapSpeakers:
                     )
                     best = max(best, total)
             assert got == pytest.approx(best, abs=1e-9)
+
+
+def cost_matrices():
+    """1-9 x 1-9 costs: small integers, so ties are common, or bounded floats."""
+    shapes = st.tuples(st.integers(1, 9), st.integers(1, 9))
+    ints = st.integers(0, 3).map(float)
+    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        shapes.flatmap(lambda shape: arrays(float, shape, elements=ints)),
+        shapes.flatmap(lambda shape: arrays(float, shape, elements=floats)),
+    )
+
+
+class TestLinearSumAssignment:
+    # scipy is the oracle here only; the scorer itself runs on the numpy port
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(cost_matrices())
+    @example(np.zeros((1, 1)))
+    @example(np.zeros((1, 6)))
+    @example(np.zeros((6, 1)))
+    @example(np.zeros((4, 7)))
+    @example(np.zeros((7, 4)))
+    @example(-np.ones((9, 9)))
+    def test_matches_scipy_exactly(self, cost):
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = scoring._linear_sum_assignment(cost)
+        want_rows, want_cols = linear_sum_assignment(cost)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
