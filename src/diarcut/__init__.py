@@ -1,12 +1,6 @@
 """Overlap-aware speaker diarization by auto-tuned spectral clustering."""
 
-from .affinity import (
-    AffinityBundle,
-    binarize,
-    build_bundle,
-    cosine_affinity,
-    laplacian,
-)
+from .affinity import binarize, cosine_affinity
 from .errors import (
     ConfigError,
     ContractError,

@@ -15,9 +15,7 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, affinity, ingest, overlap_decode, scoring, synth
+from . import __version__, ingest, overlap_decode, scoring, synth
 from .errors import ConfigError, DiarcutError, NumericalError
 from .pipeline import DiarizationConfig, diarize_embeddings
 
@@ -117,16 +115,6 @@ def _cmd_diarize(args) -> int:
         Path(args.dump_report).write_text(
             json.dumps(result.report.to_dict(), sort_keys=True), encoding="utf-8"
         )
-    if args.dump_matrices:
-        dump_dir = Path(args.dump_matrices)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        binarized = result.bundle.binarized
-        if not isinstance(binarized, np.ndarray):  # CSR on large graphs
-            binarized = binarized.toarray()
-        np.savetxt(dump_dir / "affinity_raw.csv", result.bundle.raw, delimiter=",")
-        np.savetxt(dump_dir / "affinity_binarized.csv", binarized, delimiter=",")
-        _, lap = affinity.laplacian(binarized)
-        np.savetxt(dump_dir / "laplacian.csv", lap, delimiter=",")
     summary = {
         "out": str(args.out),
         "n_segments": len(seq),
@@ -203,7 +191,6 @@ def build_parser() -> _Parser:
     )
     _add_field_options(p, DIARIZE_FIELDS)
     p.add_argument("--dump-report", default=None, help="write the eigengap report JSON")
-    p.add_argument("--dump-matrices", default=None, help="dump A, binarized A, L as CSV")
     p.set_defaults(func=_cmd_diarize)
 
     p = sub.add_parser("detect-overlap", help="decode posteriors into overlap flags")

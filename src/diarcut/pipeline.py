@@ -38,7 +38,6 @@ class DiarizationResult:
     assignment: AssignmentMatrix
     report: EigengapReport
     discretization: DiscretizeResult
-    bundle: affinity.AffinityBundle
 
     @property
     def num_speakers(self) -> int:
@@ -92,10 +91,10 @@ def diarize_embeddings(
             overlap = OverlapVector.zeros(n)
     log.info("binarization factor p=%d, estimated speakers K=%d", report.p_hat, k)
 
-    bundle = affinity.build_bundle(raw, report.p_hat, overlap)
-    solution = spectral.continuous_solve(bundle.binarized, k)
+    graph = affinity.build_bundle(raw, report.p_hat, overlap).binarized
+    solution = spectral.continuous_solve(graph, k)
     result = spectral.discretize_full(
         solution, overlap, config.max_iters, config.tol, config.restarts, config.seed
     )
     timeline = assignment_to_timeline(result.assignment, seq.spans)
-    return DiarizationResult(timeline, result.assignment, report, result, bundle)
+    return DiarizationResult(timeline, result.assignment, report, result)

@@ -80,11 +80,12 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
 
     The Laplacian is L = diag(d) - A of the symmetric binarized graph A. A
     dense graph, or one narrower than the Lanczos basis, takes the full
-    spectrum from ``eigvalsh``. A CSR graph takes lambda_max from Lanczos
-    and the low end from ``affinity.deflated_eigsh``: L has one zero per
-    component (indicator eigenvectors), so c >= m components give m zeros;
-    otherwise Lanczos finds the next m - c with the null space lifted above
-    lambda_max. Values within ZERO_SNAP of zero snap to zero on both paths.
+    spectrum from ``eigvalsh``. A CSR graph takes lambda_max from
+    ``affinity.lanczos_eigsh`` and the low end from ``affinity.deflated_eigsh``:
+    L has one zero per component (indicator eigenvectors), so c >= m
+    components give m zeros; otherwise Lanczos finds the next m - c with the
+    null space lifted above lambda_max. Values within ZERO_SNAP of zero snap
+    to zero on both paths.
 
     Args:
         binarized: symmetric nonnegative N x N graph, dense or CSR.
@@ -99,14 +100,14 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     n = binarized.shape[0]
     if isinstance(binarized, np.ndarray) or n < aff.lanczos_ncv(m):
         dense = binarized if isinstance(binarized, np.ndarray) else binarized.toarray()
-        # Symmetric by construction: skip the checks of aff.laplacian.
+        # Symmetric by construction, so L is formed without checks.
         lam = np.linalg.eigvalsh(np.diag(dense.sum(axis=1)) - dense)
         lam[np.abs(lam) < ZERO_SNAP] = 0.0
         return lam[:m], float(lam[-1])
 
     from scipy import sparse  # only large graphs pay its import time
     lap = (sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized).tocsr()
-    lam_max = float(aff.deflated_eigsh(lap, 1, "LA", np.zeros(n), vectors=False)[1][0])
+    lam_max = float(aff.lanczos_eigsh(lap, 1, "LA", 1, vectors=False)[0])
     basis, values, _ = aff.deflated_eigsh(lap, m, "SA", np.ones(n), lam_max + 1.0, False)
     low = np.concatenate([np.zeros(basis.shape[1]), values])[:m]
     low[np.abs(low) < ZERO_SNAP] = 0.0

@@ -2,7 +2,8 @@
 
 Each is a direct, unoptimized statement of a quantity the package computes
 or relies on: the per-row binarization the vectorized ``binarize`` must
-reproduce, the clustering objectives, the decoder's emission score, the
+reproduce, the unnormalized graph Laplacian whose spectrum the speaker
+count reads, the clustering objectives, the decoder's emission score, the
 duration-expanded state graph with its Viterbi decoder, whose labels the
 run-length ``decode`` must reproduce, and the scorer's regions with the
 collar windows merged up front, which the one-sweep ``_regions`` must
@@ -77,6 +78,31 @@ def overlap_aware_binarize(
         cutoff_i = np.sort(vals)[::-1][budget - 1]
         kept[i, single_cols[vals >= cutoff_i - TIE_EPS]] = 1.0
     return 0.5 * (kept + kept.T)
+
+
+# ---------------------------------------------------------------------------
+# graph Laplacian
+
+
+def laplacian(binarized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Degree vector and unnormalized Laplacian L = diag(d) - A.
+
+    Args:
+        binarized: symmetric nonnegative matrix (tolerance 1e-9).
+
+    Returns:
+        (degree, laplacian); rows of the Laplacian sum to zero and the matrix
+        is positive semidefinite.
+    """
+    mat = np.asarray(binarized, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ContractError("binarized affinity must be square")
+    if np.abs(mat - mat.T).max(initial=0.0) > 1e-9:
+        raise ContractError("binarized affinity must be symmetric")
+    if mat.size and mat.min() < 0:
+        raise ContractError("binarized affinity must be nonnegative")
+    degree = mat.sum(axis=1)
+    return degree, np.diag(degree) - mat
 
 
 # ---------------------------------------------------------------------------

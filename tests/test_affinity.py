@@ -8,11 +8,10 @@ from diarcut.affinity import (
     binarize_sweep,
     build_bundle,
     cosine_affinity,
-    laplacian,
 )
 from diarcut.errors import ContractError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
-from oracles import overlap_aware_binarize, p_binarize
+from oracles import laplacian, overlap_aware_binarize, p_binarize
 
 
 def seq_from(vectors):

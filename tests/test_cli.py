@@ -360,36 +360,6 @@ class TestDiarizeCommand:
         assert last_json(out)["p_hat"] == 20
         assert "clamped" in caplog.text
 
-    def test_dump_matrices(self, synth_dir, tmp_path, capsys):
-        dump = tmp_path / "mats"
-        code, _, _ = run_cli(
-            capsys,
-            "diarize",
-            "--embeddings", str(synth_dir / "embeddings.txt"),
-            "--out", str(tmp_path / "h.rttm"),
-            "--dump-matrices", str(dump),
-        )
-        assert code == 0
-        raw = np.loadtxt(dump / "affinity_raw.csv", delimiter=",")
-        binarized = np.loadtxt(dump / "affinity_binarized.csv", delimiter=",")
-        lap = np.loadtxt(dump / "laplacian.csv", delimiter=",")
-        assert raw.shape == binarized.shape == lap.shape == (30, 30)
-        assert np.abs(lap.sum(axis=1)).max() < 1e-9
-
-    def test_dump_matrices_of_a_csr_graph(self, synth_dir, tmp_path, capsys, monkeypatch):
-        dumps = []
-        for sparse_min_n in (affinity.SPARSE_MIN_N, 0):
-            monkeypatch.setattr(affinity, "SPARSE_MIN_N", sparse_min_n)
-            dump = tmp_path / f"mats{sparse_min_n}"
-            code, _, _ = run_cli(
-                capsys, "diarize", "--embeddings", str(synth_dir / "embeddings.txt"),
-                "--out", str(tmp_path / "h.rttm"), "--dump-matrices", str(dump),
-            )
-            assert code == 0
-            dumps.append(dump)
-        for name in ("affinity_raw.csv", "affinity_binarized.csv", "laplacian.csv"):
-            assert (dumps[0] / name).read_bytes() == (dumps[1] / name).read_bytes()
-
     def test_determinism_byte_identical(self, synth_dir, tmp_path, capsys):
         outs = []
         jsons = []
@@ -659,6 +629,17 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["score", "--no-such-flag", "x"])
         assert exc.value.code == 1
+
+    def test_dump_matrices_option_is_gone(self, synth_dir, tmp_path, capsys):
+        dump = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["diarize", "--embeddings", str(synth_dir / "embeddings.txt"),
+                  "--out", str(tmp_path / "h.rttm"), "--dump-matrices", str(dump)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: diarcut")
+        assert "unrecognized arguments: --dump-matrices" in err
+        assert not dump.exists()
 
     def test_bad_p_range_exits_2(self, synth_dir, tmp_path, capsys):
         code, _, err = run_cli(

@@ -37,6 +37,13 @@ DIARIZE_GOLDEN = {
         "bd2eb6bba8c2a026e70dfa67de201bef0558994865204ee2a168f866ca4e43e2", 12, 6,
         "085fe10eaa50e67d79463aa9149a834639525b5e7456251a2f238943506e3ea0", 16, 6,
     ),
+    # At or above SPARSE_MIN_N rows: the plain run counts and clusters on CSR
+    # graphs; the flagged run counts on the 576 single-speaker rows (dense) and
+    # clusters on a CSR graph.
+    (5, 720, 0.2, 0.15, 8): (
+        "4495069bc69ce1cbabf596c56adb89805d78c6774d6aaebffaafa7401ce1ade0", 15, 5,
+        "d899a35421c01addd5860a051df077403b8eb4905126b25b655177855ef2be33", 7, 5,
+    ),
 }
 
 # seed -> (sha256 of the flags file, sha256 of the .lab file)

@@ -51,7 +51,23 @@ class TestDiarizeEmbeddings:
         out = diarize_embeddings(data.embeddings)
         assert out.report.p_hat in out.report.p_values
         assert len(out.discretization.phi_histories) == 3
-        assert out.bundle.binarized.shape == (30, 30)
+
+    def test_result_keeps_no_n_by_n_matrix(self):
+        data = generate(SynthConfig(n_speakers=3, n_segments=30, seed=4))
+        out = diarize_embeddings(data.embeddings)
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from arrays(item)
+            elif hasattr(obj, "__dict__"):
+                for item in vars(obj).values():
+                    yield from arrays(item)
+
+        shapes = [a.shape for a in arrays(out)]
+        assert shapes and (30, 30) not in shapes
 
     @pytest.mark.parametrize(
         "speakers, segments, sigma, overlap, seed",
@@ -68,7 +84,8 @@ class TestDiarizeEmbeddings:
         dense = diarize_embeddings(data.embeddings, ov)
         monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
         lanczos = diarize_embeddings(data.embeddings, ov)
-        assert not isinstance(lanczos.bundle.binarized, np.ndarray)
+        raw = affinity.cosine_affinity(data.embeddings)
+        assert not isinstance(affinity.binarize(raw, lanczos.report.p_hat, ov), np.ndarray)
         assert (lanczos.report.p_hat, lanczos.report.k_hat) == (dense.report.p_hat, dense.report.k_hat)
         assert lanczos.timeline.entries == dense.timeline.entries
         assert lanczos.discretization.phi == pytest.approx(dense.discretization.phi, rel=1e-9)

@@ -8,8 +8,8 @@ from diarcut import affinity, speaker_count
 from diarcut.errors import ContractError, IndeterminateSpeakerCountError, NumericalError
 from diarcut.speaker_count import ZERO_SNAP, eigengap_vector, estimate
 from diarcut.synth import SynthConfig, generate
-from diarcut.affinity import cosine_affinity, laplacian
-from oracles import p_binarize
+from diarcut.affinity import cosine_affinity
+from oracles import laplacian, p_binarize
 
 
 class TestEigengapVector:
@@ -226,6 +226,21 @@ class TestLanczosBranch:
         lam, lam_max = speaker_count.low_spectrum(graph, 11)
         assert np.array_equal(lam, np.zeros(11)) and lam_max == pytest.approx(3.0)
         assert calls == ["LA"]
+
+    def test_one_component_pass_per_graph(self, sparse, monkeypatch):
+        from scipy.sparse import csgraph
+
+        calls = []
+        real = csgraph.connected_components
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, "connected_components", counted)
+        report = estimate(synth_affinity(4, 100, 0.1, 6))
+        # lambda_max comes from plain Lanczos; only the low end deflates
+        assert calls == [(100, 100)] * len(report.p_values)
 
     @pytest.mark.parametrize("error", ["no-convergence", "breakdown"])
     def test_arpack_failure_is_numerical_error(self, sparse, monkeypatch, error):

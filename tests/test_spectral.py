@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import block_affinity, enumerate_assignments, random_orthonormal
-from oracles import degree_normalize, objective_continuous, objective_discrete
+from oracles import degree_normalize, laplacian, objective_continuous, objective_discrete
 from diarcut import spectral
-from diarcut.affinity import binarize, cosine_affinity, laplacian
+from diarcut.affinity import binarize, cosine_affinity
 from diarcut.errors import ContractError
 from diarcut.ingest import OverlapVector, assignment_to_timeline, write_rttm
 from diarcut.synth import SynthConfig, generate
