@@ -1,21 +1,25 @@
 """Segment metadata, embeddings, overlap flags, posteriors and RTTM I/O.
 
-File formats (all plain UTF-8 text):
+File formats (all plain UTF-8 text; blank lines are skipped):
 
-* embeddings: optional ``#dim D`` header, then one segment per line,
+* embeddings: one segment per line,
   ``recording_id<TAB>start<TAB>end<TAB>v1 v2 ... vD``; segments are used in
-  file order, so segment i is data line i
+  file order, so segment i is data line i; the recording id is one
+  whitespace-free RTTM field; optional ``#dim D`` header
 * overlap flags: one ``0`` or ``1`` per line; flag line i belongs to
   embeddings data line i
-* posteriors: ``#frame_shift S`` header, then one ``p_silence p_single
+* posteriors: ``#frame_shift S`` header and one ``p_silence p_single
   p_overlap`` row per frame
 * RTTM: standard 10-field ``SPEAKER`` records
+
+A file has at most one header; it may stand anywhere and holds for every row.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +34,14 @@ log = logging.getLogger(__name__)
 MERGE_GAP = 1e-6
 
 
+class RowError(ContractError):
+    """A record breaks a rule of its type; ``row`` is the record's index."""
+
+    def __init__(self, row, problem: str):
+        super().__init__(problem)
+        self.row = int(row)
+
+
 @dataclass(frozen=True)
 class SegmentSpan:
     """Time extent of one analysis window within a recording."""
@@ -40,11 +52,15 @@ class SegmentSpan:
     end: float
 
     def __post_init__(self):
-        if not self.end > self.start:
-            raise ContractError(
-                f"segment {self.index} of {self.recording_id!r}: "
-                f"end {self.end} must exceed start {self.start}"
-            )
+        if self.recording_id.split() != [self.recording_id]:
+            problem = "recording id is not one whitespace-free RTTM field"
+        elif not (math.isfinite(self.start) and math.isfinite(self.end - self.start)):
+            problem = f"non-finite time or duration ({self.start} .. {self.end})"
+        elif not self.end > self.start:
+            problem = f"non-positive duration ({self.start} .. {self.end})"
+        else:
+            return
+        raise RowError(self.index, f"segment {self.index} of {self.recording_id!r}: {problem}")
 
     @property
     def duration(self) -> float:
@@ -66,12 +82,16 @@ class EmbeddingSequence:
             raise ContractError(
                 f"{len(self.spans)} spans but {self.vectors.shape[0]} vectors"
             )
+        for i, span in enumerate(self.spans):
+            if span.recording_id != self.spans[0].recording_id:
+                raise RowError(i, f"segment {i} is of recording {span.recording_id!r}, not "
+                                  f"{self.spans[0].recording_id!r}; use one file per recording")
         bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
         if bad.size:
-            raise ContractError(f"segment {bad[0]} has a non-finite embedding component")
+            raise RowError(bad[0], f"segment {bad[0]} has a non-finite embedding component")
         bad = np.flatnonzero(~self.vectors.any(axis=1))
         if bad.size:
-            raise ContractError(f"segment {bad[0]} has a zero-norm embedding")
+            raise RowError(bad[0], f"segment {bad[0]} has a zero-norm embedding")
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -105,14 +125,6 @@ class OverlapVector:
         return bool(self.flags.any())
 
 
-class _PosteriorRowError(ContractError):
-    """A posterior row breaks one of the rules of :class:`FramePosteriors`."""
-
-    def __init__(self, row, problem: str):
-        super().__init__(f"posterior row {row} {problem}")
-        self.row = int(row)
-
-
 @dataclass
 class FramePosteriors:
     """T x 3 class posteriors, columns ordered (silence, single, overlap)."""
@@ -129,14 +141,14 @@ class FramePosteriors:
             raise ContractError("posterior rows must be T x 3")
         bad = np.flatnonzero(~np.isfinite(self.rows).all(axis=1))
         if bad.size:
-            raise _PosteriorRowError(bad[0], "has a non-finite value")
+            raise RowError(bad[0], f"posterior row {bad[0]} has a non-finite value")
         bad = np.flatnonzero((self.rows < 0).any(axis=1))
         if bad.size:
-            raise _PosteriorRowError(bad[0], "has a negative value")
+            raise RowError(bad[0], f"posterior row {bad[0]} has a negative value")
         sums = self.rows.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-4)
         if bad.size:
-            raise _PosteriorRowError(bad[0], f"sums to {sums[bad[0]]:.6f}, expected 1")
+            raise RowError(bad[0], f"posterior row {bad[0]} sums to {sums[bad[0]]:.6f}, expected 1")
 
     @property
     def num_frames(self) -> int:
@@ -170,12 +182,6 @@ class Timeline:
     def speakers(self) -> list[str]:
         return sorted({spk for spk, _, _ in self.entries})
 
-    def shifted(self, offset: float) -> "Timeline":
-        return Timeline(
-            [(s, a + offset, b + offset) for s, a, b in self.entries],
-            self.recording_id,
-        )
-
 
 def _normalize(entries) -> list[tuple[str, float, float]]:
     per_speaker: dict[str, list[tuple[float, float]]] = {}
@@ -196,26 +202,52 @@ def _normalize(entries) -> list[tuple[str, float, float]]:
     return merged
 
 
-def _lines(path: Path):
-    """Yield (line number, text) of the non-blank lines of a UTF-8 file."""
-    with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
-            if line.strip():
-                yield lineno, line
+class _Reader:
+    """The non-blank lines of a UTF-8 file, read one at a time.
 
+    Iterating yields the data lines. A ``#<header> value`` line is the
+    file's one optional header; ``value`` holds its value converted by
+    ``kind``. ``lines[i]`` is the file line of data line i.
+    """
 
-def _one_recording(path: Path, rec_ids: set[str]) -> str:
-    """The one recording id of a file ("rec" if it names none)."""
-    if len(rec_ids) > 1:
-        raise ParseError(
-            f"{path}: contains {len(rec_ids)} recording ids {sorted(rec_ids)}; "
-            "split into one file per recording"
-        )
-    return next(iter(rec_ids), "rec")
+    def __init__(self, path, header: str | None = None, kind=float):
+        self.path, self.header, self.kind = Path(path), header, kind
+        self.lineno, self.value, self.header_line = 0, None, None
+        self.lines = array("l")
+
+    def __iter__(self):
+        with self.path.open("rb") as fh:
+            for self.lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise self.error(f"not UTF-8 text ({exc.reason})")
+                text = line.strip()
+                if self.header and text.startswith("#"):
+                    self._read_header(text)
+                elif text:
+                    self.lines.append(self.lineno)
+                    yield line
+
+    def _read_header(self, line: str) -> None:
+        parts = line[1:].split()
+        if len(parts) != 2 or parts[0] != self.header:
+            raise self.error(f"unrecognized header {line!r}")
+        if self.header_line is not None:
+            raise self.error(f"second header {line!r}; line {self.header_line} has the first")
+        try:
+            self.value = self.kind(parts[1])
+        except ValueError:
+            raise self.error(f"bad {self.header} header {line!r}")
+        self.header_line = self.lineno
+
+    def error(self, problem: str, lineno: int | None = None) -> ParseError:
+        return ParseError(f"{self.path}:{lineno or self.lineno}: {problem}")
+
+    def failure(self, exc: ContractError) -> ParseError:
+        """A record type's error at the line of its row, or else of the header."""
+        return self.error(str(exc), self.lines[exc.row] if isinstance(exc, RowError)
+                          else self.header_line)
 
 
 # ---------------------------------------------------------------------------
@@ -224,64 +256,36 @@ def _one_recording(path: Path, rec_ids: set[str]) -> str:
 
 def load_embeddings(path) -> EmbeddingSequence:
     """Parse an embeddings file into a validated sequence, in file order."""
-    path = Path(path)
-    header_dim: int | None = None
-    records: list[tuple[str, float, float, np.ndarray]] = []
-    for lineno, raw in _lines(path):
-        line = raw.rstrip("\n")
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "dim":
-                try:
-                    header_dim = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad dim header {line!r}")
-                continue
-            raise ParseError(f"{path}:{lineno}: unrecognized header {line!r}")
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError(
-                f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
-            )
-        rec, start_s, end_s, vec_s = fields
-        try:
-            start, end = float(start_s), float(end_s)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad time fields {start_s!r} {end_s!r}")
-        if not (math.isfinite(start) and math.isfinite(end)):
-            raise ParseError(f"{path}:{lineno}: non-finite time")
-        if not end > start:
-            raise ParseError(
-                f"{path}:{lineno}: non-positive duration ({start} .. {end})"
-            )
-        try:
-            vec = np.array([float(v) for v in vec_s.split()], dtype=float)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad vector component")
-        if vec.size == 0:
-            raise ParseError(f"{path}:{lineno}: empty vector")
-        if header_dim is not None and vec.size != header_dim:
-            raise ParseError(
-                f"{path}:{lineno}: vector has {vec.size} components, header says {header_dim}"
-            )
-        if records and vec.size != records[0][3].size:
-            raise ParseError(
-                f"{path}:{lineno}: vector has {vec.size} components, "
-                f"previous rows have {records[0][3].size}"
-            )
-        if not np.isfinite(vec).all():
-            raise ParseError(f"{path}:{lineno}: non-finite component")
-        if not vec.any():
-            raise ParseError(f"{path}:{lineno}: zero-norm vector")
-        records.append((rec, start, end, vec))
-    if not records:
-        raise ParseError(f"{path}: no segments found")
-    _one_recording(path, {r[0] for r in records})
-    spans = [
-        SegmentSpan(rec, i, start, end)
-        for i, (rec, start, end, _) in enumerate(records)
-    ]
-    return EmbeddingSequence(spans, np.vstack([r[3] for r in records]))
+    reader = _Reader(path, "dim", int)
+    spans: list[SegmentSpan] = []
+    vectors: list[np.ndarray] = []
+    try:
+        for line in reader:
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise reader.error(f"expected 4 tab-separated fields, got {len(fields)}")
+            rec, start_s, end_s, vec_s = fields
+            try:
+                start, end = float(start_s), float(end_s)
+            except ValueError:
+                raise reader.error(f"bad time fields {start_s!r} {end_s!r}")
+            try:
+                vec = np.array(vec_s.split(), dtype=float)
+            except ValueError:
+                raise reader.error("bad vector component")
+            if vectors and vec.size != vectors[0].size:
+                raise reader.error(f"vector has {vec.size} components, "
+                                   f"previous rows have {vectors[0].size}")
+            spans.append(SegmentSpan(rec, len(spans), start, end))
+            vectors.append(vec)
+        if not spans:
+            raise ParseError(f"{reader.path}: no segments found")
+        if reader.value not in (None, vectors[0].size):
+            raise reader.error(f"header says {reader.value} components, rows have "
+                               f"{vectors[0].size}", reader.header_line)
+        return EmbeddingSequence(spans, np.vstack(vectors))
+    except ContractError as exc:
+        raise reader.failure(exc) from exc
 
 
 def save_embeddings(seq: EmbeddingSequence, path) -> None:
@@ -301,17 +305,16 @@ def save_embeddings(seq: EmbeddingSequence, path) -> None:
 
 
 def load_overlap_flags(path, expected_length: int | None = None) -> OverlapVector:
-    path = Path(path)
+    reader = _Reader(path)
     flags: list[int] = []
-    for lineno, raw in _lines(path):
-        line = raw.strip()
+    for line in reader:
+        line = line.strip()
         if line not in ("0", "1"):
-            raise ParseError(f"{path}:{lineno}: expected 0 or 1, got {line!r}")
+            raise reader.error(f"expected 0 or 1, got {line!r}")
         flags.append(int(line))
     if expected_length is not None and len(flags) != expected_length:
-        raise ParseError(
-            f"{path}: {len(flags)} flags but {expected_length} segments expected"
-        )
+        raise ParseError(f"{reader.path}: {len(flags)} flags but "
+                         f"{expected_length} segments expected")
     return OverlapVector(np.array(flags, dtype=np.int8))
 
 
@@ -326,39 +329,24 @@ def save_overlap_flags(overlap: OverlapVector, path) -> None:
 
 
 def load_posteriors(path) -> FramePosteriors:
-    path = Path(path)
-    frame_shift: float | None = None
-    rows: list[list[float]] = []
-    for lineno, raw in _lines(path):
-        line = raw.strip()
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "frame_shift":
-                try:
-                    frame_shift = float(parts[1])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad frame_shift header")
-                continue
-            raise ParseError(f"{path}:{lineno}: unrecognized header {line!r}")
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 posteriors, got {len(parts)}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad posterior value")
-    if frame_shift is None:
-        raise ParseError(f"{path}: missing '#frame_shift S' header")
-    if not rows:
-        raise ParseError(f"{path}: no posterior rows")
+    reader = _Reader(path, "frame_shift", float)
+    values = array("d")
     try:
-        return FramePosteriors("rec", frame_shift, np.array(rows))
-    except _PosteriorRowError as exc:
-        # every non-header line parsed as a row; find the bad one's line only now
-        lineno = [n for n, line in _lines(path) if not line.strip().startswith("#")][exc.row]
-        raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        for line in reader:
+            parts = line.split()
+            if len(parts) != 3:
+                raise reader.error(f"expected 3 posteriors, got {len(parts)}")
+            try:
+                values.extend([float(v) for v in parts])
+            except ValueError:
+                raise reader.error("bad posterior value")
+        if reader.value is None:
+            raise ParseError(f"{reader.path}: missing '#frame_shift S' header")
+        if not values:
+            raise ParseError(f"{reader.path}: no posterior rows")
+        return FramePosteriors("rec", reader.value, np.frombuffer(values).reshape(-1, 3))
     except ContractError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise reader.failure(exc) from exc
 
 
 def save_posteriors(post: FramePosteriors, path) -> None:
@@ -379,30 +367,31 @@ def load_rttm(path) -> Timeline:
     Non-SPEAKER record types are ignored; all SPEAKER lines must share one
     recording id.
     """
-    path = Path(path)
+    reader = _Reader(path)
     entries: list[tuple[str, float, float]] = []
     rec_ids: set[str] = set()
-    for lineno, raw in _lines(path):
-        fields = raw.split()
+    for line in reader:
+        fields = line.split()
         if fields[0] != "SPEAKER":
             continue
         if len(fields) != 10:
-            raise ParseError(
-                f"{path}:{lineno}: SPEAKER record has {len(fields)} fields, expected 10"
-            )
+            raise reader.error(f"SPEAKER record has {len(fields)} fields, expected 10")
         try:
             onset = float(fields[3])
             dur = float(fields[4])
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad onset/duration")
-        if not dur > 0:
-            raise ParseError(f"{path}:{lineno}: non-positive duration {dur}")
+            raise reader.error("bad onset/duration")
         end = onset + dur
         if not (math.isfinite(end) and end > onset):
-            raise ParseError(f"{path}:{lineno}: bad onset/duration")
+            raise reader.error("bad onset/duration")
         rec_ids.add(fields[1])
         entries.append((fields[7], onset, end))
-    return Timeline.from_entries(entries, _one_recording(path, rec_ids))
+    if len(rec_ids) > 1:
+        raise ParseError(
+            f"{reader.path}: contains {len(rec_ids)} recording ids {sorted(rec_ids)}; "
+            "split into one file per recording"
+        )
+    return Timeline.from_entries(entries, next(iter(rec_ids), "rec"))
 
 
 def write_rttm(timeline: Timeline, path) -> None:

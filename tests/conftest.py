@@ -37,6 +37,13 @@ def random_timeline(
     return Timeline.from_entries(entries)
 
 
+def shifted(timeline: Timeline, offset: float) -> Timeline:
+    """``timeline`` moved ``offset`` seconds along the time axis."""
+    return Timeline(
+        [(s, a + offset, b + offset) for s, a, b in timeline.entries], timeline.recording_id
+    )
+
+
 def interval_union_length(intervals) -> float:
     """Total length of a union of intervals; independent merge-free oracle."""
     points = sorted(intervals)

@@ -278,6 +278,17 @@ class TestDiarizeCommand:
         assert code == 2
         assert "emb.txt:2: not UTF-8" in err
 
+    @pytest.mark.parametrize("rec", ["my rec", ""])
+    def test_recording_id_rttm_cannot_hold_exits_2(self, tmp_path, capsys, rec):
+        # RTTM holds the recording id as one field, so no output may be written
+        emb = tmp_path / "emb.txt"
+        emb.write_text("".join(f"{rec}\t{i}\t{i + 1}\t1 {i % 2}\n" for i in range(6)))
+        out = tmp_path / "h.rttm"
+        code, _, err = run_cli(capsys, "diarize", "--embeddings", str(emb), "--out", str(out))
+        assert code == 2
+        assert "emb.txt:1: segment 0 of" in err
+        assert not out.exists()
+
     def test_dump_report(self, synth_dir, tmp_path, capsys):
         report = tmp_path / "report.json"
         run_cli(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,7 +67,7 @@ class TestEmbeddings:
     def test_non_finite_component_rejected(self, tmp_path, bad):
         f = tmp_path / "emb.txt"
         f.write_text(f"rec\t0\t1\t1 0 0\nrec\t1\t2\t1 {bad} 0\n")
-        with pytest.raises(ParseError, match=":2: non-finite component"):
+        with pytest.raises(ParseError, match=":2: segment 1 has a non-finite embedding component"):
             load_embeddings(f)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -78,13 +80,61 @@ class TestEmbeddings:
     def test_non_finite_time_rejected(self, tmp_path):
         f = tmp_path / "emb.txt"
         f.write_text("rec\t-inf\tinf\t1 0\n")
-        with pytest.raises(ParseError, match=":1: non-finite time"):
+        message = ":1: segment 0 of 'rec': non-finite time or duration (-inf .. inf)"
+        with pytest.raises(ParseError, match=re.escape(message)):
             load_embeddings(f)
 
     def test_bad_duration(self, tmp_path):
         f = tmp_path / "emb.txt"
         f.write_text("rec\t1.0\t1.0\t1 0\n")
         with pytest.raises(ParseError, match="duration"):
+            load_embeddings(f)
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ("rec\t1.0\tinf\t1 0", "segment 1 of 'rec': non-finite time or duration (1.0 .. inf)"),
+            # finite ends whose distance overflows: the RTTM duration would read inf
+            ("rec\t-1e308\t1e308\t1 0",
+             "segment 1 of 'rec': non-finite time or duration (-1e+308 .. 1e+308)"),
+            ("rec\t2.0\t1.5\t1 0", "segment 1 of 'rec': non-positive duration (2.0 .. 1.5)"),
+            ("rec\t1\t2\t1 nan", "segment 1 has a non-finite embedding component"),
+            ("rec\t1\t2\t0 0", "segment 1 has a zero-norm embedding"),
+        ],
+        ids=["non-finite-time", "infinite-duration", "duration", "non-finite-component",
+             "zero-norm"],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
+        f = tmp_path / "emb.txt"
+        f.write_text(f"\n#dim 2\nrec\t0\t1\t1 0\n\n{bad_row}\nrec\t2\t3\t0 1\n")
+        with pytest.raises(ParseError, match=re.escape(f"emb.txt:5: {message}")):
+            load_embeddings(f)
+
+    @pytest.mark.parametrize("rec", ["my rec", "", "a\u2028b"])
+    def test_recording_id_is_one_rttm_field(self, tmp_path, rec):
+        # an id that RTTM cannot hold as one field would make an unreadable output
+        f = tmp_path / "emb.txt"
+        f.write_text(f"{rec}\t0\t1\t1 0\n\n{rec}\t1\t2\t0 1\n")
+        message = f"emb.txt:1: segment 0 of {rec!r}: recording id is not one whitespace-free"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_embeddings(f)
+
+    def test_header_may_follow_the_rows(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_text("rec\t0\t1\t1 0 0\n#dim 3\nrec\t1\t2\t0 1 0\n")
+        assert load_embeddings(f).dim == 3
+
+    def test_header_after_rows_enforced(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_text("rec\t0\t1\t1 0 0\nrec\t1\t2\t0 1 0\nrec\t2\t3\t0 0 1\n#dim 7\n")
+        with pytest.raises(ParseError, match="emb.txt:4: header says 7 components, rows have 3"):
+            load_embeddings(f)
+
+    def test_second_header_rejected(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_text("#dim 2\nrec\t0\t1\t1 0\n#dim 2\n")
+        message = "emb.txt:3: second header '#dim 2'; line 1 has the first"
+        with pytest.raises(ParseError, match=message):
             load_embeddings(f)
 
     def test_field_count(self, tmp_path):
@@ -96,7 +146,8 @@ class TestEmbeddings:
     def test_multiple_recordings_rejected(self, tmp_path):
         f = tmp_path / "emb.txt"
         f.write_text("a\t0\t1\t1 0\nb\t0\t1\t0 1\n")
-        with pytest.raises(ParseError, match="recording ids"):
+        message = "emb.txt:2: segment 1 is of recording 'b', not 'a'; use one file per recording"
+        with pytest.raises(ParseError, match=message):
             load_embeddings(f)
 
     def test_file_order_kept(self, tmp_path):
@@ -189,11 +240,27 @@ class TestPosteriors:
         with pytest.raises(ParseError, match=f"post.txt:4: posterior row 1 {message}"):
             load_posteriors(f)
 
+    def test_second_header_rejected(self, tmp_path):
+        # a later header must not retime the frames read before it
+        f = tmp_path / "post.txt"
+        f.write_text("#frame_shift 0.01\n0.2 0.3 0.5\n#frame_shift 0.5\n0.2 0.3 0.5\n")
+        with pytest.raises(
+            ParseError, match=r"post.txt:3: second header '#frame_shift 0.5'; line 1 has the first"
+        ):
+            load_posteriors(f)
+
+    def test_header_may_follow_the_rows(self, tmp_path):
+        f = tmp_path / "post.txt"
+        f.write_text("0.2 0.3 0.5\n\n#frame_shift 0.02\n1 0 0\n")
+        post = load_posteriors(f)
+        assert (post.frame_shift, post.num_frames) == (0.02, 2)
+
     @pytest.mark.parametrize("shift", ["nan", "inf", "-0.01"])
     def test_bad_frame_shift_header(self, tmp_path, shift):
         f = tmp_path / "post.txt"
         f.write_text(f"#frame_shift {shift}\n0.2 0.3 0.5\n")
-        with pytest.raises(ParseError, match="frame_shift"):
+        # the rule lives in FramePosteriors; the error names the header's line
+        with pytest.raises(ParseError, match="post.txt:1: frame_shift must be positive and finite"):
             load_posteriors(f)
 
 

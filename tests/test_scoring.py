@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_timeline
+from conftest import random_timeline, shifted
 from diarcut import scoring
 from diarcut.errors import EmptyReferenceError
 from diarcut.ingest import Timeline
@@ -111,10 +111,10 @@ class TestDerScore:
         ref = random_timeline(rng)
         hyp = random_timeline(rng, prefix="hyp")
         base = der_score(ref, hyp)
-        shifted = der_score(ref.shifted(1000.0), hyp.shifted(1000.0))
-        assert shifted.missed == pytest.approx(base.missed, abs=1e-9)
-        assert shifted.false_alarm == pytest.approx(base.false_alarm, abs=1e-9)
-        assert shifted.confusion == pytest.approx(base.confusion, abs=1e-9)
+        moved = der_score(shifted(ref, 1000.0), shifted(hyp, 1000.0))
+        assert moved.missed == pytest.approx(base.missed, abs=1e-9)
+        assert moved.false_alarm == pytest.approx(base.false_alarm, abs=1e-9)
+        assert moved.confusion == pytest.approx(base.confusion, abs=1e-9)
 
     def test_additivity_over_recordings(self, rng):
         # pooling the per-recording second counts equals scoring the
@@ -124,8 +124,8 @@ class TestDerScore:
         a = der_score(ref1, hyp1)
         b = der_score(ref2, hyp2)
         offset = 10_000.0
-        ref_cat = Timeline.from_entries(ref1.entries + ref2.shifted(offset).entries)
-        hyp_cat = Timeline.from_entries(hyp1.entries + hyp2.shifted(offset).entries)
+        ref_cat = Timeline.from_entries(ref1.entries + shifted(ref2, offset).entries)
+        hyp_cat = Timeline.from_entries(hyp1.entries + shifted(hyp2, offset).entries)
         pooled = der_score(ref_cat, hyp_cat)
         assert pooled.missed_seconds == pytest.approx(
             a.missed_seconds + b.missed_seconds, abs=1e-9
@@ -157,7 +157,7 @@ class TestDerScore:
     @given(timelines("abc"), timelines("xyz"), st.integers(-1000, 1000))
     def test_shift_invariant(self, ref, hyp, offset):
         base = der_score(ref, hyp)
-        moved = der_score(ref.shifted(offset), hyp.shifted(offset))
+        moved = der_score(shifted(ref, offset), shifted(hyp, offset))
         # shifted boundaries round differently, and DER is relative to the reference time
         assert moved.der == pytest.approx(base.der, rel=1e-7, abs=1e-9)
 
