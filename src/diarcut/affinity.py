@@ -19,7 +19,7 @@ TIE_EPS = 1e-9
 # LAPACK is faster (counting sweeps crossed near N = 700; 2-core x86 VM).
 SPARSE_MIN_N = 700
 
-# Lanczos basis size for the ARPACK solves; 32-48 timed alike, while 24,
+# Lanczos basis size for the ARPACK solves; 32-48 timed alike, but 24,
 # about ARPACK's own default for k = 11, made sweeps up to 1.4 times slower.
 ARPACK_NCV = 36
 
@@ -51,6 +51,14 @@ def cosine_affinity(seq: EmbeddingSequence) -> np.ndarray:
     return aff
 
 
+def finite_square(affinity) -> np.ndarray:
+    """``affinity`` as a float array; ContractError unless square and finite."""
+    aff = np.asarray(affinity, dtype=float)
+    if aff.ndim != 2 or aff.shape[0] != aff.shape[1] or not np.isfinite(aff).all():
+        raise ContractError("affinity must be a square matrix of finite values")
+    return aff
+
+
 def binarize(affinity: np.ndarray, p: int, overlap: OverlapVector | None = None):
     """Keep the top p values per row as 1, zero the rest, then symmetrize.
 
@@ -67,7 +75,7 @@ def binarize(affinity: np.ndarray, p: int, overlap: OverlapVector | None = None)
     any single-speaker column, every row is binarized plainly.
 
     Args:
-        affinity: square similarity matrix.
+        affinity: square matrix of finite similarities.
         p: binarization factor, 1 <= p <= N; the diagonal counts toward p.
         overlap: optional per-row overlap flags.
 
@@ -75,10 +83,8 @@ def binarize(affinity: np.ndarray, p: int, overlap: OverlapVector | None = None)
         Symmetric binarized graph with entries in {0, 0.5, 1}: a dense array
         below SPARSE_MIN_N rows, a CSR matrix from there on.
     """
-    aff = np.asarray(affinity, dtype=float)
+    aff = finite_square(affinity)  # checked before the -inf mask can hide a NaN
     n = aff.shape[0]
-    if aff.ndim != 2 or aff.shape[1] != n:
-        raise ContractError("affinity must be square")
     if not 1 <= p <= n:
         raise ContractError(f"binarization factor p={p} outside [1, {n}]")
     budget = np.full(n, p)
@@ -94,38 +100,28 @@ def binarize(affinity: np.ndarray, p: int, overlap: OverlapVector | None = None)
 
 
 def binarize_sweep(values: np.ndarray, budgets):
-    """Top-``budget`` binarizations of ``values``, one graph per budget in turn.
+    """One top-``budget`` graph of ``values`` per budget: a count, or one per row.
 
-    A budget is one count for all rows or one per row; masked -inf entries are
-    never kept. One sort per row serves every budget: a row keeps a prefix of
-    its descending order, found in a window of the sorted row that widens until
-    no prefix reaches its end. Dense graphs sort the values and keep the entries
-    at least the prefix's last value; CSR graphs argsort, gather each window's
-    values through the order and take the prefix's columns from it.
+    A row keeps the entries at or above its cutoff, its budget-th largest value
+    less TIE_EPS, so masked -inf entries are never kept; one sort gives every
+    cutoff. CSR graphs find once the entries at or above each row's lowest one.
     """
     n = values.shape[0]
-    rows = np.arange(n)
+    row_sorted = np.sort(values, axis=1)
+    cutoffs = [row_sorted[np.arange(n), n - np.asarray(b)] - TIE_EPS for b in budgets]
+    del row_sorted  # the sweep keeps only the cutoffs, not this N x N copy
     if n < SPARSE_MIN_N:
-        row_sorted, order = np.sort(values, axis=1)[:, ::-1], None
-    else:
-        order = np.argsort(values, axis=1)[:, ::-1]
-    for budget in map(np.asarray, budgets):
-        width = int(budget.max())
-        while True:
-            width = min(2 * width, n)
-            window = (row_sorted[:, :width] if order is None
-                      else np.take_along_axis(values, order[:, :width], axis=1))
-            kept = window >= (window[rows, budget - 1] - TIE_EPS)[:, None]
-            if width == n or not kept[:, -1].any():
-                break
-        counts = kept.sum(axis=1)
-        if order is None:
-            dense = (values >= row_sorted[rows, counts - 1][:, None]).astype(float)
+        for cutoff in cutoffs:
+            dense = (values >= cutoff[:, None]).astype(float)
             yield 0.5 * (dense + dense.T)
-            continue
-        from scipy import sparse  # only large graphs pay its import time
+        return
+    from scipy import sparse  # only large graphs pay its import time
+    cand_rows, cand_cols = np.nonzero(values >= np.min(cutoffs, axis=0)[:, None])
+    cand_values = values[cand_rows, cand_cols]
+    for cutoff in cutoffs:
+        kept = cand_values >= cutoff[cand_rows]
         # Duplicates sum on conversion: 0.5 + 0.5 where both rows keep the pair.
-        cols, pair_rows = order[:, :width][kept], rows.repeat(counts)
+        pair_rows, cols = cand_rows[kept], cand_cols[kept]
         pairs = (np.concatenate([pair_rows, cols]), np.concatenate([cols, pair_rows]))
         yield sparse.csr_matrix((np.full(2 * cols.size, 0.5), pairs), shape=(n, n))
 

@@ -56,8 +56,8 @@ class SegmentSpan:
             problem = "recording id is not one whitespace-free RTTM field"
         elif not (math.isfinite(self.start) and math.isfinite(self.end - self.start)):
             problem = f"non-finite time or duration ({self.start} .. {self.end})"
-        elif not self.end > self.start:
-            problem = f"non-positive duration ({self.start} .. {self.end})"
+        elif self.end - self.start < 0.0005:  # RTTM's three decimals would write 0.000
+            problem = f"duration under 0.5 ms ({self.start} .. {self.end})"
         else:
             return
         raise RowError(self.index, f"segment {self.index} of {self.recording_id!r}: {problem}")

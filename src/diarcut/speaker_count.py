@@ -138,7 +138,7 @@ def estimate(
     count is clamped to max_speakers at the largest swept p.
 
     Args:
-        affinity: raw square affinity matrix.
+        affinity: raw square affinity matrix of finite values.
         p_min, p_max: inclusive sweep bounds; the effective upper bound is
             clipped to N-1.  With N-1 < p_min the sweep is empty and the
             estimate is one speaker at p_hat = N.
@@ -152,10 +152,8 @@ def estimate(
     Raises:
         IndeterminateSpeakerCountError: every g_p = 0 with N <= max_speakers.
     """
-    a = np.asarray(affinity, dtype=float)
+    a = aff.finite_square(affinity)
     n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ContractError("affinity must be square")
     if max_speakers < 1:
         raise ContractError("max_speakers must be at least 1")
     if not 1 <= p_min <= p_max:

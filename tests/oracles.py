@@ -30,16 +30,20 @@ from diarcut.overlap_decode import (
 # binarization
 
 
-def p_binarize(affinity: np.ndarray, p: int) -> np.ndarray:
-    """Keep the p largest values per row (ties within TIE_EPS), symmetrize."""
+def p_binarize(affinity: np.ndarray, p) -> np.ndarray:
+    """Keep the p largest values per row (ties within TIE_EPS), symmetrize.
+
+    ``p`` is one count for every row or one count per row.
+    """
     aff = np.asarray(affinity, dtype=float)
     n = aff.shape[0]
     if aff.ndim != 2 or aff.shape[1] != n:
         raise ContractError("affinity must be square")
-    if not 1 <= p <= n:
+    p = np.broadcast_to(p, n)
+    if not ((1 <= p) & (p <= n)).all():
         raise ContractError(f"binarization factor p={p} outside [1, {n}]")
     row_sorted = np.sort(aff, axis=1)[:, ::-1]
-    cutoff = row_sorted[:, p - 1]
+    cutoff = row_sorted[np.arange(n), p - 1]
     kept = (aff >= cutoff[:, None] - TIE_EPS).astype(float)
     return 0.5 * (kept + kept.T)
 

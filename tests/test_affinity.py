@@ -112,6 +112,20 @@ class TestPBinarize:
         with pytest.raises(ContractError):
             binarize(np.eye(3), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_affinity_rejected(self, bad):
+        a = np.eye(3)
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(ContractError, match="finite"):
+            binarize(a, 2)
+        # both rows flagged: the -inf mask of flagged pairs would cover the entry
+        with pytest.raises(ContractError, match="finite"):
+            binarize(a, 1, OverlapVector(np.array([1, 1, 0])))
+
+    def test_non_square_affinity_rejected(self):
+        with pytest.raises(ContractError, match="square"):
+            binarize(np.ones((2, 3)), 1)
+
 
 class TestOverlapAwareBinarize:
     def test_no_flags_matches_plain(self, rng):
@@ -218,6 +232,11 @@ class TestBinarizeMatchesReference:
                         want = overlap_aware_binarize(a, p, ov)
                         assert same(binarize(a, p, ov), want), (p, flags, csr)
                         assert same(build_bundle(a, p, ov).binarized, want)
+                # budgets out of order, counts mixed with per-row counts: each
+                # graph keeps its own cutoff from the loosest one's candidates
+                budgets = [min(9, n), min(3, n), rng.integers(1, n + 1, n), 1]
+                for budget, graph in zip(budgets, binarize_sweep(a, budgets), strict=True):
+                    assert same(graph, p_binarize(a, budget)), (budget, csr)
 
     def test_random_affinities(self, rng):
         for n in (2, 3, 7, 16):

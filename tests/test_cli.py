@@ -289,6 +289,27 @@ class TestDiarizeCommand:
         assert "emb.txt:1: segment 0 of" in err
         assert not out.exists()
 
+    def test_sub_millisecond_span_exits_2(self, tmp_path, capsys):
+        # its RTTM duration would read 0.000, which score rejects
+        emb = tmp_path / "emb.txt"
+        emb.write_text("rec\t0.0\t0.0004\t1 0\nrec\t1.0\t2.0\t0 1\nrec\t2.0\t3.0\t1 1\n")
+        out = tmp_path / "h.rttm"
+        code, _, err = run_cli(capsys, "diarize", "--embeddings", str(emb), "--out", str(out))
+        assert code == 2
+        assert "emb.txt:1: segment 0 of 'rec': duration under 0.5 ms" in err
+        assert not out.exists()
+
+    def test_half_millisecond_span_scores_against_itself(self, tmp_path, capsys):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("rec\t0.0\t0.0005\t1 0\nrec\t1.0\t2.0\t0 1\nrec\t2.0\t3.0\t1 1\n")
+        hyp = tmp_path / "h.rttm"
+        code, _, _ = run_cli(capsys, "diarize", "--embeddings", str(emb), "--out", str(hyp))
+        assert code == 0
+        assert " 0.000 0.001 " in hyp.read_text()
+        code, out, _ = run_cli(capsys, "score", "--ref", str(hyp), "--hyp", str(hyp))
+        assert code == 0
+        assert last_json(out)["der"] == 0.0
+
     def test_dump_report(self, synth_dir, tmp_path, capsys):
         report = tmp_path / "report.json"
         run_cli(

@@ -97,12 +97,14 @@ class TestEmbeddings:
             # finite ends whose distance overflows: the RTTM duration would read inf
             ("rec\t-1e308\t1e308\t1 0",
              "segment 1 of 'rec': non-finite time or duration (-1e+308 .. 1e+308)"),
-            ("rec\t2.0\t1.5\t1 0", "segment 1 of 'rec': non-positive duration (2.0 .. 1.5)"),
+            ("rec\t2.0\t1.5\t1 0", "segment 1 of 'rec': duration under 0.5 ms (2.0 .. 1.5)"),
+            # 0.0004999... s: RTTM's three decimals would write a duration of 0.000
+            ("rec\t1.0\t1.0005\t1 0", "segment 1 of 'rec': duration under 0.5 ms (1.0 .. 1.0005)"),
             ("rec\t1\t2\t1 nan", "segment 1 has a non-finite embedding component"),
             ("rec\t1\t2\t0 0", "segment 1 has a zero-norm embedding"),
         ],
-        ids=["non-finite-time", "infinite-duration", "duration", "non-finite-component",
-             "zero-norm"],
+        ids=["non-finite-time", "infinite-duration", "duration", "sub-millisecond",
+             "non-finite-component", "zero-norm"],
     )
     def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
         f = tmp_path / "emb.txt"

@@ -72,6 +72,17 @@ class TestEstimateContract:
         report = estimate(block_affinity([4, 4]))
         assert report.p_values[-1] == 7
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_affinity_rejected(self, bad):
+        a = np.eye(3)
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(ContractError, match="finite"):
+            estimate(a)
+
+    def test_non_square_affinity_rejected(self):
+        with pytest.raises(ContractError, match="square"):
+            estimate(np.ones((3, 2)))
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ContractError, match="sweep"):
             estimate(np.eye(2), p_min=5, p_max=4)
