@@ -45,8 +45,7 @@ def cosine_affinity(seq: EmbeddingSequence) -> np.ndarray:
     _, exp = np.frexp(np.abs(vecs).max(axis=1))
     scaled = np.ldexp(vecs, -exp[:, None])
     unit = scaled / np.linalg.norm(scaled, axis=1)[:, None]
-    aff = unit @ unit.T
-    aff = 0.5 * (aff + aff.T)
+    aff = unit @ unit.T  # a symmetric rank-k update, so exactly symmetric
     np.fill_diagonal(aff, 1.0)
     return aff
 
@@ -131,53 +130,45 @@ def lanczos_ncv(k: int) -> int:
     return max(ARPACK_NCV, 2 * k + 1)
 
 
-def lanczos_eigsh(op, want: int, which: str, k: int, vectors: bool):
-    """ARPACK's ``want`` eigenvalues at the ``which`` end of a symmetric operator.
-
-    Starts from the fixed seeded vector, with the basis sized for k
-    eigenpairs. Returns the eigenvalues and, if ``vectors``, the eigenvectors
-    as ``eigsh`` does; raises NumericalError if ARPACK fails.
-    """
-    from scipy.sparse import linalg as sla
-
-    n = op.shape[0]
-    v0 = np.random.default_rng(ARPACK_SEED).standard_normal(n)
-    try:
-        return sla.eigsh(op, k=want, which=which, v0=v0, ncv=lanczos_ncv(k),
-                         return_eigenvectors=vectors)
-    except sla.ArpackError as exc:  # ArpackNoConvergence is a subclass
-        raise NumericalError(f"Lanczos eigensolve failed on {n} rows: {exc}") from exc
-
-
-def deflated_eigsh(mat, k: int, which: str, weight, shift: float = 0.0, vectors: bool = True):
+def lanczos_eigsh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors: bool = False):
     """k eigenpairs at the ``which`` end ("LA"/"SA") of a symmetric sparse matrix.
 
-    Each connected component C of the matrix's graph with nonzero ``weight``
-    on C must have the unit vector along weight * 1_C as an eigenvector.
-    These c vectors are the known basis, since plain Lanczos reports a
-    repeated eigenvalue with missing copies; with c < k, Lanczos finds the
-    other k - c on mat + shift * P (P the projector onto the basis, ``shift``
-    moving its eigenvalue past the far end of the spectrum).
+    With ``weight``, each connected component C of the matrix's graph with
+    nonzero weight on C must have the unit vector along weight * 1_C as an
+    eigenvector. These c vectors are the known basis, since plain Lanczos
+    reports a repeated eigenvalue with missing copies; with c < k, Lanczos
+    finds the other k - c on mat + shift * P (P the projector onto the basis,
+    ``shift`` moving its eigenvalue past the far end of the spectrum). Without
+    ``weight`` the basis is empty and Lanczos runs on the matrix itself.
 
-    Returns the N x c basis, then the other k - c eigenvalues ascending and,
-    if ``vectors``, their eigenvectors; raises NumericalError if ARPACK fails.
+    ARPACK starts from the fixed seeded vector, with the basis sized for k
+    eigenpairs. Returns the N x c basis, then the other k - c eigenvalues
+    ascending and, if ``vectors``, their eigenvectors; raises NumericalError
+    if ARPACK fails.
     """
     from scipy.sparse import csgraph
     from scipy.sparse import linalg as sla
 
     n = mat.shape[0]
-    _, labels = csgraph.connected_components(mat, directed=False)
-    basis = np.zeros((n, labels.max() + 1))
-    basis[np.arange(n), labels] = weight
-    norms = np.linalg.norm(basis, axis=0)
-    basis = np.compress(norms > 0, basis, axis=1) / norms[norms > 0]  # C order fixes P x rounding
+    basis = np.empty((n, 0))
+    if weight is not None:
+        _, labels = csgraph.connected_components(mat, directed=False)
+        basis = np.zeros((n, labels.max() + 1))
+        basis[np.arange(n), labels] = weight
+        norms = np.linalg.norm(basis, axis=0)
+        basis = np.compress(norms > 0, basis, axis=1) / norms[norms > 0]  # C order fixes P x rounding
     want = k - basis.shape[1]
     if want <= 0:
         return basis, np.empty(0), np.empty((n, 0))
     op = mat if not basis.size else sla.LinearOperator(
         (n, n), matvec=lambda x: mat @ x + shift * (basis @ (basis.T @ x)), dtype=float
     )
-    out = lanczos_eigsh(op, want, which, k, vectors)
+    v0 = np.random.default_rng(ARPACK_SEED).standard_normal(n)
+    try:
+        out = sla.eigsh(op, k=want, which=which, v0=v0, ncv=lanczos_ncv(k),
+                        return_eigenvectors=vectors)
+    except sla.ArpackError as exc:  # ArpackNoConvergence is a subclass
+        raise NumericalError(f"Lanczos eigensolve failed on {n} rows: {exc}") from exc
     return (basis, *out) if vectors else (basis, np.sort(out), None)  # sorted only with vectors
 
 

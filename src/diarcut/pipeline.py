@@ -75,9 +75,9 @@ def diarize_embeddings(
             "on the full affinity",
             singles.size,
         )
-    estimate_input = raw[np.ix_(singles, singles)] if use_submatrix else raw
-    report = speaker_count.estimate(
-        estimate_input, config.p_min, config.p_max, config.max_speakers
+    report = speaker_count.estimate(  # unnamed: the copy is freed before the final graph
+        raw[np.ix_(singles, singles)] if use_submatrix else raw,
+        config.p_min, config.p_max, config.max_speakers,
     )
     k = report.k_hat
     if overlap.any() and k < 2:

@@ -80,9 +80,9 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
 
     The Laplacian is L = diag(d) - A of the symmetric binarized graph A. A
     dense graph, or one narrower than the Lanczos basis, takes the full
-    spectrum from ``eigvalsh``. A CSR graph takes lambda_max from
-    ``affinity.lanczos_eigsh`` and the low end from ``affinity.deflated_eigsh``:
-    L has one zero per component (indicator eigenvectors), so c >= m
+    spectrum from ``eigvalsh``. A CSR graph takes lambda_max and then the low
+    end from ``affinity.lanczos_eigsh``, the latter with the components'
+    indicator vectors as basis: L has one zero per component, so c >= m
     components give m zeros; otherwise Lanczos finds the next m - c with the
     null space lifted above lambda_max. Values within ZERO_SNAP of zero snap
     to zero on both paths.
@@ -107,8 +107,8 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
 
     from scipy import sparse  # only large graphs pay its import time
     lap = (sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized).tocsr()
-    lam_max = float(aff.lanczos_eigsh(lap, 1, "LA", 1, vectors=False)[0])
-    basis, values, _ = aff.deflated_eigsh(lap, m, "SA", np.ones(n), lam_max + 1.0, False)
+    lam_max = float(aff.lanczos_eigsh(lap, 1, "LA")[1][0])
+    basis, values, _ = aff.lanczos_eigsh(lap, m, "SA", np.ones(n), lam_max + 1.0)
     low = np.concatenate([np.zeros(basis.shape[1]), values])[:m]
     low[np.abs(low) < ZERO_SNAP] = 0.0
     return low, lam_max

@@ -117,7 +117,7 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     sums of the graph; isolated nodes get a floored degree.
 
     A dense graph takes all eigenpairs from LAPACK. A CSR graph takes the top
-    K from ``affinity.deflated_eigsh``, with the eigenvalue-1 vectors
+    K from ``affinity.lanczos_eigsh``, with the eigenvalue-1 vectors
     D^1/2 1_C of its c components of positive degree set in place; with
     c > K, where that space has no preferred basis, the dense solve runs.
 
@@ -149,7 +149,7 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
         # Component vectors D^1/2 1_C move from eigenvalue 1 to -2, below the
         # spectrum; isolated nodes (eigenvalue 0) get no such vector.
         weight = np.where(isolated, 0.0, np.sqrt(d))
-        basis, values, vectors = affinity.deflated_eigsh(sym, k, "LA", weight, -3.0)
+        basis, values, vectors = affinity.lanczos_eigsh(sym, k, "LA", weight, -3.0, vectors=True)
         c = basis.shape[1]
         lambda_star = np.concatenate([np.ones(c), values[::-1]])
         vec = np.hstack([basis, vectors[:, ::-1]])

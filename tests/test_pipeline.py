@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,22 @@ class TestDiarizeEmbeddings:
         out = diarize_embeddings(data.embeddings, data.overlap)
         result = der_score(data.reference, out.timeline)
         assert result.der <= 10.0
+
+    def test_peak_memory_holds_three_n_by_n_arrays(self):
+        # Building the final graph needs the affinity, its flagged-masked copy
+        # and the row-sorted copy; a fourth N x N array (e.g. the counting
+        # submatrix kept alive past counting) would exceed the bound.
+        n = 1000
+        data = generate(SynthConfig(n_speakers=8, n_segments=n, noise_sigma=0.15,
+                                    overlap_fraction=0.15, seed=1))
+        diarize_embeddings(data.embeddings, data.overlap)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            diarize_embeddings(data.embeddings, data.overlap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.4 * n * n * 8
 
 
 @settings(max_examples=150, deadline=None, database=None)
