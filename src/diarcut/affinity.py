@@ -117,6 +117,7 @@ def binarize_sweep(values: np.ndarray, budgets):
     from scipy import sparse  # only large graphs pay its import time
     cand_rows, cand_cols = np.nonzero(values >= np.min(cutoffs, axis=0)[:, None])
     cand_values = values[cand_rows, cand_cols]
+    cand_rows, cand_cols = cand_rows.astype(np.int32), cand_cols.astype(np.int32)  # CSR's index type
     for cutoff in cutoffs:
         kept = cand_values >= cutoff[cand_rows]
         # Duplicates sum on conversion: 0.5 + 0.5 where both rows keep the pair.

@@ -78,7 +78,6 @@ def _cmd_synth(args) -> int:
         dim=args.dim,
         overlap_fraction=args.overlap_frac,
         noise_sigma=args.sigma,
-        overlap_sigma=args.overlap_sigma,
         min_centroid_angle=args.min_angle,
         seed=args.seed,
     )
@@ -166,7 +165,8 @@ def _cmd_score(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="diarcut", description=__doc__)
-    parser.add_argument("--log-level", default="INFO", help="logging level name")
+    parser.add_argument("--log-level", default="INFO", type=str.upper, help="logging level name",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic conversation")
@@ -174,7 +174,6 @@ def build_parser() -> _Parser:
     p.add_argument("--segments", type=int, required=True)
     p.add_argument("--overlap-frac", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--overlap-sigma", type=float, default=None)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--min-angle", type=float, default=45.0)
     p.add_argument("--seed", type=int, default=0)
@@ -214,7 +213,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
-        level=getattr(logging, str(args.log_level).upper(), logging.INFO),
+        level=args.log_level,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )

@@ -92,6 +92,8 @@ class EmbeddingSequence:
         bad = np.flatnonzero(~self.vectors.any(axis=1))
         if bad.size:
             raise RowError(bad[0], f"segment {bad[0]} has a zero-norm embedding")
+        if not math.isfinite(2 * sum(span.duration for span in self.spans)):  # two labels a span at most
+            raise RowError(len(self.spans) - 1, "the segments' speaker time overflows float64")
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -26,9 +26,6 @@ class DiarizationConfig:
     p_min: int = 2
     p_max: int = 20
     max_speakers: int = 10
-    max_iters: int = 100
-    tol: float = 1e-6
-    restarts: int = 3
     seed: int = 0
 
 
@@ -55,7 +52,7 @@ def diarize_embeddings(
     Args:
         seq: validated embedding sequence.
         overlap: per-segment overlap flags; None means no overlaps.
-        config: sweep bounds and discretization settings.
+        config: sweep bounds, speaker cap and discretization seed.
 
     Returns:
         DiarizationResult with the hypothesis timeline and diagnostics.
@@ -93,8 +90,6 @@ def diarize_embeddings(
 
     graph = affinity.build_bundle(raw, report.p_hat, overlap).binarized
     solution = spectral.continuous_solve(graph, k)
-    result = spectral.discretize_full(
-        solution, overlap, config.max_iters, config.tol, config.restarts, config.seed
-    )
+    result = spectral.discretize_full(solution, overlap, config.seed)
     timeline = assignment_to_timeline(result.assignment, seq.spans)
     return DiarizationResult(timeline, result.assignment, report, result)

@@ -29,6 +29,12 @@ log = logging.getLogger(__name__)
 
 DEGREE_FLOOR = 1e-10
 
+# Discretization schedule: RESTARTS seeded starts, each stopping once a round
+# lowers the objective by less than a relative PHI_STOP_RTOL, or at MAX_ROUNDS.
+RESTARTS = 3
+PHI_STOP_RTOL = 1e-6
+MAX_ROUNDS = 100
+
 # Relative margin by which a later restart must lower the best objective; one
 # partition reached in two column orders differs only by rounding.
 PHI_TIE_RTOL = 1e-9
@@ -102,7 +108,6 @@ class DiscretizeResult:
     """Assignment plus the per-round objective trace of each restart."""
 
     assignment: AssignmentMatrix
-    rotation: Rotation
     phi: float
     phi_histories: list[list[float]]
     best_restart: int
@@ -268,12 +273,7 @@ def _seed_rotation(x_tilde: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def discretize_full(
-    solution: ContinuousSolution,
-    overlap: OverlapVector,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-    restarts: int = 3,
-    seed: int = 0,
+    solution: ContinuousSolution, overlap: OverlapVector, seed: int = 0
 ) -> DiscretizeResult:
     """Alternating discretization with restart bookkeeping.
 
@@ -284,31 +284,25 @@ def discretize_full(
     """
     xt = solution.x_tilde_star
     k = solution.k
-    if k < 1:
-        raise ContractError("discretization needs at least one cluster")
-    if restarts < 1 or max_iters < 1 or not tol >= 0 or seed < 0:
-        raise ContractError(
-            f"need restarts >= 1, max_iters >= 1, tol >= 0 and seed >= 0; got "
-            f"restarts={restarts}, max_iters={max_iters}, tol={tol}, seed={seed}"
-        )
+    if k < 1 or seed < 0:
+        raise ContractError(f"need K >= 1 clusters and seed >= 0; got K={k}, seed={seed}")
     best: DiscretizeResult | None = None
     histories: list[list[float]] = []
-    for restart in range(restarts):
+    for restart in range(RESTARTS):
         rng = np.random.default_rng([seed, restart])
         rot = _seed_rotation(xt, k, rng)
         phi_prev = np.inf
         phis: list[float] = []
-        for _ in range(max_iters):
+        for _ in range(MAX_ROUNDS):
             x = nms_assign(xt @ rot, overlap)
-            rotation = procrustes(x, xt)
-            rot = rotation.matrix
+            rot = procrustes(x, xt).matrix
             phi = assignment_distance(x, xt, rot)
             phis.append(phi)
-            if phi_prev - phi < tol * max(phi_prev, 1e-12):
+            if phi_prev - phi < PHI_STOP_RTOL * max(phi_prev, 1e-12):
                 break
             phi_prev = phi
         histories.append(phis)
         if best is None or phis[-1] < best.phi * (1.0 - PHI_TIE_RTOL):
-            best = DiscretizeResult(x, rotation, phis[-1], [], restart)
+            best = DiscretizeResult(x, phis[-1], [], restart)
     best.phi_histories = histories
     return best

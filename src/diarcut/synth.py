@@ -27,9 +27,6 @@ class SynthConfig:
     dim: int = 16
     overlap_fraction: float = 0.0
     noise_sigma: float = 0.0
-    # Overlap embeddings may be noisier than single-speaker ones; None means
-    # use noise_sigma for them too.
-    overlap_sigma: float | None = None
     min_centroid_angle: float = 45.0
     recording_id: str = "synth"
     seed: int = 0
@@ -45,8 +42,8 @@ class SynthConfig:
             raise ConfigError("overlap_fraction must lie in [0, 1)")
         if self.overlap_fraction > 0 and self.n_speakers < 2:
             raise ConfigError("overlaps require at least 2 speakers")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        if not 0 <= self.noise_sigma <= 1e100:  # beyond, a noisy vector's norm can overflow
+            raise ConfigError(f"noise_sigma must lie in [0, 1e100], got {self.noise_sigma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -98,20 +95,17 @@ def generate(cfg: SynthConfig) -> SynthResult:
     pool = np.tile(np.arange(k), n // k + 1)[:n]
     rng.shuffle(pool)
 
-    ovl_sigma = cfg.noise_sigma if cfg.overlap_sigma is None else cfg.overlap_sigma
     vectors = np.zeros((n, cfg.dim))
     labels: list[tuple[int, ...]] = []
     for i in range(n):
         if flags[i]:
             a, b = rng.choice(k, size=2, replace=False)
             base = 0.5 * (centroids[a] + centroids[b])
-            sigma = ovl_sigma
             labels.append(tuple(sorted((int(a), int(b)))))
         else:
             base = centroids[pool[i]]
-            sigma = cfg.noise_sigma
             labels.append((int(pool[i]),))
-        v = base + sigma * rng.standard_normal(cfg.dim)
+        v = base + cfg.noise_sigma * rng.standard_normal(cfg.dim)
         vectors[i] = v / np.linalg.norm(v)
 
     spans = [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,19 @@ class TestBinarizeMatchesReference:
     def test_flag_length_mismatch(self):
         with pytest.raises(ContractError, match="length"):
             binarize(np.eye(3), 1, OverlapVector.zeros(2))
+
+
+def test_csr_sweep_candidates_take_int32_indices():
+    # every entry of an all-ones affinity is a candidate; with int64 candidate
+    # rows and columns the sweep peaks near 16 N x N float64 arrays, with int32 near 10
+    n = 720
+    assert n >= affinity.SPARSE_MIN_N
+    ones = np.ones((n, n))
+    next(binarize_sweep(ones, [20]))  # lazy scipy imports
+    tracemalloc.start()
+    try:
+        next(binarize_sweep(ones, [20]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * n * n * 8

@@ -13,7 +13,7 @@ import pytest
 
 import diarcut
 from diarcut import affinity, ingest, scoring
-from diarcut.cli import main
+from diarcut.cli import build_parser, main
 from diarcut.pipeline import diarize_embeddings
 from diarcut.synth import SynthConfig, generate
 
@@ -214,27 +214,6 @@ class TestDiarizeCommand:
         assert code == 0
         assert last_json(out)["k_hat"] == 2
         assert len(ingest.load_rttm(tmp_path / "h.rttm").speakers) == 2
-
-    @pytest.mark.parametrize(
-        "option",
-        [
-            ["--restarts", "0"],
-            ["--restarts", "-2"],
-            ["--max-iters", "0"],
-            ["--tol", "nan"],
-            ["--tol", "-1"],
-        ],
-    )
-    def test_degenerate_settings_exit_2(self, synth_dir, tmp_path, capsys, option):
-        code, _, err = run_cli(
-            capsys,
-            "diarize",
-            "--embeddings", str(synth_dir / "embeddings.txt"),
-            "--out", str(tmp_path / "h.rttm"),
-            *option,
-        )
-        assert code == 2
-        assert "error: need restarts >= 1" in err
 
     def test_negative_seed_exits_2(self, synth_dir, tmp_path, capsys):
         code, _, err = run_cli(
@@ -672,6 +651,39 @@ class TestUsage:
         assert err.startswith("usage: diarcut")
         assert "unrecognized arguments: --dump-matrices" in err
         assert not dump.exists()
+
+    def test_schedule_options_are_gone(self, synth_dir, tmp_path, capsys):
+        # the discretization schedule and the overlap noise are constants
+        runs = [
+            ["diarize", "--embeddings", str(synth_dir / "embeddings.txt"),
+             "--out", str(tmp_path / "h.rttm"), option, "3"]
+            for option in ("--restarts", "--max-iters", "--tol")
+        ]
+        runs.append(["synth", "--speakers", "2", "--segments", "4",
+                     "--out-dir", str(tmp_path / "s"), "--overlap-sigma", "0.1"])
+        for argv in runs:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: diarcut")
+            assert f"unrecognized arguments: {argv[-2]}" in err
+        assert not (tmp_path / "h.rttm").exists() and not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("level", ["verbose", "5", ""])
+    def test_unknown_log_level_exits_1(self, synth_dir, capsys, level):
+        ref = str(synth_dir / "reference.rttm")
+        with pytest.raises(SystemExit) as exc:
+            main(["--log-level", level, "score", "--ref", ref, "--hyp", ref])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: diarcut")
+        assert "argument --log-level: invalid choice" in err
+
+    def test_log_level_names_ignore_case(self):
+        for name in ("debug", "Info", "WARNING", "error", "critical"):
+            args = build_parser().parse_args(["--log-level", name, "score", "--ref", "r", "--hyp", "h"])
+            assert args.log_level == name.upper()
 
     def test_bad_p_range_exits_2(self, synth_dir, tmp_path, capsys):
         code, _, err = run_cli(

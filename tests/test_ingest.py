@@ -112,6 +112,13 @@ class TestEmbeddings:
         with pytest.raises(ParseError, match=re.escape(f"emb.txt:5: {message}")):
             load_embeddings(f)
 
+    def test_speaker_time_overflow_names_the_last_line(self, tmp_path):
+        # flagged, both spans carry two labels; DER's total would read inf
+        f = tmp_path / "emb.txt"
+        f.write_text("rec\t0\t6e307\t1 0\nrec\t6e307\t1.2e308\t0 1\n")
+        with pytest.raises(ParseError, match="emb.txt:2: the segments' speaker time overflows"):
+            load_embeddings(f)
+
     @pytest.mark.parametrize("rec", ["my rec", "", "a\u2028b"])
     def test_recording_id_is_one_rttm_field(self, tmp_path, rec):
         # an id that RTTM cannot hold as one field would make an unreadable output

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from diarcut import affinity
+from diarcut import affinity, spectral
 from diarcut.errors import DiarcutError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
 from diarcut.pipeline import DiarizationConfig, diarize_embeddings
@@ -95,10 +95,10 @@ class TestDiarizeEmbeddings:
         assert np.array_equal(again.assignment.matrix, lanczos.assignment.matrix)
         assert again.discretization.phi_histories == lanczos.discretization.phi_histories
 
-    def test_restart_and_seed_config_respected(self):
+    def test_restart_and_seed_config_respected(self, monkeypatch):
         data = generate(SynthConfig(n_speakers=3, n_segments=30, noise_sigma=0.2, seed=5))
-        cfg = DiarizationConfig(restarts=5, seed=42)
-        out = diarize_embeddings(data.embeddings, config=cfg)
+        monkeypatch.setattr(spectral, "RESTARTS", 5)
+        out = diarize_embeddings(data.embeddings, config=DiarizationConfig(seed=42))
         assert len(out.discretization.phi_histories) == 5
 
     def test_hypothesis_scores_against_reference(self):

@@ -311,7 +311,8 @@ class TestDiscretize:
 
         monkeypatch.setattr(spectral, "assignment_distance", phi)
         xt = row_normalize(np.random.default_rng(0).standard_normal((8, 2)))
-        result = discretize_full(self._solution(xt), OverlapVector.zeros(8), restarts=2)
+        monkeypatch.setattr(spectral, "RESTARTS", 2)
+        result = discretize_full(self._solution(xt), OverlapVector.zeros(8))
         assert result.best_restart == winner
 
     @settings(max_examples=12, deadline=None)
@@ -331,7 +332,8 @@ class TestDiscretize:
             queue = list(order)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(spectral, "_seed_rotation", lambda *args: queue.pop(0))
-                result = discretize_full(sol, data.overlap, restarts=2)
+                mp.setattr(spectral, "RESTARTS", 2)
+                result = discretize_full(sol, data.overlap)
             timeline = assignment_to_timeline(result.assignment, data.embeddings.spans)
             write_rttm(timeline, out / f"{name}.rttm")
         assert (out / "a.rttm").read_bytes() == (out / "b.rttm").read_bytes()

@@ -51,6 +51,12 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             SynthConfig(n_speakers=1, n_segments=10, overlap_fraction=0.2)
 
+    @pytest.mark.parametrize("sigma", [-0.1, 1e300, float("inf"), float("nan")])
+    def test_noise_sigma_outside_range_raises(self, sigma):
+        # a huge sigma made every vector's norm overflow to a zero embedding
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            SynthConfig(n_speakers=2, n_segments=4, noise_sigma=sigma)
+
     def test_infeasible_angle_raises(self):
         cfg = SynthConfig(n_speakers=40, n_segments=5, dim=2, min_centroid_angle=80.0)
         with pytest.raises(ConfigError, match="attempts"):
