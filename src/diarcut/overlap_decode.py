@@ -2,9 +2,11 @@
 
 Each frame is labeled silence, single-speaker or overlap.  A labeling is
 feasible when every maximal run of a class lasts between that class's
-minimum and maximum number of frames and silence and overlap runs never
-touch, so every overlap run is framed by single-speaker speech.  The decoded
-labeling is the feasible one with the highest summed log emission.
+minimum and maximum and silence and overlap runs never touch, so every
+overlap run is framed by single-speaker speech.  Bounds are given in seconds
+and round up to whole frames of the posteriors' frame shift, at least one
+frame, so the defaults work at any frame shift.  The decoded labeling is the
+feasible one with the highest summed log emission.
 
 The decoder works on runs, not on a duration-expanded state graph (an
 explicit-duration HMM; S.-Z. Yu, "Hidden semi-Markov models", Artificial
@@ -127,11 +129,11 @@ class FrameLabels:
 
 
 def _frames(seconds: float, frame_shift: float) -> int:
-    """Frames needed to cover a duration; rounding absorbs float dust."""
+    """Whole frames covering a duration, at least one; rounding absorbs float dust."""
     frames = round(seconds / frame_shift, 9)
     if not math.isfinite(frames):
         raise ConfigError(f"{seconds} s spans too many frames of {frame_shift} s")
-    return math.ceil(frames)
+    return max(1, math.ceil(frames))
 
 
 def run_bounds(
@@ -140,22 +142,10 @@ def run_bounds(
     """Run-length bounds in frames: (min, max or None) per class."""
     if not (math.isfinite(frame_shift) and frame_shift > 0):
         raise ConfigError(f"frame_shift must be positive and finite, got {frame_shift}")
-    out = []
-    for cls in CLASSES:
-        lo, hi = cfg.bounds(cls)
-        if lo < frame_shift:
-            raise ConfigError(
-                f"min_{CLASS_NAMES[cls]}={lo} is shorter than one frame ({frame_shift})"
-            )
-        m = _frames(lo, frame_shift)
-        mx = None if hi is None else _frames(hi, frame_shift)
-        if mx is not None and mx < m:
-            raise ConfigError(
-                f"{CLASS_NAMES[cls]}: max duration {hi} rounds below min {lo} "
-                f"at frame shift {frame_shift}"
-            )
-        out.append((m, mx))
-    return tuple(out)
+    return tuple(
+        (_frames(lo, frame_shift), None if hi is None else _frames(hi, frame_shift))
+        for lo, hi in map(cfg.bounds, CLASSES)
+    )
 
 
 def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
@@ -274,8 +264,8 @@ def check_labels(labels: FrameLabels, cfg: DurationConfig) -> None:
                 f"{CLASS_NAMES[cls]} run of {n_frames} frames violates maximum {hi}"
             )
     for (c1, _, _), (c2, _, _) in zip(runs, runs[1:]):
-        if {c1, c2} == {SILENCE, OVERLAP}:
-            raise ContractError("silence and overlap runs are adjacent")
+        if c1 not in _ALLOWED_INTO[c2]:
+            raise ContractError(f"{CLASS_NAMES[c1]} run followed by {CLASS_NAMES[c2]} run")
 
 
 def frames_to_flags(labels: FrameLabels, spans: list[SegmentSpan]) -> OverlapVector:

@@ -511,6 +511,24 @@ class TestDetectOverlapCommand:
         assert out.read_text() == "1\n1\n0\n"
         assert "overlap" in (tmp_path / "ovl.lab").read_text()
 
+    def test_default_bounds_at_twenty_ms_reach_diarize(self, tmp_path, capsys):
+        # overlap on [0.5 s, 1.6 s) at a 20 ms shift, decoded with the default
+        # bounds, whose 0.01 s minimum silence is half a frame
+        rows = []
+        for t in range(150):
+            mid = (t + 0.5) * 0.02
+            rows.append([0.0, 0.05, 0.95] if 0.5 <= mid < 1.6 else [0.0, 0.95, 0.05])
+        post, emb = self._write_inputs(tmp_path, rows, shift=0.02)
+        flags, hyp = tmp_path / "flags.txt", tmp_path / "hyp.rttm"
+        code, _, err = run_cli(capsys, "detect-overlap", "--posteriors", str(post),
+                               "--segments", str(emb), "--out", str(flags))
+        assert code == 0, err
+        assert flags.read_text() == "1\n1\n0\n"
+        code, _, err = run_cli(capsys, "diarize", "--embeddings", str(emb),
+                               "--flags", str(flags), "--out", str(hyp))
+        assert code == 0, err
+        assert hyp.read_text().startswith("SPEAKER rec 1 ")
+
     def test_infeasible_durations_exit_2(self, tmp_path, capsys):
         post, emb = self._write_inputs(tmp_path, [[0.2, 0.5, 0.3]] * 2, shift=1.0)
         code, _, err = run_cli(

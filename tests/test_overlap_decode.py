@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diarcut.errors import ConfigError, ContractError, InfeasiblePathError
 from diarcut.ingest import FramePosteriors, SegmentSpan
 from diarcut.overlap_decode import (
+    CLASS_NAMES,
     OVERLAP,
     SILENCE,
     SINGLE,
@@ -145,13 +148,38 @@ class TestBuildDurationHmm:
 
 
 
+@st.composite
+def duration_configs(draw):
+    """Valid bounds: positive finite minima, each maximum at least its minimum or None."""
+    values = {}
+    for name in CLASS_NAMES:
+        lo = values[f"min_{name}"] = draw(st.floats(0.0, 1e300, exclude_min=True))
+        values[f"max_{name}"] = draw(st.none() | st.floats(lo, 1e300))
+    return DurationConfig(**values)
+
+
 class TestRunBounds:
-    def test_min_below_frame_shift_rejected(self):
-        with pytest.raises(ConfigError, match="shorter than one frame"):
-            run_bounds(DurationConfig(min_silence=0.005), 0.01)
+    def test_min_below_frame_shift_is_one_frame(self):
+        # any run lasts at least one frame, so a sub-frame minimum is always met
+        assert run_bounds(DurationConfig(min_silence=0.005), 0.01)[SILENCE] == (1, None)
 
     def test_seconds_to_frames(self):
         assert run_bounds(DurationConfig(), 0.01) == ((1, None), (3, 1000), (10, 500))
+
+    def test_defaults_at_twenty_ms(self):
+        assert run_bounds(DurationConfig(), 0.02) == ((1, None), (2, 500), (5, 250))
+
+    def test_vanishing_bounds_floor_at_one_frame(self):
+        # 1e-300 / 0.01 rounds to 0 frames; the floor keeps the run one frame long
+        cfg = DurationConfig(min_overlap=1e-300, max_overlap=1e-300)
+        assert run_bounds(cfg, 0.01)[OVERLAP] == (1, 1)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(cfg=duration_configs(), frame_shift=st.floats(1e-4, 1.0))
+    def test_rounded_min_never_exceeds_max(self, cfg, frame_shift):
+        # rounding up is monotone, so min <= max in seconds stays so in frames
+        for lo, hi in run_bounds(cfg, frame_shift):
+            assert 1 <= lo and (hi is None or lo <= hi)
 
     @pytest.mark.parametrize("shift", [math.nan, math.inf, 0.0, -0.01, 1e-320])
     def test_bad_frame_shift_rejected(self, shift):
@@ -212,6 +240,28 @@ class TestViterbi:
             runs = labels.runs()
             for (c1, _, _), (c2, _, _) in zip(runs, runs[1:]):
                 assert {c1, c2} != {SILENCE, OVERLAP}
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([0, 0, 2, 2], "silence run followed by overlap run"),
+         ([1, 2, 0], "overlap run followed by silence run")],
+    )
+    def test_check_labels_rejects_silence_overlap_adjacency(self, labels, message):
+        with pytest.raises(ContractError, match=message):
+            check_labels(FrameLabels(np.array(labels), 1.0), frame_config())
+
+    def test_default_bounds_at_twenty_ms(self):
+        # min_silence 0.01 s is half a frame here; it decodes as a one-frame minimum
+        rows = [[0.05, 0.9, 0.05]] * 150
+        rows[50:75] = [[0.05, 0.1, 0.85]] * 25
+        rows[100:110] = [[0.9, 0.05, 0.05]] * 10
+        post = FramePosteriors("rec", 0.02, np.array(rows))
+        labels = viterbi(post, DurationConfig())
+        check_labels(labels, DurationConfig())
+        assert labels.runs() == [
+            (SINGLE, 0, 50), (OVERLAP, 50, 75), (SINGLE, 75, 100),
+            (SILENCE, 100, 110), (SINGLE, 110, 150),
+        ]
 
     def test_deterministic(self, rng):
         post = random_posteriors(rng, 30)
