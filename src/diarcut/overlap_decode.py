@@ -29,7 +29,6 @@ import logging
 import math
 import operator
 from array import array
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -273,26 +272,22 @@ def frames_to_flags(labels: FrameLabels, spans: list[SegmentSpan]) -> OverlapVec
 
     A span counts as overlapping when at least half of its duration
     intersects overlap regions; time past the end of the label grid counts
-    as silence (logged).
+    as silence (logged).  A span's overlap time is F(end) - F(start): the
+    running overlap time F(t), overlap time before t, is piecewise linear
+    with knots at the overlap runs' first and last instants, so interpolating
+    it at both span ends takes O(spans + runs) time and memory.
     """
-    intervals = labels.class_intervals(OVERLAP)
-    ends = [e for _, e in intervals]
+    runs = labels.class_intervals(OVERLAP)
+    starts = np.array([span.start for span in spans], dtype=float)
+    ends = np.array([span.end for span in spans], dtype=float)
+    cover = np.zeros(len(spans))
+    if runs:
+        knots = np.ravel(runs)
+        totals = np.cumsum([e - s for s, e in runs])
+        running = np.concatenate(([0.0], np.repeat(totals, 2)[:-1]))
+        cover = np.interp(ends, knots, running) - np.interp(starts, knots, running)
     horizon = len(labels) * labels.frame_shift
-    flags = np.zeros(len(spans), dtype=np.int8)
-    uncovered = 0
-    for i, span in enumerate(spans):
-        if span.end > horizon + 1e-9:
-            uncovered += 1
-        # Only intervals ending after the span starts and starting before it
-        # ends intersect it; they add up in interval order.
-        cover = 0.0
-        j = bisect_right(ends, span.start)
-        while j < len(intervals) and intervals[j][0] < span.end:
-            s, e = intervals[j]
-            cover += min(span.end, e) - max(span.start, s)
-            j += 1
-        if cover + 1e-9 >= 0.5 * span.duration:
-            flags[i] = 1
+    uncovered = np.count_nonzero(ends > horizon + 1e-9)
     if uncovered:
         log.warning(
             "%d spans extend past the %d-frame label grid; "
@@ -300,4 +295,4 @@ def frames_to_flags(labels: FrameLabels, spans: list[SegmentSpan]) -> OverlapVec
             uncovered,
             len(labels),
         )
-    return OverlapVector(flags)
+    return OverlapVector(cover + 1e-9 >= 0.5 * (ends - starts))

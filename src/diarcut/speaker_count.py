@@ -38,7 +38,8 @@ class EigengapReport:
     ``eigenvalues_per_p`` holds the lowest max_speakers + 1 Laplacian
     eigenvalues of each swept graph, ``gaps_per_p`` their consecutive gaps
     and ``lambda_max_per_p`` the largest eigenvalue, so every g_p can be
-    recomputed from the report.
+    recomputed from the report.  ``to_dict`` writes r(p) = p / g_p as None
+    (JSON null) where g_p = 0, since strict JSON has no Infinity.
     """
 
     p_values: list[int]
@@ -55,6 +56,7 @@ class EigengapReport:
         out = dict(vars(self))
         for key in ("eigenvalues_per_p", "gaps_per_p"):
             out[key] = [v.tolist() for v in out[key]]
+        out["r_values"] = [r if np.isfinite(r) else None for r in self.r_values]
         return out
 
 

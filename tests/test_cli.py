@@ -306,6 +306,28 @@ class TestDiarizeCommand:
         for lam, gaps in zip(data["eigenvalues_per_p"], data["gaps_per_p"]):
             assert len(lam) == data["max_speakers"] + 1 and len(gaps) == len(lam) - 1
 
+    def test_dump_report_is_strict_json(self, tmp_path, capsys):
+        # at p = 2 this recording's graph has a zero g_p, so r(p) is infinite
+        data_dir = tmp_path / "data"
+        run_cli(capsys, "synth", "--speakers", "3", "--segments", "60", "--sigma", "0.1",
+                "--seed", "1", "--out-dir", str(data_dir))
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(data_dir / "embeddings.txt"),
+            "--out", str(tmp_path / "h.rttm"),
+            "--dump-report", str(report),
+        )
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        data = json.loads(report.read_text(), parse_constant=reject)
+        assert data["p_values"][0] == 2 and data["r_values"][0] is None
+        assert data["r_values"][data["p_values"].index(data["p_hat"])] is not None
+
     def test_eigensolver_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
         from scipy.sparse import linalg as sla
 

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -388,6 +389,28 @@ class TestFramesToFlags:
         labels = self._labels_with_overlap(10, 0, 10)  # 1 s of overlap total
         flags = frames_to_flags(labels, [self._span(0.0, 3.0)])
         assert flags.flags.tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "labels, spans, past_grid",
+        [
+            # no overlap frame
+            (FrameLabels([SILENCE] * 5 + [SINGLE] * 25, 0.1), [(0.0, 1.5), (1.5, 3.0), (2.5, 4.0)], 1),
+            # no span
+            (FrameLabels([OVERLAP] * 30, 0.1), [], 0),
+            # no frame
+            (FrameLabels(np.zeros(0), 0.01), [(0.0, 1.5), (0.75, 2.25)], 2),
+        ],
+    )
+    def test_degenerate_inputs_flag_nothing(self, caplog, labels, spans, past_grid):
+        caplog.set_level(logging.WARNING)
+        flags = frames_to_flags(labels, [self._span(a, b) for a, b in spans])
+        assert flags.flags.tolist() == [0] * len(spans)
+        warned = [r.getMessage() for r in caplog.records if "label grid" in r.getMessage()]
+        expected = (
+            f"{past_grid} spans extend past the {len(labels)}-frame label grid; "
+            "uncovered time treated as silence"
+        )
+        assert warned == ([expected] if past_grid else [])
 
 
 def random_frame_config(rng):
