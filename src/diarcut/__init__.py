@@ -39,7 +39,6 @@ from .speaker_count import EigengapReport, eigengap_vector, estimate
 from .spectral import (
     AssignmentMatrix,
     ContinuousSolution,
-    Rotation,
     continuous_solve,
     discretize_full,
     nms_assign,

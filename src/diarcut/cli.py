@@ -220,9 +220,6 @@ def main(argv=None) -> int:
     _manifest(args)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -110,11 +110,12 @@ class OverlapVector:
     flags: np.ndarray
 
     def __post_init__(self):
-        self.flags = np.asarray(self.flags, dtype=np.int8)
-        if self.flags.ndim != 1:
+        flags = np.asarray(self.flags)
+        if flags.ndim != 1:
             raise ContractError("overlap flags must be a vector")
-        if not np.isin(self.flags, (0, 1)).all():
+        if not np.isin(flags, (0, 1)).all():
             raise ContractError("overlap flags must be 0 or 1")
+        self.flags = flags.astype(np.int8, copy=False)
 
     def __len__(self) -> int:
         return len(self.flags)
@@ -408,7 +409,7 @@ def write_rttm(timeline: Timeline, path) -> None:
             )
 
 
-def assignment_to_timeline(assignment, spans) -> Timeline:
+def assignment_to_timeline(assignment: np.ndarray, spans) -> Timeline:
     """Expand a binary assignment matrix into a speaker timeline.
 
     Each set bit (i, k) contributes the interval of span i; overlapping
@@ -416,7 +417,7 @@ def assignment_to_timeline(assignment, spans) -> Timeline:
     named ``spk0``, ``spk1``, ... by first segment (ties by the next differing
     row), so names follow the partition, not the column order.
     """
-    matrix = np.asarray(getattr(assignment, "matrix", assignment))
+    matrix = np.asarray(assignment)
     if matrix.shape[0] != len(spans):
         raise ContractError(
             f"assignment has {matrix.shape[0]} rows but {len(spans)} spans given"

@@ -98,11 +98,12 @@ class FrameLabels:
     frame_shift: float
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int8)
-        if self.labels.ndim != 1:
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1:
             raise ContractError("labels must be a vector")
-        if self.labels.size and not np.isin(self.labels, (0, 1, 2)).all():
+        if labels.size and not np.isin(labels, (0, 1, 2)).all():
             raise ContractError("labels must be in {0, 1, 2}")
+        self.labels = labels.astype(np.int8, copy=False)
         if not (math.isfinite(self.frame_shift) and self.frame_shift > 0):
             raise ContractError("frame_shift must be positive and finite")
 

@@ -91,5 +91,5 @@ def diarize_embeddings(
     graph = affinity.build_bundle(raw, report.p_hat, overlap).binarized
     solution = spectral.continuous_solve(graph, k)
     result = spectral.discretize_full(solution, overlap, config.seed)
-    timeline = assignment_to_timeline(result.assignment, seq.spans)
+    timeline = assignment_to_timeline(result.assignment.matrix, seq.spans)
     return DiarizationResult(timeline, result.assignment, report, result)

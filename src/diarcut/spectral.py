@@ -88,22 +88,6 @@ class AssignmentMatrix:
 
 
 @dataclass
-class Rotation:
-    """Orthonormal K x K rotation (R^T R = I within 1e-8)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        k = self.matrix.shape[0]
-        if self.matrix.ndim != 2 or self.matrix.shape[1] != k:
-            raise ContractError("rotation must be square")
-        err = np.abs(self.matrix.T @ self.matrix - np.eye(k)).max()
-        if err > 1e-8:
-            raise ContractError(f"rotation is not orthonormal (deviation {err:.2e})")
-
-
-@dataclass
 class DiscretizeResult:
     """Assignment plus the per-round objective trace of each restart."""
 
@@ -186,7 +170,7 @@ def row_normalize(z: np.ndarray) -> np.ndarray:
     return z / safe[:, None]
 
 
-def nms_assign(rotated: np.ndarray, overlap: OverlapVector) -> AssignmentMatrix:
+def nms_assign(rotated: np.ndarray, overlap: OverlapVector) -> np.ndarray:
     """Per-row non-maximal suppression with a second peak for flagged rows.
 
     Row i keeps its argmax; if overlap[i] = 1 the second-largest entry is
@@ -195,6 +179,9 @@ def nms_assign(rotated: np.ndarray, overlap: OverlapVector) -> AssignmentMatrix:
     Args:
         rotated: N x K continuous matrix (typically x_tilde_star @ R).
         overlap: per-row flags; flagged rows need K >= 2 for a second peak.
+
+    Returns:
+        N x K int8 matrix of 0/1 entries; row i sums to 1 + overlap[i].
 
     Raises:
         ContractError: flagged rows with K = 1.
@@ -216,16 +203,16 @@ def nms_assign(rotated: np.ndarray, overlap: OverlapVector) -> AssignmentMatrix:
         masked = m[flagged].copy()
         masked[np.arange(flagged.size), first[flagged]] = -np.inf
         x[flagged, np.argmax(masked, axis=1)] = 1
-    return AssignmentMatrix(x, overlap)
+    return x
 
 
-def procrustes(assignment, x_tilde_star: np.ndarray) -> Rotation:
-    """Best orthonormal rotation aligning x_tilde_star to the assignment.
+def procrustes(x: np.ndarray, x_tilde_star: np.ndarray) -> np.ndarray:
+    """Best orthonormal K x K rotation aligning x_tilde_star to the assignment x.
 
     With (U, S, V^T) the SVD of X^T X_tilde_star, the minimizer of
     ||X - X_tilde_star R||^2 over orthonormal R is R = V U^T.
     """
-    x = np.asarray(getattr(assignment, "matrix", assignment), dtype=float)
+    x = np.asarray(x, dtype=float)
     xt = np.asarray(x_tilde_star, dtype=float)
     if x.shape != xt.shape:
         raise ContractError(
@@ -242,14 +229,12 @@ def procrustes(assignment, x_tilde_star: np.ndarray) -> Rotation:
             "(singular values %s)",
             np.array2string(s, precision=3),
         )
-    return Rotation(vt.T @ u.T)
+    return vt.T @ u.T
 
 
-def assignment_distance(assignment, x_tilde_star, rotation) -> float:
+def assignment_distance(x: np.ndarray, x_tilde_star: np.ndarray, rotation: np.ndarray) -> float:
     """Squared Frobenius distance ||X - X_tilde_star R||^2."""
-    x = np.asarray(getattr(assignment, "matrix", assignment), dtype=float)
-    r = np.asarray(getattr(rotation, "matrix", rotation), dtype=float)
-    return float(np.sum((x - np.asarray(x_tilde_star) @ r) ** 2))
+    return float(np.sum((x - x_tilde_star @ rotation) ** 2))
 
 
 def _seed_rotation(x_tilde: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -280,13 +265,14 @@ def discretize_full(
     Each round performs the exact assignment step followed by the exact
     rotation step, so the objective recorded after each full round is
     non-increasing.  The restart whose final objective is smallest wins;
-    ties within a relative PHI_TIE_RTOL keep the earlier restart.
+    ties within a relative PHI_TIE_RTOL keep the earlier restart.  Only the
+    winning assignment is checked against the row-sum invariant.
     """
     xt = solution.x_tilde_star
     k = solution.k
     if k < 1 or seed < 0:
         raise ContractError(f"need K >= 1 clusters and seed >= 0; got K={k}, seed={seed}")
-    best: DiscretizeResult | None = None
+    best = None  # (x, phi, restart)
     histories: list[list[float]] = []
     for restart in range(RESTARTS):
         rng = np.random.default_rng([seed, restart])
@@ -295,14 +281,14 @@ def discretize_full(
         phis: list[float] = []
         for _ in range(MAX_ROUNDS):
             x = nms_assign(xt @ rot, overlap)
-            rot = procrustes(x, xt).matrix
+            rot = procrustes(x, xt)
             phi = assignment_distance(x, xt, rot)
             phis.append(phi)
             if phi_prev - phi < PHI_STOP_RTOL * max(phi_prev, 1e-12):
                 break
             phi_prev = phi
         histories.append(phis)
-        if best is None or phis[-1] < best.phi * (1.0 - PHI_TIE_RTOL):
-            best = DiscretizeResult(x, phis[-1], [], restart)
-    best.phi_histories = histories
-    return best
+        if best is None or phis[-1] < best[1] * (1.0 - PHI_TIE_RTOL):
+            best = (x, phis[-1], restart)
+    x, phi, restart = best
+    return DiscretizeResult(AssignmentMatrix(x, overlap), phi, histories, restart)

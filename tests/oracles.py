@@ -127,7 +127,7 @@ def objective_discrete(
     Empty clusters contribute zero.  Equals tr(f(X)^T A f(X)) / K where
     f(X) = X (X^T D X)^-1/2, see :func:`degree_normalize`.
     """
-    x = np.asarray(getattr(assignment, "matrix", assignment), dtype=float)
+    x = np.asarray(assignment, dtype=float)
     a = np.asarray(binarized, dtype=float)
     d = np.asarray(degree, dtype=float)
     k = x.shape[1]
@@ -146,7 +146,7 @@ def degree_normalize(assignment, degree: np.ndarray) -> np.ndarray:
     Returns X (X^T D X)^-1/2, computed through the symmetric inverse square
     root; the result satisfies Z^T D Z = I when X has no empty cluster.
     """
-    x = np.asarray(getattr(assignment, "matrix", assignment), dtype=float)
+    x = np.asarray(assignment, dtype=float)
     d = np.asarray(degree, dtype=float)
     gram = x.T @ (d[:, None] * x)
     w, v = np.linalg.eigh(gram)

@@ -98,7 +98,7 @@ def test_c03_nms_brute_force_equivalence():
             rotated = row_normalize(rng.standard_normal((n, k))) @ random_orthonormal(k, rng)
             for flags in (np.zeros(n, dtype=np.int8), rng.integers(0, 2, n).astype(np.int8)):
                 out = nms_assign(rotated, OverlapVector(flags))
-                got = float(np.sum((out.matrix - rotated) ** 2))
+                got = float(np.sum((out - rotated) ** 2))
                 best = min(
                     float(np.sum((x - rotated) ** 2))
                     for x in enumerate_assignments(n, k, flags)

@@ -69,6 +69,20 @@ class TestSynthCommand:
         assert code == 2
         assert "seed must be non-negative" in err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--speakers", "0", "n_speakers must be at least 1"),
+        ("--dim", "1", "dim must be at least 2"),
+        ("--segments", "0", "n_segments must be at least 1"),
+        ("--overlap-frac", "1", "overlap_fraction must lie in [0, 1)"),
+    ])
+    def test_bad_config_exits_2(self, tmp_path, capsys, option, value, message):
+        # the option given last overrides the valid value given first
+        code, _, err = run_cli(capsys, "synth", "--speakers", "2", "--segments", "10",
+                               option, value, "--out-dir", str(tmp_path / "d"))
+        assert code == 2
+        assert f"error: {message}" in err
+        assert not (tmp_path / "d").exists()
+
 
 class TestDiarizeCommand:
     def test_noiseless_round_trip_der_zero(self, synth_dir, tmp_path, capsys):
@@ -186,6 +200,21 @@ class TestDiarizeCommand:
         assert code == 2
         assert "nope.txt" in err
 
+    @pytest.mark.parametrize("out, reason", [
+        ("missing_dir/h.rttm", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, synth_dir, tmp_path, capsys, out, reason):
+        target = tmp_path / out
+        code, _, err = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(synth_dir / "embeddings.txt"),
+            "--out", str(target),
+        )
+        assert code == 2
+        assert reason in err and str(target) in err
+
     @pytest.mark.parametrize("n, flags, k", [(1, None, 1), (1, "1\n", 1), (2, None, 1), (2, "0\n1\n", 2)])
     def test_short_recordings(self, tmp_path, capsys, n, flags, k):
         emb = tmp_path / "emb.txt"
@@ -225,6 +254,17 @@ class TestDiarizeCommand:
         )
         assert code == 2
         assert "seed >= 0" in err
+
+    def test_zero_max_speakers_exits_2(self, synth_dir, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(synth_dir / "embeddings.txt"),
+            "--out", str(tmp_path / "h.rttm"),
+            "--max-speakers", "0",
+        )
+        assert code == 2
+        assert "error: max_speakers must be at least 1" in err
 
     def test_forced_count_dumps_the_eigengap_choice(self, tmp_path, capsys):
         # one speaker with one flagged segment: the eigengap says 1, the

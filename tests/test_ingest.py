@@ -102,9 +102,10 @@ class TestEmbeddings:
             ("rec\t1.0\t1.0005\t1 0", "segment 1 of 'rec': duration under 0.5 ms (1.0 .. 1.0005)"),
             ("rec\t1\t2\t1 nan", "segment 1 has a non-finite embedding component"),
             ("rec\t1\t2\t0 0", "segment 1 has a zero-norm embedding"),
+            ("rec\t1\t2\t1 x", "bad vector component"),
         ],
         ids=["non-finite-time", "infinite-duration", "duration", "sub-millisecond",
-             "non-finite-component", "zero-norm"],
+             "non-finite-component", "zero-norm", "bad-component"],
     )
     def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
         f = tmp_path / "emb.txt"
@@ -191,6 +192,12 @@ class TestOverlapFlags:
         with pytest.raises(ParseError, match=":2"):
             load_overlap_flags(f)
 
+    # 256 and 0.5 used to become the valid flag 0 when cast to int8
+    @pytest.mark.parametrize("flags", [[0, 2], [-1], [256, 1], [0.5]])
+    def test_vector_rejects_values_outside_0_1(self, flags):
+        with pytest.raises(ContractError, match="overlap flags must be 0 or 1"):
+            OverlapVector(np.array(flags))
+
     def test_length_check(self, tmp_path):
         f = tmp_path / "flags.txt"
         f.write_text("0\n1\n")
@@ -236,17 +243,18 @@ class TestPosteriors:
     @pytest.mark.parametrize(
         "bad_row, message",
         [
-            ("nan 0.5 0.5", "has a non-finite value"),
-            ("-0.1 0.6 0.5", "has a negative value"),
+            ("nan 0.5 0.5", "posterior row 1 has a non-finite value"),
+            ("-0.1 0.6 0.5", "posterior row 1 has a negative value"),
             # the first bad row is named, not the worst one
-            ("0.5 0.5 0.5\n1 1 1", "sums to 1.500000, expected 1"),
+            ("0.5 0.5 0.5\n1 1 1", "posterior row 1 sums to 1.500000, expected 1"),
+            ("0.1 0.8 zz", "bad posterior value"),
         ],
-        ids=["non-finite", "negative", "sum"],
+        ids=["non-finite", "negative", "sum", "bad-value"],
     )
     def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
         f = tmp_path / "post.txt"
         f.write_text(f"#frame_shift 0.01\n0.2 0.3 0.5\n\n{bad_row}\n")
-        with pytest.raises(ParseError, match=f"post.txt:4: posterior row 1 {message}"):
+        with pytest.raises(ParseError, match=f"post.txt:4: {message}"):
             load_posteriors(f)
 
     def test_second_header_rejected(self, tmp_path):
@@ -264,12 +272,21 @@ class TestPosteriors:
         post = load_posteriors(f)
         assert (post.frame_shift, post.num_frames) == (0.02, 2)
 
-    @pytest.mark.parametrize("shift", ["nan", "inf", "-0.01"])
-    def test_bad_frame_shift_header(self, tmp_path, shift):
+    @pytest.mark.parametrize(
+        "shift, message",
+        [
+            # the rule lives in FramePosteriors; the error names the header's line
+            ("nan", "frame_shift must be positive and finite"),
+            ("inf", "frame_shift must be positive and finite"),
+            ("-0.01", "frame_shift must be positive and finite"),
+            ("x", "bad frame_shift header '#frame_shift x'"),
+        ],
+        ids=["nan", "inf", "-0.01", "x"],
+    )
+    def test_bad_frame_shift_header(self, tmp_path, shift, message):
         f = tmp_path / "post.txt"
         f.write_text(f"#frame_shift {shift}\n0.2 0.3 0.5\n")
-        # the rule lives in FramePosteriors; the error names the header's line
-        with pytest.raises(ParseError, match="post.txt:1: frame_shift must be positive and finite"):
+        with pytest.raises(ParseError, match=re.escape(f"post.txt:1: {message}")):
             load_posteriors(f)
 
 
@@ -360,6 +377,24 @@ TOKENS = [
     b"0", b"1", b"2", b"0.5", b"-1", b"1e20", b"1e308", b"1e-320", b"nan", b"inf", b"-inf",
     b" ", b"\t", b"\n", b"\r\n", b"\r", b"\xff", b"\xc3", b"\xe2\x80\xa8",
 ]
+
+
+@pytest.mark.parametrize(
+    "loader, text, message",
+    [
+        (load_embeddings, "rec\t0\t1\t1 0\n\n#dim abc\n", "in.txt:3: bad dim header '#dim abc'"),
+        (load_posteriors, "\n#frame_shift 0.01\n", "in.txt: no posterior rows"),
+        (load_rttm,
+         "SPEAKER b 1 0.0 1.0 <NA> <NA> s <NA> <NA>\nSPEAKER a 1 1.0 1.0 <NA> <NA> s <NA> <NA>\n",
+         "in.txt: contains 2 recording ids ['a', 'b']"),
+    ],
+    ids=["dim-header", "header-only", "two-recordings"],
+)
+def test_whole_file_refusal_names_the_file(tmp_path, loader, text, message):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        loader(f)
 
 
 class TestArbitraryBytes:

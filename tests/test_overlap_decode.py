@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -338,6 +339,17 @@ class TestFrameLabels:
     def test_bad_frame_shift_rejected(self, shift):
         with pytest.raises(ContractError):
             FrameLabels(np.zeros(3), shift)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 3, 1], "labels must be in {0, 1, 2}"),
+        ([-1], "labels must be in {0, 1, 2}"),
+        # 257 used to become the valid label 1 when cast to int8
+        ([0, 257], "labels must be in {0, 1, 2}"),
+        ([[0, 1], [1, 0]], "labels must be a vector"),
+    ])
+    def test_bad_labels_rejected(self, labels, message):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            FrameLabels(np.array(labels), 0.01)
 
     def test_runs_match_frame_scan(self, rng):
         assert FrameLabels(np.zeros(0), 0.01).runs() == []

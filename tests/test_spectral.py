@@ -13,7 +13,6 @@ from diarcut.synth import SynthConfig, generate
 from diarcut.spectral import (
     AssignmentMatrix,
     ContinuousSolution,
-    Rotation,
     assignment_distance,
     continuous_solve,
     discretize_full,
@@ -177,15 +176,15 @@ class TestLanczosSolve:
 class TestNmsAssign:
     def test_single_peak(self):
         out = nms_assign(np.array([[0.8, 0.5, 0.1]]), OverlapVector.zeros(1))
-        assert np.array_equal(out.matrix, [[1, 0, 0]])
+        assert np.array_equal(out, [[1, 0, 0]])
 
     def test_two_peaks(self):
         out = nms_assign(np.array([[0.8, 0.5, 0.1]]), OverlapVector(np.array([1])))
-        assert np.array_equal(out.matrix, [[1, 1, 0]])
+        assert np.array_equal(out, [[1, 1, 0]])
 
     def test_tie_break_lower_index(self):
         out = nms_assign(np.array([[0.5, 0.5, 0.1]]), OverlapVector(np.array([1])))
-        assert np.array_equal(out.matrix, [[1, 1, 0]])
+        assert np.array_equal(out, [[1, 1, 0]])
 
     def test_k1_overlap_is_a_contract_error(self):
         # one cluster cannot give a flagged row its second label
@@ -197,7 +196,7 @@ class TestNmsAssign:
             n, k = int(rng.integers(2, 12)), int(rng.integers(2, 5))
             flags = rng.integers(0, 2, n)
             out = nms_assign(rng.standard_normal((n, k)), OverlapVector(flags))
-            assert np.array_equal(out.matrix.sum(axis=1), 1 + flags)
+            assert np.array_equal(out.sum(axis=1), 1 + flags)
 
     def test_exhaustive_argmin_small(self, rng):
         # the per-row NMS equals the global argmin over all feasible matrices
@@ -206,7 +205,7 @@ class TestNmsAssign:
             flags = rng.integers(0, 2, n)
             m = rng.standard_normal((n, k))
             out = nms_assign(m, OverlapVector(flags))
-            got = float(np.sum((out.matrix - m) ** 2))
+            got = float(np.sum((out - m) ** 2))
             best = min(
                 float(np.sum((x - m) ** 2))
                 for x in enumerate_assignments(n, k, flags)
@@ -219,7 +218,7 @@ class TestProcrustes:
         x = np.zeros((6, 2), dtype=np.int8)
         x[np.arange(6), [0, 0, 1, 1, 0, 1]] = 1
         rot = procrustes(x, x.astype(float))
-        assert np.abs(rot.matrix - np.eye(2)).max() < 1e-10
+        assert np.abs(rot - np.eye(2)).max() < 1e-10
 
     def test_permutation_recovery(self, rng):
         # oracle: planting X_tilde = X P^T makes P the unique minimizer
@@ -229,13 +228,13 @@ class TestProcrustes:
         x[:k] = np.eye(k)  # every cluster non-empty
         perm = np.eye(k)[rng.permutation(k)]
         rot = procrustes(x, x @ perm.T)
-        assert np.abs(rot.matrix - perm).max() < 1e-10
+        assert np.abs(rot - perm).max() < 1e-10
 
     def test_orthonormality(self, rng):
         for _ in range(10):
             x = (rng.uniform(size=(8, 3)) > 0.5).astype(float)
             rot = procrustes(x, rng.standard_normal((8, 3)))
-            assert np.abs(rot.matrix.T @ rot.matrix - np.eye(3)).max() < 1e-8
+            assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-8
 
     def test_beats_random_rotations(self, rng):
         x = (rng.uniform(size=(10, 3)) > 0.5).astype(float)
@@ -289,6 +288,17 @@ class TestDiscretize:
         out = discretize_full(self._solution(xt), OverlapVector(flags)).assignment
         assert np.array_equal(out.matrix.sum(axis=1), 1 + flags)
 
+    def test_empty_cluster_logged_once(self, caplog):
+        # two directions for three clusters: every round of every restart
+        # leaves column 2 empty, but only the result is reported
+        xt = np.repeat(np.eye(3)[:2], 4, axis=0)
+        with caplog.at_level("INFO", logger="diarcut.spectral"):
+            out = discretize_full(self._solution(xt), OverlapVector.zeros(8))
+        assert sum(len(h) for h in out.phi_histories) > 1
+        assert np.array_equal(out.assignment.matrix.sum(axis=0), [4, 4, 0])
+        empty = [r.getMessage() for r in caplog.records if "leaves clusters" in r.getMessage()]
+        assert empty == ["assignment leaves clusters [2] empty"]
+
     def test_column_permutation_equivariance(self, rng):
         # permuting the columns of the rotated input permutes the labels and
         # leaves the induced partition untouched
@@ -297,7 +307,7 @@ class TestDiscretize:
         perm = rng.permutation(3)
         base = nms_assign(m, flags)
         permuted = nms_assign(m[:, perm], flags)
-        assert np.array_equal(base.matrix[:, perm], permuted.matrix)
+        assert np.array_equal(base[:, perm], permuted)
 
     @pytest.mark.parametrize("relative_drop, winner", [(1e-12, 0), (1e-6, 1)])
     def test_near_tie_keeps_earlier_restart(self, monkeypatch, relative_drop, winner):
@@ -334,7 +344,7 @@ class TestDiscretize:
                 mp.setattr(spectral, "_seed_rotation", lambda *args: queue.pop(0))
                 mp.setattr(spectral, "RESTARTS", 2)
                 result = discretize_full(sol, data.overlap)
-            timeline = assignment_to_timeline(result.assignment, data.embeddings.spans)
+            timeline = assignment_to_timeline(result.assignment.matrix, data.embeddings.spans)
             write_rttm(timeline, out / f"{name}.rttm")
         assert (out / "a.rttm").read_bytes() == (out / "b.rttm").read_bytes()
 
@@ -399,10 +409,6 @@ class TestObjectives:
 
 
 class TestTypes:
-    def test_rotation_validates(self):
-        with pytest.raises(ContractError):
-            Rotation(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
     def test_assignment_validates_row_sums(self):
         with pytest.raises(ContractError, match="row 0"):
             AssignmentMatrix(np.array([[1, 1]]), OverlapVector.zeros(1))
