@@ -19,6 +19,9 @@ TIE_EPS = 1e-9
 # LAPACK is faster (counting sweeps crossed near N = 700; 2-core x86 VM).
 SPARSE_MIN_N = 700
 
+# Rows per block of the binarization sweep, which holds one such block at a time.
+BLOCK_ROWS = 256
+
 # Lanczos basis size for the ARPACK solves; 32-48 timed alike, but 24,
 # about ARPACK's own default for k = 11, made sweeps up to 1.4 times slower.
 ARPACK_NCV = 36
@@ -50,12 +53,19 @@ def cosine_affinity(seq: EmbeddingSequence) -> np.ndarray:
     return aff
 
 
-def finite_square(affinity) -> np.ndarray:
-    """``affinity`` as a float array; ContractError unless square and finite."""
+def square(affinity) -> np.ndarray:
+    """``affinity`` as a float array; ContractError unless square."""
     aff = np.asarray(affinity, dtype=float)
-    if aff.ndim != 2 or aff.shape[0] != aff.shape[1] or not np.isfinite(aff).all():
+    if aff.ndim != 2 or aff.shape[0] != aff.shape[1]:
         raise ContractError("affinity must be a square matrix of finite values")
     return aff
+
+
+def finite(values: np.ndarray) -> np.ndarray:
+    """``values`` itself; ContractError unless all are finite."""
+    if not np.isfinite(values).all():
+        raise ContractError("affinity must be a square matrix of finite values")
+    return values
 
 
 def binarize(affinity: np.ndarray, p: int, overlap: OverlapVector | None = None):
@@ -82,48 +92,56 @@ def binarize(affinity: np.ndarray, p: int, overlap: OverlapVector | None = None)
         Symmetric binarized graph with entries in {0, 0.5, 1}: a dense array
         below SPARSE_MIN_N rows, a CSR matrix from there on.
     """
-    aff = finite_square(affinity)  # checked before the -inf mask can hide a NaN
+    aff = square(affinity)
     n = aff.shape[0]
     if not 1 <= p <= n:
         raise ContractError(f"binarization factor p={p} outside [1, {n}]")
-    budget = np.full(n, p)
+    budget, flagged = np.full(n, p), None
     if overlap is not None:
         if len(overlap) != n:
             raise ContractError("overlap vector length does not match affinity size")
-        flagged = overlap.flags == 1
-        n_single = n - int(flagged.sum())
+        n_single = n - int(overlap.flags.sum())
         if 0 < n_single < n:
-            aff = np.where(flagged[:, None] & flagged[None, :], -np.inf, aff)
+            flagged = overlap.flags == 1
             budget[flagged] = min(2 * p, n_single)
-    return next(binarize_sweep(aff, [budget]))
+    return next(binarize_sweep(aff, [budget], flagged=flagged))
 
 
-def binarize_sweep(values: np.ndarray, budgets):
-    """One top-``budget`` graph of ``values`` per budget: a count, or one per row.
+def binarize_sweep(values: np.ndarray, budgets, index=None, flagged=None):
+    """One top-``budget`` graph of ``values[index][:, index]`` per budget.
 
-    A row keeps the entries at or above its cutoff, its budget-th largest value
-    less TIE_EPS, so masked -inf entries are never kept; one sort gives every
-    cutoff. CSR graphs find once the entries at or above each row's lowest one.
+    A budget is a count or one per row. Entries between two rows set in the
+    boolean ``flagged`` count as -inf; a row keeps the entries at or above its
+    cutoff, its budget-th largest value less TIE_EPS. Each block of BLOCK_ROWS
+    rows is checked finite before that mask and sorted for its cutoffs; the
+    graphs come from its entries at or above its lowest one, copying no N x N.
     """
-    n = values.shape[0]
-    row_sorted = np.sort(values, axis=1)
-    cutoffs = [row_sorted[np.arange(n), n - np.asarray(b)] - TIE_EPS for b in budgets]
-    del row_sorted  # the sweep keeps only the cutoffs, not this N x N copy
-    if n < SPARSE_MIN_N:
-        for cutoff in cutoffs:
-            dense = (values >= cutoff[:, None]).astype(float)
-            yield 0.5 * (dense + dense.T)
-        return
-    from scipy import sparse  # only large graphs pay its import time
-    cand_rows, cand_cols = np.nonzero(values >= np.min(cutoffs, axis=0)[:, None])
-    cand_values = values[cand_rows, cand_cols]
-    cand_rows, cand_cols = cand_rows.astype(np.int32), cand_cols.astype(np.int32)  # CSR's index type
+    n = values.shape[0] if index is None else len(index)
+    picks = n - np.array([np.full(n, b) for b in budgets])  # budgets x rows
+    cutoffs = np.empty(picks.shape)
+    cands = []  # per block: values, then int32 rows and columns (CSR's index type)
+    for start in range(0, n, BLOCK_ROWS):
+        part = slice(start, start + BLOCK_ROWS)
+        block = finite(values[part] if index is None else values[np.ix_(index[part], index)])
+        if flagged is not None:
+            block = np.where(flagged[part, None] & flagged, -np.inf, block)
+        cutoffs[:, part] = np.sort(block, axis=1)[np.arange(len(block)), picks[:, part]] - TIE_EPS
+        rows, cols = np.nonzero(block >= cutoffs[:, part].min(axis=0)[:, None])
+        cands.append((block[rows, cols], (rows + start).astype(np.int32), cols.astype(np.int32)))
+    cand_values, cand_rows, cand_cols = map(np.concatenate, zip(*cands))
+    del cands  # a generator's locals live until it finishes
     for cutoff in cutoffs:
         kept = cand_values >= cutoff[cand_rows]
-        # Duplicates sum on conversion: 0.5 + 0.5 where both rows keep the pair.
-        pair_rows, cols = cand_rows[kept], cand_cols[kept]
-        pairs = (np.concatenate([pair_rows, cols]), np.concatenate([cols, pair_rows]))
-        yield sparse.csr_matrix((np.full(2 * cols.size, 0.5), pairs), shape=(n, n))
+        if n < SPARSE_MIN_N:
+            dense = np.zeros((n, n))
+            dense[cand_rows, cand_cols] = kept
+            yield 0.5 * (dense + dense.T)
+        else:
+            from scipy import sparse  # only large graphs pay its import time
+            rows, cols = cand_rows[kept], cand_cols[kept]
+            # Duplicates sum on conversion: 0.5 + 0.5 where both rows keep the pair.
+            pairs = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+            yield sparse.csr_matrix((np.full(2 * cols.size, 0.5), pairs), shape=(n, n))
 
 
 def lanczos_ncv(k: int) -> int:

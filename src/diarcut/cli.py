@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -219,6 +220,12 @@ def main(argv=None) -> int:
     )
     _manifest(args)
     try:
+        # a bad output path fails here, before the run; a file made by this check is removed
+        for path in filter(None, map(vars(args).get, ("out", "dump_report", "lab"))):
+            created = not os.path.lexists(path)
+            open(path, "a").close()
+            if created:
+                os.remove(path)
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

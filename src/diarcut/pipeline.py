@@ -72,10 +72,8 @@ def diarize_embeddings(
             "on the full affinity",
             singles.size,
         )
-    report = speaker_count.estimate(  # unnamed: the copy is freed before the final graph
-        raw[np.ix_(singles, singles)] if use_submatrix else raw,
-        config.p_min, config.p_max, config.max_speakers,
-    )
+    report = speaker_count.estimate(raw, config.p_min, config.p_max, config.max_speakers,
+                                    singles if use_submatrix else None)
     k = report.k_hat
     if overlap.any() and k < 2:
         # an overlapping segment means two concurrent speakers by definition;

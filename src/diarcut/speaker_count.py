@@ -121,6 +121,7 @@ def estimate(
     p_min: int = 2,
     p_max: int = 20,
     max_speakers: int = 10,
+    index=None,
 ) -> EigengapReport:
     """Sweep the binarization factor and estimate the number of speakers.
 
@@ -146,6 +147,7 @@ def estimate(
             estimate is one speaker at p_hat = N.
         max_speakers: cap on the estimated count; the gap search is limited
             to this many leading positions.
+        index: optional rows, and the same columns, to count on; read in place.
 
     Returns:
         EigengapReport with per-p partial spectra and the chosen
@@ -154,8 +156,8 @@ def estimate(
     Raises:
         IndeterminateSpeakerCountError: every g_p = 0 with N <= max_speakers.
     """
-    a = aff.finite_square(affinity)
-    n = a.shape[0]
+    a = aff.square(affinity)
+    n = a.shape[0] if index is None else len(index)
     if max_speakers < 1:
         raise ContractError("max_speakers must be at least 1")
     if not 1 <= p_min <= p_max:
@@ -163,6 +165,7 @@ def estimate(
     hi = min(p_max, n - 1)
     if hi < p_min:
         # Too few segments to sweep: one speaker, every segment linked.
+        aff.finite(a if index is None else a[np.ix_(index, index)])  # at most p_min rows
         log.warning("%d segments are too few for a sweep from p=%d; one speaker", n, p_min)
         return EigengapReport([], [], [], [], [], [], n, 1, max_speakers)
 
@@ -173,7 +176,7 @@ def estimate(
     g_values: list[float] = []
     r_values: list[float] = []
 
-    for p, graph in zip(p_values, aff.binarize_sweep(a, p_values)):
+    for p, graph in zip(p_values, aff.binarize_sweep(a, p_values, index)):
         lam, lam_max = low_spectrum(graph, max_speakers + 1)
         gaps = eigengap_vector(lam)
         g = float(gaps.max()) / (lam_max + EPSILON) if gaps.size else 0.0

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -213,14 +214,17 @@ class TestBinarizeMatchesReference:
 
     Each case runs twice: as built below SPARSE_MIN_N (dense), and with
     SPARSE_MIN_N forced to 0, where every graph is CSR and must hold exactly
-    the arrays scipy builds from the dense reference.
+    the arrays scipy builds from the dense reference; and each of those with
+    the default row blocks and with blocks of three rows.
     """
 
     def _check(self, a, rng):
         n = a.shape[0]
-        for csr in (False, True):
+        # three-row blocks put block edges inside these small matrices
+        for csr, block_rows in itertools.product((False, True), (affinity.BLOCK_ROWS, 3)):
             same = same_csr if csr else np.array_equal
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(affinity, "BLOCK_ROWS", block_rows)
                 if csr:
                     mp.setattr(affinity, "SPARSE_MIN_N", 0)
                 sweep = binarize_sweep(a, range(1, n + 1))
@@ -274,3 +278,79 @@ def test_csr_sweep_candidates_take_int32_indices():
     finally:
         tracemalloc.stop()
     assert peak < 13 * n * n * 8
+
+
+B = affinity.BLOCK_ROWS
+
+
+def flags_at(n, rows):
+    flags = np.zeros(n, dtype=int)
+    flags[list(rows)] = 1
+    return OverlapVector(flags)
+
+
+class TestBlockedSweep:
+    """Row blocks at their real size: every graph equals the oracles'.
+
+    Each size runs with the graphs forced dense and forced CSR; the sizes sit
+    on both sides of one and two block edges and of SPARSE_MIN_N.
+    """
+
+    @pytest.fixture(params=["dense", "csr"])
+    def same(self, request, monkeypatch):
+        csr = request.param == "csr"
+        monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0 if csr else 10**9)
+        return same_csr if csr else np.array_equal
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1,
+                                   affinity.SPARSE_MIN_N - 1, affinity.SPARSE_MIN_N])
+    def test_matches_oracles(self, n, same, rng):
+        a = cosine_affinity(seq_from(rng.standard_normal((n, 6))))
+        budgets = [20, 2, rng.integers(1, 9, n)]
+        for budget, graph in zip(budgets, binarize_sweep(a, budgets), strict=True):
+            assert same(graph, p_binarize(a, budget))
+        flag_sets = {
+            "random": np.flatnonzero(rng.uniform(size=n) < 0.15),
+            "first block": range(0, min(B, n), 7),
+            "last block": range(n - 1, max(n - 1 - B, 0), -5),
+            "across an edge": range(B - 4, min(B + 4, n)),
+        }
+        for name, rows in flag_sets.items():
+            ov = flags_at(n, rows)
+            for p in (1, 3, 20):
+                assert same(binarize(a, p, ov), overlap_aware_binarize(a, p, ov)), (name, p)
+
+    @pytest.mark.parametrize("n", [B + 1, 2 * B + 1, affinity.SPARSE_MIN_N + 1])
+    def test_index_reads_the_submatrix(self, n, same, rng):
+        a = cosine_affinity(seq_from(rng.standard_normal((n, 6))))
+        for index in (np.flatnonzero(rng.uniform(size=n) < 0.85),  # sorted, as counting passes it
+                      rng.permutation(n)[: n - 3]):
+            sub = a[np.ix_(index, index)]
+            budgets = [2, 20, rng.integers(1, 9, index.size)]
+            for budget, graph in zip(budgets, binarize_sweep(a, budgets, index), strict=True):
+                assert same(graph, p_binarize(sub, budget))
+
+
+class TestFiniteContractPerBlock:
+    """A non-finite value anywhere is refused, whichever block holds it."""
+
+    N = 2 * B + 1  # the last block holds one row
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_last_block_checked(self, bad, rng):
+        a = cosine_affinity(seq_from(rng.standard_normal((self.N, 4))))
+        a[self.N - 1, 5] = bad
+        with pytest.raises(ContractError, match="finite"):
+            binarize(a, 3)
+        with pytest.raises(ContractError, match="finite"):
+            binarize(a, 3, flags_at(self.N, [1, 2]))
+        with pytest.raises(ContractError, match="finite"):
+            next(binarize_sweep(a, [3]))
+
+    def test_nan_between_flagged_rows_checked_before_the_mask(self, rng):
+        # -inf masks flagged x flagged pairs; the NaN under the mask must still count
+        a = cosine_affinity(seq_from(rng.standard_normal((self.N, 4))))
+        i, j = self.N - 1, B + 3
+        a[i, j] = a[j, i] = np.nan
+        with pytest.raises(ContractError, match="finite"):
+            binarize(a, 3, flags_at(self.N, [i, j]))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import diarcut
-from diarcut import affinity, ingest, scoring
+from diarcut import affinity, cli, ingest, overlap_decode, scoring
 from diarcut.cli import build_parser, main
 from diarcut.pipeline import diarize_embeddings
 from diarcut.synth import SynthConfig, generate
@@ -214,6 +214,26 @@ class TestDiarizeCommand:
         )
         assert code == 2
         assert reason in err and str(target) in err
+
+    @pytest.mark.parametrize("option", ["--out", "--dump-report"])
+    def test_bad_output_path_fails_before_the_run(self, synth_dir, tmp_path, capsys, monkeypatch,
+                                                  option):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("clustering ran despite a bad output path")
+
+        monkeypatch.setattr(cli, "diarize_embeddings", unreachable)
+        paths = {"--out": tmp_path / "h.rttm", "--dump-report": tmp_path / "report.json"}
+        paths[option] = tmp_path / "missing" / paths[option].name
+        code, _, err = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(synth_dir / "embeddings.txt"),
+            "--out", str(paths["--out"]),
+            "--dump-report", str(paths["--dump-report"]),
+        )
+        assert code == 2
+        assert "No such file or directory" in err and str(paths[option]) in err
+        assert not any(path.exists() for path in paths.values())
 
     @pytest.mark.parametrize("n, flags, k", [(1, None, 1), (1, "1\n", 1), (2, None, 1), (2, "0\n1\n", 2)])
     def test_short_recordings(self, tmp_path, capsys, n, flags, k):
@@ -572,6 +592,19 @@ class TestDetectOverlapCommand:
         assert code == 0
         assert out.read_text() == "1\n1\n0\n"
         assert "overlap" in (tmp_path / "ovl.lab").read_text()
+
+    def test_bad_lab_path_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("decoding ran despite a bad output path")
+
+        monkeypatch.setattr(overlap_decode, "viterbi", unreachable)
+        post, emb = self._write_inputs(tmp_path, [[0.0, 1.0, 0.0]] * 300)
+        out, lab = tmp_path / "flags.txt", tmp_path / "missing" / "ovl.lab"
+        code, _, err = run_cli(capsys, "detect-overlap", "--posteriors", str(post),
+                               "--segments", str(emb), "--out", str(out), "--lab", str(lab))
+        assert code == 2
+        assert "No such file or directory" in err and str(lab) in err
+        assert not out.exists()
 
     def test_default_bounds_at_twenty_ms_reach_diarize(self, tmp_path, capsys):
         # overlap on [0.5 s, 1.6 s) at a 20 ms shift, decoded with the default

@@ -83,6 +83,36 @@ class TestEstimateContract:
         with pytest.raises(ContractError, match="square"):
             estimate(np.ones((3, 2)))
 
+    def test_non_finite_affinity_rejected_without_a_sweep(self):
+        a = np.ones((3, 3))
+        a[2, 0] = np.nan
+        with pytest.raises(ContractError, match="finite"):
+            estimate(a, p_min=3)
+        with pytest.raises(ContractError, match="finite"):
+            estimate(a, p_min=2, index=[0, 2])
+
+    def test_non_finite_value_in_the_last_row_block_rejected(self):
+        n = 2 * affinity.BLOCK_ROWS + 1
+        a = synth_affinity(4, n, 0.1, 1)
+        a[n - 1, 3] = np.inf  # the last row, in the last block with or without the index
+        index = np.delete(np.arange(n), 7)
+        with pytest.raises(ContractError, match="finite"):
+            estimate(a, p_max=3)
+        with pytest.raises(ContractError, match="finite"):
+            estimate(a, p_max=3, index=index)
+        assert estimate(a, p_max=3, index=index[:-1]).p_values == [2, 3]  # the row left out
+
+    def test_index_reads_the_submatrix(self):
+        # a CSR-sized count through the index, as the pipeline runs it on the
+        # single-speaker rows, against the same count on the copied submatrix
+        data = generate(SynthConfig(n_speakers=5, n_segments=900, noise_sigma=0.15,
+                                    overlap_fraction=0.15, seed=2))
+        a = cosine_affinity(data.embeddings)
+        singles = np.flatnonzero(data.overlap.flags == 0)
+        assert singles.size >= affinity.SPARSE_MIN_N
+        got = estimate(a, p_max=8, index=singles).to_dict()
+        assert got == estimate(a[np.ix_(singles, singles)], p_max=8).to_dict()
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ContractError, match="sweep"):
             estimate(np.eye(2), p_min=5, p_max=4)
