@@ -60,11 +60,11 @@ def diarize_embeddings(
     n = len(seq)
     if overlap is None:
         overlap = OverlapVector.zeros(n)
-    raw = affinity.cosine_affinity(seq)
+    unit = affinity.cosine_affinity(seq)
 
     singles = np.flatnonzero(overlap.flags == 0)
     # Counting needs a meaningful sweep over the rows it sees; with too few
-    # single-speaker rows fall back to the full matrix.
+    # single-speaker rows fall back to all rows.
     use_submatrix = overlap.any() and singles.size > config.p_min + 1
     if overlap.any() and not use_submatrix:
         log.warning(
@@ -72,7 +72,7 @@ def diarize_embeddings(
             "on the full affinity",
             singles.size,
         )
-    report = speaker_count.estimate(raw, config.p_min, config.p_max, config.max_speakers,
+    report = speaker_count.estimate(unit, config.p_min, config.p_max, config.max_speakers,
                                     singles if use_submatrix else None)
     k = report.k_hat
     if overlap.any() and k < 2:
@@ -86,7 +86,7 @@ def diarize_embeddings(
             overlap = OverlapVector.zeros(n)
     log.info("binarization factor p=%d, estimated speakers K=%d", report.p_hat, k)
 
-    graph = affinity.build_bundle(raw, report.p_hat, overlap).binarized
+    graph = affinity.build_bundle(unit, report.p_hat, overlap).binarized
     solution = spectral.continuous_solve(graph, k)
     result = spectral.discretize_full(solution, overlap, config.seed)
     timeline = assignment_to_timeline(result.assignment.matrix, seq.spans)

@@ -110,14 +110,14 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     from scipy import sparse  # only large graphs pay its import time
     lap = (sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized).tocsr()
     lam_max = float(aff.lanczos_eigsh(lap, 1, "LA")[1][0])
-    basis, values, _ = aff.lanczos_eigsh(lap, m, "SA", np.ones(n), lam_max + 1.0)
-    low = np.concatenate([np.zeros(basis.shape[1]), values])[:m]
+    c, values, _ = aff.lanczos_eigsh(lap, m, "SA", np.ones(n), lam_max + 1.0)
+    low = np.concatenate([np.zeros(c), values])[:m]
     low[np.abs(low) < ZERO_SNAP] = 0.0
     return low, lam_max
 
 
 def estimate(
-    affinity: np.ndarray,
+    unit: np.ndarray,
     p_min: int = 2,
     p_max: int = 20,
     max_speakers: int = 10,
@@ -141,13 +141,14 @@ def estimate(
     count is clamped to max_speakers at the largest swept p.
 
     Args:
-        affinity: raw square affinity matrix of finite values.
+        unit: N x d unit rows from ``affinity.cosine_affinity``; the
+            affinity is their products, with the diagonal taken as 1.
         p_min, p_max: inclusive sweep bounds; the effective upper bound is
             clipped to N-1.  With N-1 < p_min the sweep is empty and the
             estimate is one speaker at p_hat = N.
         max_speakers: cap on the estimated count; the gap search is limited
             to this many leading positions.
-        index: optional rows, and the same columns, to count on; read in place.
+        index: optional rows to count on, gathered once for the sweep.
 
     Returns:
         EigengapReport with per-p partial spectra and the chosen
@@ -156,8 +157,8 @@ def estimate(
     Raises:
         IndeterminateSpeakerCountError: every g_p = 0 with N <= max_speakers.
     """
-    a = aff.square(affinity)
-    n = a.shape[0] if index is None else len(index)
+    u = aff.unit_rows(unit)
+    n = u.shape[0] if index is None else len(index)
     if max_speakers < 1:
         raise ContractError("max_speakers must be at least 1")
     if not 1 <= p_min <= p_max:
@@ -165,7 +166,8 @@ def estimate(
     hi = min(p_max, n - 1)
     if hi < p_min:
         # Too few segments to sweep: one speaker, every segment linked.
-        aff.finite(a if index is None else a[np.ix_(index, index)])  # at most p_min rows
+        rows = u if index is None else u[index]
+        aff.affinity_rows(rows, 0, len(rows))  # at most p_min rows, checked finite
         log.warning("%d segments are too few for a sweep from p=%d; one speaker", n, p_min)
         return EigengapReport([], [], [], [], [], [], n, 1, max_speakers)
 
@@ -176,7 +178,7 @@ def estimate(
     g_values: list[float] = []
     r_values: list[float] = []
 
-    for p, graph in zip(p_values, aff.binarize_sweep(a, p_values, index)):
+    for p, graph in zip(p_values, aff.binarize_sweep(u, p_values, index)):
         lam, lam_max = low_spectrum(graph, max_speakers + 1)
         gaps = eigengap_vector(lam)
         g = float(gaps.max()) / (lam_max + EPSILON) if gaps.size else 0.0

@@ -138,10 +138,8 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
         # Component vectors D^1/2 1_C move from eigenvalue 1 to -2, below the
         # spectrum; isolated nodes (eigenvalue 0) get no such vector.
         weight = np.where(isolated, 0.0, np.sqrt(d))
-        basis, values, vectors = affinity.lanczos_eigsh(sym, k, "LA", weight, -3.0, vectors=True)
-        c = basis.shape[1]
-        lambda_star = np.concatenate([np.ones(c), values[::-1]])
-        vec = np.hstack([basis, vectors[:, ::-1]])
+        c, values, vec = affinity.lanczos_eigsh(sym, k, "LA", weight, -3.0, vectors=True)
+        lambda_star = np.concatenate([np.ones(c), values])
     if c > k:
         a = binarized if isinstance(binarized, np.ndarray) else binarized.toarray()
         sym = dinv_sqrt[:, None] * a * dinv_sqrt[None, :]

@@ -91,6 +91,11 @@ def block_affinity(sizes, off_value: float = 0.0) -> np.ndarray:
     return a
 
 
+def block_units(sizes) -> np.ndarray:
+    """One-hot unit rows, one direction per block: their affinity is block_affinity(sizes)."""
+    return np.repeat(np.eye(len(sizes)), sizes, axis=0)
+
+
 def rttm_same_partition(path_a, path_b) -> bool:
     """Whether two RTTM files agree up to a bijection of speaker names.
 

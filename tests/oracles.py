@@ -1,13 +1,14 @@
 """Reference implementations that only the tests call.
 
 Each is a direct, unoptimized statement of a quantity the package computes
-or relies on: the per-row binarization the vectorized ``binarize`` must
-reproduce, the unnormalized graph Laplacian whose spectrum the speaker
-count reads, the clustering objectives, the decoder's emission score, the
-duration-expanded state graph with its Viterbi decoder, whose labels the
-run-length ``decode`` must reproduce, and the scorer's regions with the
-collar windows merged up front, which the one-sweep ``_regions`` must
-reproduce.
+or relies on: the whole affinity of unit rows, which the binarization forms
+one row block at a time, the per-row binarization the vectorized
+``binarize`` must reproduce, the unnormalized graph Laplacian whose
+spectrum the speaker count reads, the clustering objectives, the decoder's
+emission score, the duration-expanded state graph with its Viterbi
+decoder, whose labels the run-length ``decode`` must reproduce, and the
+scorer's regions with the collar windows merged up front, which the
+one-sweep ``_regions`` must reproduce.
 """
 
 import bisect
@@ -28,6 +29,14 @@ from diarcut.overlap_decode import (
 
 # ---------------------------------------------------------------------------
 # binarization
+
+
+def full_affinity(unit) -> np.ndarray:
+    """The N x N affinity of unit rows, u u^T with a unit diagonal, in one piece."""
+    u = np.asarray(unit, dtype=float)
+    aff = u @ u.T
+    np.fill_diagonal(aff, 1.0)
+    return aff
 
 
 def p_binarize(affinity: np.ndarray, p) -> np.ndarray:

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import block_affinity, enumerate_assignments, random_orthonormal, random_timeline
+from conftest import block_units, enumerate_assignments, random_orthonormal, random_timeline
 from diarcut.affinity import cosine_affinity
 from diarcut.cli import main as cli_main
 from diarcut.ingest import OverlapVector, Timeline
@@ -126,10 +126,10 @@ def test_c04_procrustes_optimality():
 
 def test_c05_speaker_counting():
     def body():
-        # exact block-diagonal affinities: always the component count
+        # exact block-diagonal affinities of one-hot rows: always the component count
         for c in range(2, 7):
             for sizes in ([12] * c, [10] * c, [10 + (i % 3) for i in range(c)]):
-                report = estimate(block_affinity(sizes))
+                report = estimate(block_units(sizes))
                 assert report.k_hat == c, f"{sizes}: got {report.k_hat}"
         # noisy embeddings: at least 95 correct of 100 seeded trials
         correct = 0
@@ -143,9 +143,9 @@ def test_c05_speaker_counting():
                     min_centroid_angle=45.0,
                     seed=seed,
                 )
-                aff = cosine_affinity(generate(cfg).embeddings)
+                unit = cosine_affinity(generate(cfg).embeddings)
                 total += 1
-                correct += estimate(aff).k_hat == k
+                correct += estimate(unit).k_hat == k
         assert total == 100
         assert correct >= 95, f"only {correct}/100 correct"
 

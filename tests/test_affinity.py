@@ -14,7 +14,7 @@ from diarcut.affinity import (
 )
 from diarcut.errors import ContractError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
-from oracles import laplacian, overlap_aware_binarize, p_binarize
+from oracles import full_affinity, laplacian, overlap_aware_binarize, p_binarize
 
 
 def seq_from(vectors):
@@ -26,86 +26,88 @@ def seq_from(vectors):
     return EmbeddingSequence(spans, vectors)
 
 
+def unit_rows(vectors):
+    return cosine_affinity(seq_from(vectors))
+
+
+def on_circle(*angles):
+    """Unit rows [cos t, sin t]: the affinity of two is the cosine of their angle."""
+    t = np.asarray(angles, dtype=float)
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
 class TestCosineAffinity:
     def test_identical_vectors(self):
-        a = cosine_affinity(seq_from([[1.0, 2.0], [1.0, 2.0]]))
-        assert a[0, 1] == pytest.approx(1.0)
+        u = unit_rows([[1.0, 2.0], [1.0, 2.0]])
+        assert u[0] @ u[1] == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        a = cosine_affinity(seq_from([[1.0, 0.0], [0.0, 1.0]]))
-        assert a[0, 1] == pytest.approx(0.0)
+        u = unit_rows([[1.0, 0.0], [0.0, 1.0]])
+        assert u[0] @ u[1] == pytest.approx(0.0)
 
     def test_closed_form(self):
-        a = cosine_affinity(seq_from([[1.0, 0.0], [1.0, 1.0]]))
-        assert a[0, 1] == pytest.approx(1.0 / np.sqrt(2))
+        u = unit_rows([[1.0, 0.0], [1.0, 1.0]])
+        assert u[0] @ u[1] == pytest.approx(1.0 / np.sqrt(2))
 
-    def test_unit_diagonal_and_symmetry(self, rng):
-        a = cosine_affinity(seq_from(rng.standard_normal((12, 6))))
-        assert np.array_equal(np.diag(a), np.ones(12))
-        assert np.array_equal(a, a.T)
+    def test_unit_norm_rows(self, rng):
+        u = unit_rows(rng.standard_normal((12, 6)))
+        assert u.shape == (12, 6)
+        assert np.allclose(np.linalg.norm(u, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_positive_rescaling_invariance(self, rng):
         vecs = rng.standard_normal((10, 4))
-        a1 = cosine_affinity(seq_from(vecs))
         scales = rng.uniform(0.1, 50.0, size=10)
-        a2 = cosine_affinity(seq_from(vecs * scales[:, None]))
-        assert np.allclose(a1, a2, atol=1e-12)
-
+        assert np.allclose(unit_rows(vecs), unit_rows(vecs * scales[:, None]), atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-30, 1e30, 1e300])
     def test_extreme_scales_normalize(self, scale):
-        a = cosine_affinity(seq_from([[scale, scale], [scale, -scale], [scale, 0.0]]))
-        assert np.allclose(a, [[1, 0, 0.5**0.5], [0, 1, 0.5**0.5], [0.5**0.5, 0.5**0.5, 1]])
+        u = unit_rows([[scale, scale], [scale, -scale], [scale, 0.0]])
+        r = 0.5**0.5
+        assert np.allclose(u, [[r, r], [r, -r], [1, 0]])
 
     def test_in_range_rows_normalize_exactly(self, rng):
         vecs = rng.standard_normal((20, 5)) * 10.0 ** rng.integers(-30, 30, (20, 1))
         unit = vecs / np.linalg.norm(vecs, axis=1)[:, None]
-        want = unit @ unit.T
-        np.fill_diagonal(want, 1.0)
-        assert np.array_equal(cosine_affinity(seq_from(vecs)), want)
+        assert np.array_equal(unit_rows(vecs), unit)
 
 
 class TestPBinarize:
     def test_keep_everything(self, rng):
-        a = cosine_affinity(seq_from(rng.standard_normal((6, 3))))
-        assert np.array_equal(binarize(a, 6), np.ones((6, 6)))
+        u = unit_rows(rng.standard_normal((6, 3)))
+        assert np.array_equal(binarize(u, 6), np.ones((6, 6)))
 
     def test_hand_enumerated(self):
-        a = np.array([[1.0, 0.9, 0.2], [0.9, 1.0, 0.1], [0.2, 0.1, 1.0]])
+        # rows 0 and 1 lie 0.45 rad apart (cosine 0.90), row 2 at -1.37 rad
+        # (cosine 0.20 with row 0, -0.25 with row 1)
+        u = on_circle(0.0, 0.45, -1.37)
         expected = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.0], [0.5, 0.0, 1.0]])
-        assert np.array_equal(binarize(a, 2), expected)
+        assert np.array_equal(binarize(u, 2), expected)
 
     def test_symmetric_output(self, rng):
-        a = rng.uniform(-1, 1, size=(9, 9))
-        out = binarize(a, 3)
+        out = binarize(unit_rows(rng.standard_normal((9, 3))), 3)
         assert np.array_equal(out, out.T)
 
     def test_diagonal_always_kept(self, rng):
         # the diagonal holds the row maximum, so it survives every p
-        a = cosine_affinity(seq_from(rng.standard_normal((10, 5))))
+        u = unit_rows(rng.standard_normal((10, 5)))
         for p in range(1, 11):
-            assert np.array_equal(np.diag(binarize(a, p)), np.ones(10))
+            assert np.array_equal(np.diag(binarize(u, p)), np.ones(10))
 
     def test_support_monotone_in_p(self, rng):
-        a = cosine_affinity(seq_from(rng.standard_normal((8, 4))))
-        prev = binarize(a, 1) > 0
+        u = unit_rows(rng.standard_normal((8, 4)))
+        prev = binarize(u, 1) > 0
         for p in range(2, 9):
-            cur = binarize(a, p) > 0
+            cur = binarize(u, p) > 0
             assert (cur | prev == cur).all()
             prev = cur
 
     def test_tie_class_kept_whole(self):
-        # duplicate similarities at the cutoff all survive, independent of order
-        a = np.array(
-            [
-                [1.0, 0.8, 0.8, 0.1],
-                [0.8, 1.0, 0.9, 0.85],
-                [0.8, 0.9, 1.0, 0.85],
-                [0.1, 0.85, 0.85, 1.0],
-            ]
-        )
-        out = binarize(a, 2)
-        # row 0 keeps its whole 0.8 class; rows 1 and 2 do not select row 0
+        # rows 1 and 2 mirror each other about row 0's plane: both have cosine
+        # 0.3 with row 0, and each is closer to row 3 (0.9) than to row 0
+        b = 0.1**0.5
+        u = np.array([[1.0, 0.0, 0.0], [0.3, b, 0.9], [0.3, -b, 0.9], [0.0, 0.0, 1.0]])
+        out = binarize(u, 2)
+        # row 0 keeps its whole 0.3 class; rows 1 and 2 do not select row 0
         assert out[0, 1] == 0.5 and out[0, 2] == 0.5
 
     def test_p_out_of_range(self):
@@ -116,30 +118,34 @@ class TestPBinarize:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_affinity_rejected(self, bad):
-        a = np.eye(3)
-        a[0, 1] = a[1, 0] = bad
+        u = np.eye(3)
+        u[0, 1] = bad
         with pytest.raises(ContractError, match="finite"):
-            binarize(a, 2)
-        # both rows flagged: the -inf mask of flagged pairs would cover the entry
-        with pytest.raises(ContractError, match="finite"):
-            binarize(a, 1, OverlapVector(np.array([1, 1, 0])))
+            binarize(u, 2)
 
-    def test_non_square_affinity_rejected(self):
-        with pytest.raises(ContractError, match="square"):
-            binarize(np.ones((2, 3)), 1)
+    def test_overflow_between_flagged_rows_rejected(self):
+        # rows 0 and 1 multiply to 1e400 = inf and nothing else overflows;
+        # both rows flagged, the -inf mask of flagged pairs would cover the entry
+        u = np.array([[1e200, 0.0, 0.0], [1e200, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ContractError, match="finite"):
+            binarize(u, 1, OverlapVector(np.array([1, 1, 0])))
+
+    def test_rows_not_a_matrix_rejected(self):
+        with pytest.raises(ContractError, match="2-D"):
+            binarize(np.ones(3), 1)
 
 
 class TestOverlapAwareBinarize:
     def test_no_flags_matches_plain(self, rng):
-        a = cosine_affinity(seq_from(rng.standard_normal((8, 4))))
+        u = unit_rows(rng.standard_normal((8, 4)))
         ov = OverlapVector.zeros(8)
-        assert np.array_equal(binarize(a, 3, ov), binarize(a, 3))
+        assert np.array_equal(binarize(u, 3, ov), binarize(u, 3))
 
     def test_flagged_rows_avoid_flagged_columns(self, rng):
-        a = cosine_affinity(seq_from(rng.standard_normal((10, 4))))
+        u = unit_rows(rng.standard_normal((10, 4)))
         flags = np.zeros(10, dtype=int)
         flags[[2, 5]] = 1
-        out = binarize(a, 2, OverlapVector(flags))
+        out = binarize(u, 2, OverlapVector(flags))
         # row 2 selected nothing among flagged columns; only the averaged
         # back-edge from an unflagged row could touch (2, 5)
         assert out[2, 5] <= 0.5
@@ -212,14 +218,16 @@ def same_csr(got, want: np.ndarray) -> bool:
 class TestBinarizeMatchesReference:
     """binarize equals the seed's row-by-row binarizers entry for entry.
 
+    The binarizers take unit rows; the references take their whole affinity.
     Each case runs twice: as built below SPARSE_MIN_N (dense), and with
     SPARSE_MIN_N forced to 0, where every graph is CSR and must hold exactly
     the arrays scipy builds from the dense reference; and each of those with
     the default row blocks and with blocks of three rows.
     """
 
-    def _check(self, a, rng):
-        n = a.shape[0]
+    def _check(self, u, rng):
+        n = u.shape[0]
+        a = full_affinity(u)
         # three-row blocks put block edges inside these small matrices
         for csr, block_rows in itertools.product((False, True), (affinity.BLOCK_ROWS, 3)):
             same = same_csr if csr else np.array_equal
@@ -227,37 +235,36 @@ class TestBinarizeMatchesReference:
                 mp.setattr(affinity, "BLOCK_ROWS", block_rows)
                 if csr:
                     mp.setattr(affinity, "SPARSE_MIN_N", 0)
-                sweep = binarize_sweep(a, range(1, n + 1))
+                sweep = binarize_sweep(u, range(1, n + 1))
                 for p, graph in zip(range(1, n + 1), sweep):
                     want = p_binarize(a, p)
-                    assert same(binarize(a, p), want)
+                    assert same(binarize(u, p), want)
                     assert same(graph, want)
                     for flags in flag_cases(n, rng):
                         ov = OverlapVector(flags)
                         want = overlap_aware_binarize(a, p, ov)
-                        assert same(binarize(a, p, ov), want), (p, flags, csr)
-                        assert same(build_bundle(a, p, ov).binarized, want)
+                        assert same(binarize(u, p, ov), want), (p, flags, csr)
+                        assert same(build_bundle(u, p, ov).binarized, want)
                 # budgets out of order, counts mixed with per-row counts: each
                 # graph keeps its own cutoff from the loosest one's candidates
                 budgets = [min(9, n), min(3, n), rng.integers(1, n + 1, n), 1]
-                for budget, graph in zip(budgets, binarize_sweep(a, budgets), strict=True):
+                for budget, graph in zip(budgets, binarize_sweep(u, budgets), strict=True):
                     assert same(graph, p_binarize(a, budget)), (budget, csr)
 
     def test_random_affinities(self, rng):
         for n in (2, 3, 7, 16):
-            self._check(cosine_affinity(seq_from(rng.standard_normal((n, 4)))), rng)
+            self._check(unit_rows(rng.standard_normal((n, 4))), rng)
 
     def test_quantized_affinities_with_ties(self, rng):
-        # one decimal leaves many equal values per row, so the tie rule decides
+        # integer vectors in {-1, 0, 1}^3 leave many equal cosines per row,
+        # equal to a few ulps, so the tie rule decides
         for n in (5, 12):
-            raw = np.round(rng.uniform(-1, 1, size=(n, n)), 1)
-            a = 0.5 * (raw + raw.T)
-            np.fill_diagonal(a, 1.0)
-            self._check(a, rng)
+            vecs = rng.integers(-1, 2, size=(4 * n, 3))
+            self._check(unit_rows(vecs[np.abs(vecs).sum(axis=1) > 0][:n]), rng)
 
     def test_duplicate_vectors(self, rng):
         vecs = rng.standard_normal((4, 3))
-        self._check(cosine_affinity(seq_from(vecs[rng.integers(0, 4, 11)])), rng)
+        self._check(unit_rows(vecs[rng.integers(0, 4, 11)]), rng)
 
     def test_flag_length_mismatch(self):
         with pytest.raises(ContractError, match="length"):
@@ -269,7 +276,7 @@ def test_csr_sweep_candidates_take_int32_indices():
     # rows and columns the sweep peaks near 16 N x N float64 arrays, with int32 near 10
     n = 720
     assert n >= affinity.SPARSE_MIN_N
-    ones = np.ones((n, n))
+    ones = np.ones((n, 1))  # n equal unit rows
     next(binarize_sweep(ones, [20]))  # lazy scipy imports
     tracemalloc.start()
     try:
@@ -290,7 +297,8 @@ def flags_at(n, rows):
 
 
 class TestBlockedSweep:
-    """Row blocks at their real size: every graph equals the oracles'.
+    """Row blocks at their real size: every graph equals the oracles' on the
+    whole affinity u u^T, although each block's products are computed apart.
 
     Each size runs with the graphs forced dense and forced CSR; the sizes sit
     on both sides of one and two block edges and of SPARSE_MIN_N.
@@ -305,9 +313,10 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1,
                                    affinity.SPARSE_MIN_N - 1, affinity.SPARSE_MIN_N])
     def test_matches_oracles(self, n, same, rng):
-        a = cosine_affinity(seq_from(rng.standard_normal((n, 6))))
+        u = unit_rows(rng.standard_normal((n, 6)))
+        a = full_affinity(u)
         budgets = [20, 2, rng.integers(1, 9, n)]
-        for budget, graph in zip(budgets, binarize_sweep(a, budgets), strict=True):
+        for budget, graph in zip(budgets, binarize_sweep(u, budgets), strict=True):
             assert same(graph, p_binarize(a, budget))
         flag_sets = {
             "random": np.flatnonzero(rng.uniform(size=n) < 0.15),
@@ -318,39 +327,66 @@ class TestBlockedSweep:
         for name, rows in flag_sets.items():
             ov = flags_at(n, rows)
             for p in (1, 3, 20):
-                assert same(binarize(a, p, ov), overlap_aware_binarize(a, p, ov)), (name, p)
+                assert same(binarize(u, p, ov), overlap_aware_binarize(a, p, ov)), (name, p)
 
-    @pytest.mark.parametrize("n", [B + 1, 2 * B + 1, affinity.SPARSE_MIN_N + 1])
-    def test_index_reads_the_submatrix(self, n, same, rng):
-        a = cosine_affinity(seq_from(rng.standard_normal((n, 6))))
-        for index in (np.flatnonzero(rng.uniform(size=n) < 0.85),  # sorted, as counting passes it
-                      rng.permutation(n)[: n - 3]):
+    @pytest.mark.parametrize("m", [B - 1, B, B + 1, 2 * B + 1, affinity.SPARSE_MIN_N + 1])
+    def test_index_reads_the_submatrix(self, m, same, rng):
+        # m indexed rows out of m + 7, so the index's block edges fall at m's
+        n = m + 7
+        u = unit_rows(rng.standard_normal((n, 6)))
+        a = full_affinity(u)
+        for index in (np.sort(rng.choice(n, m, replace=False)),  # sorted, as counting passes it
+                      rng.permutation(n)[:m]):
             sub = a[np.ix_(index, index)]
-            budgets = [2, 20, rng.integers(1, 9, index.size)]
-            for budget, graph in zip(budgets, binarize_sweep(a, budgets, index), strict=True):
+            budgets = [2, 20, rng.integers(1, 9, m)]
+            for budget, graph in zip(budgets, binarize_sweep(u, budgets, index), strict=True):
                 assert same(graph, p_binarize(sub, budget))
+
+    def test_diagonal_kept_when_an_index_shifts_the_blocks(self, same, rng):
+        # rows of norm 0.5 multiply to at most 0.25, so a row's top value is
+        # the 1 written on its diagonal only if that 1 lands in its own column
+        n = 2 * B + 7
+        half = 0.5 * unit_rows(rng.standard_normal((n, 6)))
+        index = rng.permutation(n)[5:]
+        graphs = list(binarize_sweep(half, [1, 3, 20, rng.integers(1, 9, index.size)], index))
+        assert same(graphs[0], np.eye(index.size))
+        for graph in graphs:
+            diag = graph.diagonal() if hasattr(graph, "diagonal") else np.diag(graph)
+            assert np.array_equal(diag, np.ones(index.size))
 
 
 class TestFiniteContractPerBlock:
-    """A non-finite value anywhere is refused, whichever block holds it."""
+    """A non-finite value anywhere is refused, whichever block holds it.
 
-    N = 2 * B + 1  # the last block holds one row
+    Rows of +-1e200 multiply to finite values with the unit rows, and with
+    each other to +-inf, or to nan where two such terms cancel: two of them
+    put a non-finite value at two entries only.
+    """
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    N = 2 * B + 3  # the last block holds three rows
+    FIRST = [1e200, 1e200, 0.0, 0.0]
+    SECOND = {np.inf: FIRST, -np.inf: [-1e200, -1e200, 0.0, 0.0],
+              "nan": [1e200, -1e200, 0.0, 0.0]}
+
+    def overflowing(self, i, j, bad, rng):
+        u = unit_rows(rng.standard_normal((self.N, 4)))
+        u[i], u[j] = self.FIRST, self.SECOND[bad]
+        return u
+
+    @pytest.mark.parametrize("bad", ["nan", np.inf, -np.inf])
     def test_last_block_checked(self, bad, rng):
-        a = cosine_affinity(seq_from(rng.standard_normal((self.N, 4))))
-        a[self.N - 1, 5] = bad
+        u = self.overflowing(self.N - 2, self.N - 1, bad, rng)  # both in the last block
         with pytest.raises(ContractError, match="finite"):
-            binarize(a, 3)
+            binarize(u, 3)
         with pytest.raises(ContractError, match="finite"):
-            binarize(a, 3, flags_at(self.N, [1, 2]))
+            binarize(u, 3, flags_at(self.N, [1, 2]))
         with pytest.raises(ContractError, match="finite"):
-            next(binarize_sweep(a, [3]))
+            next(binarize_sweep(u, [3]))
+        next(binarize_sweep(u[:-1], [3]))  # one such row alone is finite everywhere
 
     def test_nan_between_flagged_rows_checked_before_the_mask(self, rng):
-        # -inf masks flagged x flagged pairs; the NaN under the mask must still count
-        a = cosine_affinity(seq_from(rng.standard_normal((self.N, 4))))
+        # -inf masks flagged x flagged pairs; the nan under the mask must still count
         i, j = self.N - 1, B + 3
-        a[i, j] = a[j, i] = np.nan
+        u = self.overflowing(i, j, "nan", rng)
         with pytest.raises(ContractError, match="finite"):
-            binarize(a, 3, flags_at(self.N, [i, j]))
+            binarize(u, 3, flags_at(self.N, [i, j]))

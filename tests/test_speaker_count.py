@@ -3,13 +3,13 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import block_affinity
+from conftest import block_units
 from diarcut import affinity, speaker_count
 from diarcut.errors import ContractError, IndeterminateSpeakerCountError, NumericalError
 from diarcut.speaker_count import ZERO_SNAP, eigengap_vector, estimate
 from diarcut.synth import SynthConfig, generate
 from diarcut.affinity import cosine_affinity
-from oracles import laplacian, p_binarize
+from oracles import full_affinity, laplacian, p_binarize
 
 
 class TestEigengapVector:
@@ -31,23 +31,23 @@ class TestEigengapVector:
 
 class TestEstimateBlockDiagonal:
     def test_two_blocks_small_sweep(self):
-        report = estimate(block_affinity([3, 3]), p_min=2, p_max=3)
+        report = estimate(block_units([3, 3]), p_min=2, p_max=3)
         assert report.k_hat == 2
         assert report.p_hat in (2, 3)
 
     def test_three_blocks(self):
-        report = estimate(block_affinity([5, 6, 7]))
+        report = estimate(block_units([5, 6, 7]))
         assert report.k_hat == 3
 
     @pytest.mark.parametrize("c", [2, 3, 4, 5, 6])
     def test_component_count_recovered(self, c):
         sizes = [10 + (i % 3) for i in range(c)]
-        assert estimate(block_affinity(sizes)).k_hat == c
+        assert estimate(block_units(sizes)).k_hat == c
 
     def test_permutation_invariance(self, rng):
-        a = block_affinity([4, 5, 6])
-        perm = rng.permutation(a.shape[0])
-        assert estimate(a[np.ix_(perm, perm)]).k_hat == estimate(a).k_hat
+        u = block_units([4, 5, 6])
+        perm = rng.permutation(u.shape[0])
+        assert estimate(u[perm]).k_hat == estimate(u).k_hat
 
 
 class TestEstimateSynthetic:
@@ -69,49 +69,51 @@ class TestEstimateContract:
         assert report.p_hat == report.p_values[best]
 
     def test_sweep_clipped_to_n_minus_one(self):
-        report = estimate(block_affinity([4, 4]))
+        report = estimate(block_units([4, 4]))
         assert report.p_values[-1] == 7
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_affinity_rejected(self, bad):
-        a = np.eye(3)
-        a[0, 1] = a[1, 0] = bad
+        u = np.eye(3)
+        u[0, 1] = bad
         with pytest.raises(ContractError, match="finite"):
-            estimate(a)
+            estimate(u)
 
-    def test_non_square_affinity_rejected(self):
-        with pytest.raises(ContractError, match="square"):
-            estimate(np.ones((3, 2)))
+    def test_rows_not_a_matrix_rejected(self):
+        with pytest.raises(ContractError, match="2-D"):
+            estimate(np.ones(3))
 
     def test_non_finite_affinity_rejected_without_a_sweep(self):
-        a = np.ones((3, 3))
-        a[2, 0] = np.nan
+        u = np.eye(3)
+        u[2, 1] = np.nan  # every product with row 2 is nan
         with pytest.raises(ContractError, match="finite"):
-            estimate(a, p_min=3)
+            estimate(u, p_min=3)
         with pytest.raises(ContractError, match="finite"):
-            estimate(a, p_min=2, index=[0, 2])
+            estimate(u, p_min=2, index=[0, 2])
+        assert estimate(u, p_min=2, index=[0, 1]).p_values == []
 
     def test_non_finite_value_in_the_last_row_block_rejected(self):
-        n = 2 * affinity.BLOCK_ROWS + 1
-        a = synth_affinity(4, n, 0.1, 1)
-        a[n - 1, 3] = np.inf  # the last row, in the last block with or without the index
+        # two rows of 1e200 multiply to inf with each other only
+        n = 2 * affinity.BLOCK_ROWS + 3
+        u = synth_units(4, n, 0.1, 1)
+        u[[n - 2, n - 1]] = np.eye(u.shape[1])[0] * 1e200  # in the last block either way
         index = np.delete(np.arange(n), 7)
         with pytest.raises(ContractError, match="finite"):
-            estimate(a, p_max=3)
+            estimate(u, p_max=3)
         with pytest.raises(ContractError, match="finite"):
-            estimate(a, p_max=3, index=index)
-        assert estimate(a, p_max=3, index=index[:-1]).p_values == [2, 3]  # the row left out
+            estimate(u, p_max=3, index=index)
+        assert estimate(u, p_max=3, index=index[:-1]).p_values == [2, 3]  # a row left out
 
     def test_index_reads_the_submatrix(self):
         # a CSR-sized count through the index, as the pipeline runs it on the
         # single-speaker rows, against the same count on the copied submatrix
         data = generate(SynthConfig(n_speakers=5, n_segments=900, noise_sigma=0.15,
                                     overlap_fraction=0.15, seed=2))
-        a = cosine_affinity(data.embeddings)
+        u = cosine_affinity(data.embeddings)
         singles = np.flatnonzero(data.overlap.flags == 0)
         assert singles.size >= affinity.SPARSE_MIN_N
-        got = estimate(a, p_max=8, index=singles).to_dict()
-        assert got == estimate(a[np.ix_(singles, singles)], p_max=8).to_dict()
+        got = estimate(u, p_max=8, index=singles).to_dict()
+        assert got == estimate(u[singles], p_max=8).to_dict()
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ContractError, match="sweep"):
@@ -119,40 +121,35 @@ class TestEstimateContract:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_few_segments_give_one_speaker(self, n):
-        report = estimate(np.ones((n, n)), p_min=n, p_max=20)
+        report = estimate(np.ones((n, 1)), p_min=n, p_max=20)
         assert report.p_values == [] and (report.p_hat, report.k_hat) == (n, 1)
 
     def test_indeterminate_affinity(self):
         # p=1 keeps only the diagonal: every segment is its own component, and
         # with no more segments than max_speakers the count is undetermined
-        a = np.full((6, 6), 0.5)
-        np.fill_diagonal(a, 1.0)
         with pytest.raises(IndeterminateSpeakerCountError):
-            estimate(a, p_min=1, p_max=1)
+            estimate(on_circle(0.0, 1.0, 2.0, 3.0, 4.0, 5.0), p_min=1, p_max=1)
 
     def test_more_components_than_the_cap_clamp(self, caplog):
         # isolated pairs at every candidate p: 12 components, more than the
-        # max_speakers + 1 eigenvalues of the gap window, so every g_p is zero
-        n = 24
-        a = np.zeros((n, n))
-        for i in range(0, n, 2):
-            a[i, i + 1] = a[i + 1, i] = 0.9
-        np.fill_diagonal(a, 1.0)
+        # max_speakers + 1 eigenvalues of the gap window, so every g_p is zero;
+        # pair i holds two rows 0.45 rad apart (cosine 0.9) in its own plane
+        pairs = on_circle(0.0, 0.45)
+        u = np.kron(np.eye(12), pairs)
         with caplog.at_level(logging.WARNING, logger="diarcut.speaker_count"):
-            report = estimate(a, p_min=2, p_max=2)
+            report = estimate(u, p_min=2, p_max=2)
         assert (report.p_hat, report.k_hat) == (2, 10)
         assert report.g_values == [0.0]
         assert "clamped" in caplog.text
 
     def test_k_hat_capped_by_max_speakers(self):
-        a = block_affinity([3] * 6)
-        report = estimate(a, max_speakers=4)
+        report = estimate(block_units([3] * 6), max_speakers=4)
         assert 1 <= report.k_hat <= 4
 
     def test_report_serializable(self):
         import json
 
-        report = estimate(block_affinity([4, 5]))
+        report = estimate(block_units([4, 5]))
         parsed = json.loads(json.dumps(report.to_dict()))
         assert parsed["p_hat"] == report.p_hat
 
@@ -167,8 +164,9 @@ class TestEstimateContract:
                 assert (np.diff(lam) >= -1e-12).all()
 
     def test_sweep_spectra_match_reference_binarization(self, rng):
-        a = cosine_affinity(EmbSeqStub(rng.standard_normal((30, 5))))
-        report = estimate(a)
+        u = cosine_affinity(EmbSeqStub(rng.standard_normal((30, 5))))
+        report = estimate(u)
+        a = full_affinity(u)
         m = report.max_speakers + 1
         for p, lam, lam_max in zip(
             report.p_values, report.eigenvalues_per_p, report.lambda_max_per_p
@@ -189,23 +187,29 @@ class TestEstimateContract:
             assert g == gaps.max() / (lam_max + speaker_count.EPSILON)
 
 
-def synth_affinity(speakers, segments, sigma, seed):
+def on_circle(*angles):
+    """Unit rows [cos t, sin t]: the affinity of two is the cosine of their angle."""
+    t = np.asarray(angles, dtype=float)
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+def synth_units(speakers, segments, sigma, seed):
     cfg = SynthConfig(n_speakers=speakers, n_segments=segments, noise_sigma=sigma, seed=seed)
     return cosine_affinity(generate(cfg).embeddings)
 
 
 class TestClampWarning:
     def test_silent_below_the_cap(self, caplog):
-        a = synth_affinity(2, 120, 0.15, 0)
+        u = synth_units(2, 120, 0.15, 0)
         with caplog.at_level(logging.WARNING, logger="diarcut.speaker_count"):
-            report = estimate(a)
+            report = estimate(u)
         assert report.k_hat == 2
         assert "clamped" not in caplog.text
 
     def test_fires_at_the_cap(self, caplog):
-        a = synth_affinity(10, 300, 0.02, 1)
+        u = synth_units(10, 300, 0.02, 1)
         with caplog.at_level(logging.WARNING, logger="diarcut.speaker_count"):
-            report = estimate(a)
+            report = estimate(u)
         assert report.k_hat == report.max_speakers == 10
         assert "clamped" in caplog.text
 
@@ -224,10 +228,10 @@ class TestLanczosBranch:
         [(10, 300, 0.02, 1), (9, 250, 0.03, 2), (10, 400, 0.05, 3), (9, 350, 0.04, 4)],
     )
     def test_matches_dense(self, monkeypatch, speakers, segments, sigma, seed):
-        a = synth_affinity(speakers, segments, sigma, seed)
-        dense = estimate(a)
+        u = synth_units(speakers, segments, sigma, seed)
+        dense = estimate(u)
         monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
-        lanczos = estimate(a)
+        lanczos = estimate(u)
         assert lanczos.p_values == dense.p_values
         for got, want in zip(lanczos.eigenvalues_per_p, dense.eigenvalues_per_p):
             assert got.shape == want.shape
@@ -240,14 +244,14 @@ class TestLanczosBranch:
         assert (lanczos.p_hat, lanczos.k_hat) == (dense.p_hat, dense.k_hat)
 
     def test_graph_narrower_than_basis_stays_dense(self, monkeypatch):
-        a = synth_affinity(3, 30, 0.1, 2)
-        want = estimate(a).to_dict()
+        u = synth_units(3, 30, 0.1, 2)
+        want = estimate(u).to_dict()
         monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
-        assert estimate(a).to_dict() == want
+        assert estimate(u).to_dict() == want
 
     def test_deterministic(self, sparse):
-        a = synth_affinity(4, 100, 0.1, 6)
-        assert estimate(a).to_dict() == estimate(a).to_dict()
+        u = synth_units(4, 100, 0.1, 6)
+        assert estimate(u).to_dict() == estimate(u).to_dict()
 
     def test_many_components_skip_the_solve(self, sparse, monkeypatch):
         from scipy.sparse import linalg as sla
@@ -279,7 +283,7 @@ class TestLanczosBranch:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(csgraph, "connected_components", counted)
-        report = estimate(synth_affinity(4, 100, 0.1, 6))
+        report = estimate(synth_units(4, 100, 0.1, 6))
         # lambda_max comes from plain Lanczos; only the low end deflates
         assert calls == [(100, 100)] * len(report.p_values)
 
@@ -294,7 +298,7 @@ class TestLanczosBranch:
 
         monkeypatch.setattr(sla, "eigsh", fail)
         with pytest.raises(NumericalError, match="Lanczos"):
-            estimate(synth_affinity(3, 60, 0.1, 2))
+            estimate(synth_units(3, 60, 0.1, 2))
 
 
 class EmbSeqStub:

@@ -67,12 +67,12 @@ class TestNoiselessStructure:
     def test_block_constant_affinity(self):
         cfg = SynthConfig(n_speakers=3, n_segments=24, seed=3)
         result = generate(cfg)
-        aff = cosine_affinity(result.embeddings)
+        u = cosine_affinity(result.embeddings)
         labels = [lab[0] for lab in result.labels]
         for i in range(24):
             for j in range(24):
                 if labels[i] == labels[j]:
-                    assert aff[i, j] == pytest.approx(1.0, abs=1e-12)
+                    assert u[i] @ u[j] == pytest.approx(1.0, abs=1e-12)
         # full pipeline on the clean input is error-free
         out = diarize_embeddings(result.embeddings)
         assert der_score(result.reference, out.timeline).der == pytest.approx(0.0)
@@ -90,10 +90,10 @@ class TestNoiselessStructure:
         flags[target] = 1
         seq = base.embeddings
         seq.vectors = vectors
-        aff = cosine_affinity(seq)
+        u = cosine_affinity(seq)
         block0 = [i for i, lab in enumerate(base.labels) if lab == (0,) and i != target]
         block1 = [i for i, lab in enumerate(base.labels) if lab == (1,) and i != target]
-        assert aff[target, block0[0]] == pytest.approx(aff[target, block1[0]], abs=1e-12)
+        assert u[target] @ u[block0[0]] == pytest.approx(u[target] @ u[block1[0]], abs=1e-12)
 
         out = diarize_embeddings(seq, OverlapVector(flags))
         row = out.assignment.matrix[target]
