@@ -115,8 +115,8 @@ def binarize(unit: np.ndarray, p: int, overlap: OverlapVector | None = None):
     return next(binarize_sweep(u, [budget], flagged=flagged))
 
 
-def binarize_sweep(unit: np.ndarray, budgets, index=None, flagged=None):
-    """One top-``budget`` graph of the affinity of ``unit[index]`` per budget.
+def binarize_sweep(unit: np.ndarray, budgets, flagged=None):
+    """One top-``budget`` graph of the affinity of ``unit`` per budget.
 
     The affinity of unit rows u is u u^T with a unit diagonal. A budget is a
     count or one per row. Entries between two rows set in the boolean
@@ -126,14 +126,13 @@ def binarize_sweep(unit: np.ndarray, budgets, index=None, flagged=None):
     its cutoffs; the graphs come from its entries at or above its lowest one,
     so no N x N affinity is formed.
     """
-    u = unit if index is None else unit[index]  # one gather per sweep
-    n = u.shape[0]
+    n = unit.shape[0]
     picks = n - np.array([np.full(n, b) for b in budgets])  # budgets x rows
     cutoffs = np.empty(picks.shape)
     cands = []  # per block: values, then int32 rows and columns (CSR's index type)
     for start in range(0, n, BLOCK_ROWS):
         part = slice(start, start + BLOCK_ROWS)
-        block = affinity_rows(u, start, start + BLOCK_ROWS)
+        block = affinity_rows(unit, start, start + BLOCK_ROWS)
         if flagged is not None:
             block = np.where(flagged[part, None] & flagged, -np.inf, block)
         cutoffs[:, part] = np.sort(block, axis=1)[np.arange(len(block)), picks[:, part]] - TIE_EPS

@@ -104,11 +104,11 @@ def _cmd_synth(args) -> int:
 
 def _cmd_diarize(args) -> int:
     p_min, p_max = _parse_p_range(args.p_range)
+    config = DiarizationConfig(p_min=p_min, p_max=p_max, **_field_values(args, DIARIZE_FIELDS))
     seq = ingest.load_embeddings(args.embeddings)
     overlap = None
     if args.flags:
         overlap = ingest.load_overlap_flags(args.flags, expected_length=len(seq))
-    config = DiarizationConfig(p_min=p_min, p_max=p_max, **_field_values(args, DIARIZE_FIELDS))
     result = diarize_embeddings(seq, overlap, config)
     ingest.write_rttm(result.timeline, args.out)
     if args.dump_report:
@@ -131,8 +131,8 @@ def _cmd_diarize(args) -> int:
 
 
 def _cmd_detect_overlap(args) -> int:
-    post = ingest.load_posteriors(args.posteriors)
     cfg = overlap_decode.DurationConfig(**_field_values(args, DURATION_FIELDS))
+    post = ingest.load_posteriors(args.posteriors)
     labels = overlap_decode.viterbi(post, cfg)
     seq = ingest.load_embeddings(args.segments)
     flags = overlap_decode.frames_to_flags(labels, seq.spans)

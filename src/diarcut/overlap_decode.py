@@ -54,7 +54,7 @@ _ALLOWED_INTO = {
 
 @dataclass(frozen=True)
 class DurationConfig:
-    """Run-length bounds in seconds and per-class posterior bias weights."""
+    """Run-length bounds in seconds per class; a max of None is unbounded."""
 
     min_single: float = 0.03
     max_single: float | None = 10.0
@@ -62,9 +62,6 @@ class DurationConfig:
     max_overlap: float | None = 5.0
     min_silence: float = 0.01
     max_silence: float | None = None
-    bias_silence: float = 1.0
-    bias_single: float = 1.0
-    bias_overlap: float = 1.0
 
     def __post_init__(self):
         for cls, name in enumerate(CLASS_NAMES):
@@ -75,9 +72,6 @@ class DurationConfig:
                 raise ConfigError(
                     f"max_{name}={hi} must be finite and at least min_{name}={lo}"
                 )
-            bias = self.biases()[cls]
-            if not (math.isfinite(bias) and bias >= 0):
-                raise ConfigError(f"bias_{name} must be finite and non-negative, got {bias}")
 
     def bounds(self, cls: int) -> tuple[float, float | None]:
         return (
@@ -85,9 +79,6 @@ class DurationConfig:
             (self.min_single, self.max_single),
             (self.min_overlap, self.max_overlap),
         )[cls]
-
-    def biases(self) -> np.ndarray:
-        return np.array([self.bias_silence, self.bias_single, self.bias_overlap])
 
 
 @dataclass
@@ -236,13 +227,16 @@ def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
 def viterbi(posteriors: FramePosteriors, cfg: DurationConfig) -> FrameLabels:
     """Most likely duration-feasible labeling of the posterior sequence.
 
-    Emission score is log(bias_c * p_c(t)).  Raises InfeasiblePathError when
-    no labeling satisfies the constraints (e.g. the sequence is shorter than
-    every minimum duration).
+    Emission score is log p_c(t).  To weight the classes by w_c, scale the
+    posterior columns and renormalize each row: the renormalization adds one
+    constant per frame to all three scores log(w_c * p_c(t)), so the decoded
+    path is the one those weighted scores give.  Raises
+    InfeasiblePathError when no labeling satisfies the constraints (e.g. the
+    sequence is shorter than every minimum duration).
     """
     bounds = run_bounds(cfg, posteriors.frame_shift)
     with np.errstate(divide="ignore"):
-        log_emis = np.log(posteriors.rows * cfg.biases()[None, :])
+        log_emis = np.log(posteriors.rows)
     result = FrameLabels(decode(log_emis, bounds), posteriors.frame_shift)
     check_labels(result, cfg)
     return result

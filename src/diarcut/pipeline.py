@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import affinity, speaker_count, spectral
+from .errors import ConfigError
 from .ingest import EmbeddingSequence, OverlapVector, Timeline, assignment_to_timeline
 from .speaker_count import EigengapReport
 from .spectral import AssignmentMatrix, DiscretizeResult
@@ -27,6 +28,14 @@ class DiarizationConfig:
     p_max: int = 20
     max_speakers: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"need seed >= 0, got {self.seed}")
+        if self.max_speakers < 1:
+            raise ConfigError("max_speakers must be at least 1")
+        if not 1 <= self.p_min <= self.p_max:
+            raise ConfigError(f"need 1 <= p_min <= p_max, got {self.p_min}:{self.p_max}")
 
 
 @dataclass
@@ -65,15 +74,14 @@ def diarize_embeddings(
     singles = np.flatnonzero(overlap.flags == 0)
     # Counting needs a meaningful sweep over the rows it sees; with too few
     # single-speaker rows fall back to all rows.
-    use_submatrix = overlap.any() and singles.size > config.p_min + 1
-    if overlap.any() and not use_submatrix:
+    count_singles = overlap.any() and singles.size > config.p_min + 1
+    if overlap.any() and not count_singles:
         log.warning(
-            "only %d non-overlap segments; estimating the speaker count "
-            "on the full affinity",
+            "only %d non-overlap segments; estimating the speaker count on all rows",
             singles.size,
         )
-    report = speaker_count.estimate(unit, config.p_min, config.p_max, config.max_speakers,
-                                    singles if use_submatrix else None)
+    report = speaker_count.estimate(unit[singles] if count_singles else unit,
+                                    config.p_min, config.p_max, config.max_speakers)
     k = report.k_hat
     if overlap.any() and k < 2:
         # an overlapping segment means two concurrent speakers by definition;

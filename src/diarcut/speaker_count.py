@@ -121,7 +121,6 @@ def estimate(
     p_min: int = 2,
     p_max: int = 20,
     max_speakers: int = 10,
-    index=None,
 ) -> EigengapReport:
     """Sweep the binarization factor and estimate the number of speakers.
 
@@ -141,14 +140,14 @@ def estimate(
     count is clamped to max_speakers at the largest swept p.
 
     Args:
-        unit: N x d unit rows from ``affinity.cosine_affinity``; the
-            affinity is their products, with the diagonal taken as 1.
+        unit: N x d unit rows from ``affinity.cosine_affinity``, only those
+            to count on (e.g. the single-speaker rows); the affinity is
+            their products, with the diagonal taken as 1.
         p_min, p_max: inclusive sweep bounds; the effective upper bound is
             clipped to N-1.  With N-1 < p_min the sweep is empty and the
             estimate is one speaker at p_hat = N.
         max_speakers: cap on the estimated count; the gap search is limited
             to this many leading positions.
-        index: optional rows to count on, gathered once for the sweep.
 
     Returns:
         EigengapReport with per-p partial spectra and the chosen
@@ -158,7 +157,7 @@ def estimate(
         IndeterminateSpeakerCountError: every g_p = 0 with N <= max_speakers.
     """
     u = aff.unit_rows(unit)
-    n = u.shape[0] if index is None else len(index)
+    n = u.shape[0]
     if max_speakers < 1:
         raise ContractError("max_speakers must be at least 1")
     if not 1 <= p_min <= p_max:
@@ -166,8 +165,7 @@ def estimate(
     hi = min(p_max, n - 1)
     if hi < p_min:
         # Too few segments to sweep: one speaker, every segment linked.
-        rows = u if index is None else u[index]
-        aff.affinity_rows(rows, 0, len(rows))  # at most p_min rows, checked finite
+        aff.affinity_rows(u, 0, n)  # at most p_min rows, checked finite
         log.warning("%d segments are too few for a sweep from p=%d; one speaker", n, p_min)
         return EigengapReport([], [], [], [], [], [], n, 1, max_speakers)
 
@@ -178,7 +176,7 @@ def estimate(
     g_values: list[float] = []
     r_values: list[float] = []
 
-    for p, graph in zip(p_values, aff.binarize_sweep(u, p_values, index)):
+    for p, graph in zip(p_values, aff.binarize_sweep(u, p_values)):
         lam, lam_max = low_spectrum(graph, max_speakers + 1)
         gaps = eigengap_vector(lam)
         g = float(gaps.max()) / (lam_max + EPSILON) if gaps.size else 0.0

@@ -171,12 +171,10 @@ def degree_normalize(assignment, degree: np.ndarray) -> np.ndarray:
 # overlap decoder
 
 
-def path_score(
-    labels: np.ndarray, posteriors: FramePosteriors, cfg: DurationConfig
-) -> float:
+def path_score(labels: np.ndarray, posteriors: FramePosteriors) -> float:
     """Emission score of an arbitrary labeling under the decoder's model."""
     with np.errstate(divide="ignore"):
-        log_emis = np.log(posteriors.rows * cfg.biases()[None, :])
+        log_emis = np.log(posteriors.rows)
     return float(log_emis[np.arange(len(labels)), np.asarray(labels)].sum())
 
 

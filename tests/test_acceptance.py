@@ -221,7 +221,7 @@ def test_c08_viterbi_brute_force():
             t_len = int(rng.integers(3, 13))
             post = random_posteriors(rng, t_len)
             labels = viterbi(post, cfg)
-            got = path_score(labels.labels, post, cfg)
+            got = path_score(labels.labels, post)
             best = brute_force_best(post, cfg)
             assert got == pytest.approx(best, abs=1e-9)
             runs = labels.runs()

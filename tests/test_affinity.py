@@ -331,7 +331,9 @@ class TestBlockedSweep:
 
     @pytest.mark.parametrize("m", [B - 1, B, B + 1, 2 * B + 1, affinity.SPARSE_MIN_N + 1])
     def test_index_reads_the_submatrix(self, m, same, rng):
-        # m indexed rows out of m + 7, so the index's block edges fall at m's
+        # m rows gathered out of m + 7, as counting gathers the single-speaker
+        # rows, against the oracle on the same rows and columns of the whole
+        # affinity
         n = m + 7
         u = unit_rows(rng.standard_normal((n, 6)))
         a = full_affinity(u)
@@ -339,16 +341,17 @@ class TestBlockedSweep:
                       rng.permutation(n)[:m]):
             sub = a[np.ix_(index, index)]
             budgets = [2, 20, rng.integers(1, 9, m)]
-            for budget, graph in zip(budgets, binarize_sweep(u, budgets, index), strict=True):
+            for budget, graph in zip(budgets, binarize_sweep(u[index], budgets), strict=True):
                 assert same(graph, p_binarize(sub, budget))
 
     def test_diagonal_kept_when_an_index_shifts_the_blocks(self, same, rng):
         # rows of norm 0.5 multiply to at most 0.25, so a row's top value is
-        # the 1 written on its diagonal only if that 1 lands in its own column
+        # the 1 written on its diagonal only if that 1 lands in its own
+        # column; the 2B + 2 gathered rows fill three blocks, the last of two
         n = 2 * B + 7
         half = 0.5 * unit_rows(rng.standard_normal((n, 6)))
         index = rng.permutation(n)[5:]
-        graphs = list(binarize_sweep(half, [1, 3, 20, rng.integers(1, 9, index.size)], index))
+        graphs = list(binarize_sweep(half[index], [1, 3, 20, rng.integers(1, 9, index.size)]))
         assert same(graphs[0], np.eye(index.size))
         for graph in graphs:
             diag = graph.diagonal() if hasattr(graph, "diagonal") else np.diag(graph)

@@ -275,6 +275,19 @@ class TestDiarizeCommand:
         assert code == 2
         assert "seed >= 0" in err
 
+    @pytest.mark.parametrize("option, message", [
+        (["--seed", "-1"], "seed >= 0"),
+        (["--max-speakers", "0"], "max_speakers must be at least 1"),
+        (["--p-range", "5:4"], "p_min <= p_max, got 5:4"),
+        (["--p-range", "0:4"], "p_min <= p_max, got 0:4"),
+    ])
+    def test_bad_setting_fails_before_the_input_is_read(self, tmp_path, capsys, option, message):
+        missing = tmp_path / "missing.txt"
+        code, _, err = run_cli(capsys, "diarize", "--embeddings", str(missing),
+                               "--out", str(tmp_path / "h.rttm"), *option)
+        assert code == 2
+        assert message in err and "missing.txt" not in err
+
     def test_zero_max_speakers_exits_2(self, synth_dir, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -649,7 +662,7 @@ class TestDetectOverlapCommand:
             ([], "nan"),
             (["--min-overlap", "nan"], "0.01"),
             (["--max-single", "nan"], "0.01"),
-            (["--bias-single", "nan"], "0.01"),
+            (["--min-silence", "nan"], "0.01"),
         ],
     )
     def test_nan_settings_exit_2(self, tmp_path, capsys, option, header):
@@ -665,6 +678,14 @@ class TestDetectOverlapCommand:
         )
         assert code == 2
         assert "must be" in err
+
+    def test_bad_setting_fails_before_the_input_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        code, _, err = run_cli(capsys, "detect-overlap", "--posteriors", str(missing),
+                               "--segments", str(missing), "--out", str(tmp_path / "f.txt"),
+                               "--min-overlap", "nan")
+        assert code == 2
+        assert "min_overlap must be" in err and "missing.txt" not in err
 
     def test_flags_follow_segment_lines(self, tmp_path, capsys):
         # overlap on [0.5 s, 1.6 s) flags the windows starting at 0 and 0.75
@@ -782,6 +803,20 @@ class TestUsage:
             assert err.startswith("usage: diarcut")
             assert f"unrecognized arguments: {argv[-2]}" in err
         assert not (tmp_path / "h.rttm").exists() and not (tmp_path / "s").exists()
+
+    def test_bias_options_are_gone(self, tmp_path, capsys):
+        # a class is weighted by rescaling the posterior rows, not by an option
+        with pytest.raises(SystemExit):
+            main(["detect-overlap", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--min-overlap" in help_text and "--bias" not in help_text
+        for name in ("silence", "single", "overlap"):
+            with pytest.raises(SystemExit) as exc:
+                main(["detect-overlap", "--posteriors", "p.txt", "--segments", "s.txt",
+                      "--out", str(tmp_path / "f.txt"), f"--bias-{name}", "2"])
+            assert exc.value.code == 1
+            assert f"unrecognized arguments: --bias-{name} 2" in capsys.readouterr().err
+        assert not (tmp_path / "f.txt").exists()
 
     @pytest.mark.parametrize("level", ["verbose", "5", ""])
     def test_unknown_log_level_exits_1(self, synth_dir, capsys, level):

@@ -28,7 +28,7 @@ from oracles import build_duration_hmm, chain_viterbi, path_score, transition_ma
 ALLOWED_NEXT = {SILENCE: (SINGLE,), SINGLE: (SILENCE, OVERLAP), OVERLAP: (SINGLE,)}
 
 
-def frame_config(min_sil=1, max_sil=None, min_sing=1, max_sing=None, min_ovl=1, max_ovl=None, **bias):
+def frame_config(min_sil=1, max_sil=None, min_sing=1, max_sing=None, min_ovl=1, max_ovl=None):
     """Duration bounds given in frames, mapped onto a 1-second frame shift."""
     return DurationConfig(
         min_silence=float(min_sil),
@@ -37,7 +37,6 @@ def frame_config(min_sil=1, max_sil=None, min_sing=1, max_sing=None, min_ovl=1, 
         max_single=None if max_sing is None else float(max_sing),
         min_overlap=float(min_ovl),
         max_overlap=None if max_ovl is None else float(max_ovl),
-        **bias,
     )
 
 
@@ -60,7 +59,7 @@ def brute_force_best(post: FramePosteriors, cfg: DurationConfig) -> float:
         mins[cls] = math.ceil(round(lo / shift, 9))
         maxs[cls] = None if hi is None else math.ceil(round(hi / shift, 9))
     with np.errstate(divide="ignore"):
-        log_emis = np.log(post.rows * cfg.biases()[None, :])
+        log_emis = np.log(post.rows)
 
     best = -np.inf
 
@@ -120,7 +119,7 @@ class TestDurationConfig:
             DurationConfig(min_silence=0.0)
 
     @pytest.mark.parametrize(
-        "field", ["min_overlap", "max_single", "max_silence", "bias_single", "bias_overlap"]
+        "field", ["min_overlap", "max_single", "max_silence", "min_single", "min_silence"]
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_value_rejected(self, field, value):
@@ -205,7 +204,7 @@ class TestViterbi:
         cfg = frame_config(min_ovl=4)
         labels = viterbi(post, cfg)
         assert (labels.labels == SINGLE).all()
-        assert path_score(labels.labels, post, cfg) == pytest.approx(
+        assert path_score(labels.labels, post) == pytest.approx(
             brute_force_best(post, cfg)
         )
 
@@ -216,17 +215,17 @@ class TestViterbi:
             post = random_posteriors(rng, t_len)
             labels = viterbi(post, cfg)
             check_labels(labels, cfg)
-            assert path_score(labels.labels, post, cfg) == pytest.approx(
+            assert path_score(labels.labels, post) == pytest.approx(
                 brute_force_best(post, cfg), abs=1e-9
             )
 
     def test_beats_random_feasible_paths(self, rng):
         cfg = frame_config(min_sil=1, min_sing=2, min_ovl=2, max_ovl=5)
         post = random_posteriors(rng, 30)
-        decoded = path_score(viterbi(post, cfg).labels, post, cfg)
+        decoded = path_score(viterbi(post, cfg).labels, post)
         for _ in range(1000):
             fl = random_feasible_path(rng, 30, cfg)
-            assert decoded >= path_score(fl.labels, post, cfg) - 1e-9
+            assert decoded >= path_score(fl.labels, post) - 1e-9
 
     def test_duration_bounds_hold(self, rng):
         cfg = frame_config(min_sil=2, max_sil=6, min_sing=3, max_sing=7, min_ovl=2, max_ovl=4)
@@ -298,11 +297,12 @@ class TestViterbi:
             viterbi(post, cfg)
 
     def test_bias_shifts_decisions(self):
-        rows = [[0.4, 0.6, 0.0]] * 6
-        post = posteriors_from(rows)
-        neutral = viterbi(post, frame_config())
+        # a class is weighted by scaling its posterior column and
+        # renormalizing each row: silence x2 turns [0.4, 0.6] into [4/7, 3/7]
+        rows = np.array([[0.4, 0.6, 0.0]] * 6)
+        neutral = viterbi(posteriors_from(rows), frame_config())
         assert (neutral.labels == SINGLE).all()
-        biased = viterbi(post, frame_config(bias_silence=2.0, bias_single=1.0))
+        biased = viterbi(posteriors_from(rows * [2.0, 1.0, 1.0]), frame_config())
         assert (biased.labels == SILENCE).all()
 
 
@@ -511,8 +511,8 @@ class TestMatchesChainGraph:
             assert (ours is None) == (graph is None)
             if ours is not None:
                 check_labels(FrameLabels(np.array(ours), 1.0), cfg)
-                assert path_score(np.array(ours), post, cfg) == pytest.approx(
-                    path_score(np.array(graph), post, cfg), abs=1e-9
+                assert path_score(np.array(ours), post) == pytest.approx(
+                    path_score(np.array(graph), post), abs=1e-9
                 )
 
     def test_memory_independent_of_bounds(self, rng):

@@ -4,13 +4,16 @@ The cells follow the paper's analysis of DER as overlap grows (0-40 %), on
 4-speaker recordings of 120 segments in 128 dimensions, at two noise levels
 on both sides of the counting cliff and two seeds. Each recording runs with
 oracle overlap flags, with oracle flags of which a seeded 10 % are flipped (a
-stand-in for an imperfect overlap detector), and without flags. One cell has
-more speakers than ``max_speakers``; one has 720 rows, so that counting
-(without flags) and clustering run on the Lanczos paths.
+stand-in for an imperfect overlap detector), with flags decoded from noisy
+frame posteriors by ``viterbi`` and ``frames_to_flags`` (the whole system),
+and without flags. One cell has more speakers than ``max_speakers``; one has
+720 rows, so that counting (without flags) and clustering run on the Lanczos
+paths.
 
 ``quality_grid.json`` holds ``k_hat``, ``p_hat``, the final cluster count and
-the DER of every cell; the test recomputes them and compares exactly. After a
-change that is meant to move them, rewrite the file with
+the DER of every cell, and for decoded flags the percentage of segments whose
+flag differs from the oracle's; the test recomputes them and compares
+exactly. After a change that is meant to move them, rewrite the file with
 
     PYTHONPATH=src python tests/test_quality_grid.py
 """
@@ -20,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from diarcut.ingest import OverlapVector
+from diarcut import synth
+from diarcut.ingest import FramePosteriors, OverlapVector
+from diarcut.overlap_decode import OVERLAP, SINGLE, DurationConfig, frames_to_flags, viterbi
 from diarcut.pipeline import DiarizationConfig, diarize_embeddings
 from diarcut.scoring import der_score
 from diarcut.synth import SynthConfig, generate
@@ -28,6 +33,14 @@ from diarcut.synth import SynthConfig, generate
 GRID_FILE = Path(__file__).with_name("quality_grid.json")
 
 FLIP_FRACTION = 0.1
+
+# Frame posteriors for decoded flags, as the benchmark's generator makes
+# them: the true class's logit gets LOGIT_GAIN, every logit Gaussian noise of
+# LOGIT_NOISE smoothed over NOISE_SMOOTH frames.
+FRAME_SHIFT = 0.01
+LOGIT_GAIN = 2.5
+LOGIT_NOISE = 1.0
+NOISE_SMOOTH = 5
 
 
 def grid_cells():
@@ -37,11 +50,40 @@ def grid_cells():
         for sigma in (0.15, 0.23)
         for overlap in (0.0, 0.1, 0.2, 0.3, 0.4)
         for seed in (1, 2)
-        for flags in ("oracle", "flipped", "none")
+        for flags in ("oracle", "flipped", "decoded", "none")
     ]
     cells.append((12, 200, 0.0, 0.0, 1, "none", 10))
     cells += [(4, 720, 0.1, 0.15, 1, flags, 10) for flags in ("oracle", "none")]
     return cells
+
+
+def noisy_posteriors(rng: np.random.Generator, classes: np.ndarray) -> np.ndarray:
+    """T x 3 posteriors whose rows sum to 1, peaked on the true class."""
+    noise = rng.standard_normal((len(classes) + NOISE_SMOOTH - 1, 3))
+    kernel = np.ones(NOISE_SMOOTH) / np.sqrt(NOISE_SMOOTH)
+    smooth = np.column_stack([np.convolve(noise[:, j], kernel, mode="valid") for j in range(3)])
+    logits = LOGIT_NOISE * smooth
+    logits[np.arange(len(classes)), classes] += LOGIT_GAIN
+    logits -= logits.max(axis=1, keepdims=True)
+    expo = np.exp(logits)
+    return expo / expo.sum(axis=1, keepdims=True)
+
+
+def decoded_flags(data, seed) -> OverlapVector:
+    """Flags decoded with the default duration bounds from noisy posteriors.
+
+    Segment i's label (single, or overlap when flagged) gives the true class
+    of the frames in the middle half of its window, [0.75 i + 0.375,
+    0.75 i + 1.125); these halves tile the recording, and the frames before
+    the first and after the last take the nearest segment's class.
+    """
+    spans = data.embeddings.spans
+    mid = (np.arange(round(spans[-1].end / FRAME_SHIFT)) + 0.5) * FRAME_SHIFT
+    segment = np.clip((mid - synth.WINDOW / 4) // synth.STRIDE, 0, len(spans) - 1).astype(int)
+    classes = np.where(data.overlap.flags[segment] == 1, OVERLAP, SINGLE)
+    rows = noisy_posteriors(np.random.default_rng(seed), classes)
+    labels = viterbi(FramePosteriors("synth", FRAME_SHIFT, rows), DurationConfig())
+    return frames_to_flags(labels, spans)
 
 
 def run_cell(speakers, segments, overlap, sigma, seed, flags, max_speakers) -> dict:
@@ -53,13 +95,18 @@ def run_cell(speakers, segments, overlap, sigma, seed, flags, max_speakers) -> d
         flipped = data.overlap.flags.copy()
         flipped[rng.choice(segments, round(FLIP_FRACTION * segments), replace=False)] ^= 1
         ov = OverlapVector(flipped)
+    if flags == "decoded":
+        ov = decoded_flags(data, seed)
     out = diarize_embeddings(data.embeddings, ov, DiarizationConfig(max_speakers=max_speakers))
-    return {
+    cell = {
         "speakers": speakers, "segments": segments, "overlap": overlap, "sigma": sigma,
         "seed": seed, "flags": flags, "max_speakers": max_speakers,
         "k_hat": out.report.k_hat, "p_hat": out.report.p_hat,
         "num_speakers": out.num_speakers, "der": der_score(data.reference, out.timeline).der,
     }
+    if flags == "decoded":
+        cell["flag_error"] = 100 * np.count_nonzero(ov.flags != data.overlap.flags) / segments
+    return cell
 
 
 def test_grid_matches_pinned_values():

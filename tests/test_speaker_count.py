@@ -6,6 +6,7 @@ import pytest
 from conftest import block_units
 from diarcut import affinity, speaker_count
 from diarcut.errors import ContractError, IndeterminateSpeakerCountError, NumericalError
+from diarcut.pipeline import DiarizationConfig, diarize_embeddings
 from diarcut.speaker_count import ZERO_SNAP, eigengap_vector, estimate
 from diarcut.synth import SynthConfig, generate
 from diarcut.affinity import cosine_affinity
@@ -89,8 +90,8 @@ class TestEstimateContract:
         with pytest.raises(ContractError, match="finite"):
             estimate(u, p_min=3)
         with pytest.raises(ContractError, match="finite"):
-            estimate(u, p_min=2, index=[0, 2])
-        assert estimate(u, p_min=2, index=[0, 1]).p_values == []
+            estimate(u[[0, 2]], p_min=2)
+        assert estimate(u[[0, 1]], p_min=2).p_values == []
 
     def test_non_finite_value_in_the_last_row_block_rejected(self):
         # two rows of 1e200 multiply to inf with each other only
@@ -101,19 +102,19 @@ class TestEstimateContract:
         with pytest.raises(ContractError, match="finite"):
             estimate(u, p_max=3)
         with pytest.raises(ContractError, match="finite"):
-            estimate(u, p_max=3, index=index)
-        assert estimate(u, p_max=3, index=index[:-1]).p_values == [2, 3]  # a row left out
+            estimate(u[index], p_max=3)
+        assert estimate(u[index[:-1]], p_max=3).p_values == [2, 3]  # a row left out
 
     def test_index_reads_the_submatrix(self):
-        # a CSR-sized count through the index, as the pipeline runs it on the
-        # single-speaker rows, against the same count on the copied submatrix
+        # a CSR-sized count on the gathered single-speaker rows is the
+        # pipeline's count on a flagged recording
         data = generate(SynthConfig(n_speakers=5, n_segments=900, noise_sigma=0.15,
                                     overlap_fraction=0.15, seed=2))
         u = cosine_affinity(data.embeddings)
         singles = np.flatnonzero(data.overlap.flags == 0)
         assert singles.size >= affinity.SPARSE_MIN_N
-        got = estimate(u, p_max=8, index=singles).to_dict()
-        assert got == estimate(u[singles], p_max=8).to_dict()
+        run = diarize_embeddings(data.embeddings, data.overlap, DiarizationConfig(p_max=8))
+        assert run.report.to_dict() == estimate(u[singles], p_max=8).to_dict()
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ContractError, match="sweep"):
