@@ -167,15 +167,15 @@ def lanczos_eigsh(mat, k: int, which: str, weight=None, shift: float = 0.0, vect
     eigenvector. These c vectors are the known basis, since plain Lanczos
     reports a repeated eigenvalue with missing copies; with c < k, Lanczos
     finds the other k - c on mat + shift * P (P the projector onto the basis,
-    ``shift`` moving its eigenvalue past the far end of the spectrum). Without
-    ``weight`` the basis is empty and Lanczos runs on the matrix itself.
+    ``shift`` moving its eigenvalue past the far end of the spectrum). With
+    c > k, any k-frame of their span will do: row i of the basis is then
+    weight_i / ||weight_C(i)|| times row C(i) of the Q of a QR of a c x k
+    Gaussian drawn from ARPACK_SEED. Without ``weight`` the basis is empty.
 
     ARPACK starts from the fixed seeded vector, with the basis sized for k
-    eigenpairs. Returns c, then the other k - c eigenvalues and, if
-    ``vectors``, the N x max(c, k) eigenvectors, the basis first: each in
-    order from the ``which`` end inward. Without ``vectors``, c >= k
-    components end the call before any basis is built. Raises
-    NumericalError if ARPACK fails.
+    eigenpairs. Returns c, the other k - c eigenvalues and, if ``vectors``,
+    the N x k eigenvectors, basis first, each from the ``which`` end inward;
+    without, c >= k builds no basis. Raises NumericalError if ARPACK fails.
     """
     from scipy.sparse import csgraph
     from scipy.sparse import linalg as sla
@@ -184,12 +184,13 @@ def lanczos_eigsh(mat, k: int, which: str, weight=None, shift: float = 0.0, vect
     c, basis = 0, np.empty((n, 0))
     if weight is not None:
         _, labels = csgraph.connected_components(mat, directed=False)
-        c = int(np.count_nonzero(np.bincount(labels, weights=weight * weight)))  # nonzero norms
+        norms = np.sqrt(np.bincount(labels, weights=weight * weight))
+        c = int(np.count_nonzero(norms))
         if vectors or c < k:
-            basis = np.zeros((n, labels.max() + 1))
-            basis[np.arange(n), labels] = weight
-            norms = np.linalg.norm(basis, axis=0)
-            basis = np.compress(norms > 0, basis, axis=1) / norms[norms > 0]  # C order fixes P x rounding
+            frame = np.zeros((norms.size, min(c, k)))  # one row per component
+            frame[norms > 0] = np.eye(c) if c <= k else np.linalg.qr(
+                np.random.default_rng(ARPACK_SEED).standard_normal((c, k)))[0]
+            basis = (weight / np.where(norms > 0, norms, 1.0)[labels])[:, None] * frame[labels]
     if c >= k:
         return c, np.empty(0), basis if vectors else None
     op = mat if not c else sla.LinearOperator(

@@ -10,8 +10,8 @@ an orthogonal Procrustes fit for the best rotation at a fixed binary matrix.
 Rows flagged as overlapping keep their two largest entries instead of one,
 so their row sum is 2 and the segment carries two speaker labels.  Only K
 eigenvectors are needed (Yu & Shi, ICCV 2003): dense graphs take them from a
-full LAPACK solve, CSR graphs (SPARSE_MIN_N rows or more) from
-component-deflated Lanczos iteration.
+full LAPACK solve, CSR graphs (SPARSE_MIN_N rows or more) from deflated
+Lanczos iteration or, past K components, from a seeded frame of those.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     A dense graph takes all eigenpairs from LAPACK. A CSR graph takes the top
     K from ``affinity.lanczos_eigsh``, with the eigenvalue-1 vectors
     D^1/2 1_C of its c components of positive degree set in place; with
-    c > K, where that space has no preferred basis, the dense solve runs.
+    c > K, where any K-frame of their span is optimal, a seeded one.
 
     Args:
         binarized: symmetric nonnegative affinity graph, dense or CSR.
@@ -130,7 +130,6 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
         )
         d = d + DEGREE_FLOOR
     dinv_sqrt = 1.0 / np.sqrt(d)
-    c = k + 1  # the dense solve runs unless Lanczos sets c <= k
     if not isinstance(binarized, np.ndarray) and n >= affinity.lanczos_ncv(k):
         sym = binarized.tocsr(copy=True)
         rows = np.repeat(np.arange(n), np.diff(sym.indptr))
@@ -139,8 +138,8 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
         # spectrum; isolated nodes (eigenvalue 0) get no such vector.
         weight = np.where(isolated, 0.0, np.sqrt(d))
         c, values, vec = affinity.lanczos_eigsh(sym, k, "LA", weight, -3.0, vectors=True)
-        lambda_star = np.concatenate([np.ones(c), values])
-    if c > k:
+        lambda_star = np.concatenate([np.ones(c), values])[:k]
+    else:
         a = binarized if isinstance(binarized, np.ndarray) else binarized.toarray()
         sym = dinv_sqrt[:, None] * a * dinv_sqrt[None, :]
         sym = 0.5 * (sym + sym.T)

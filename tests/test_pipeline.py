@@ -113,8 +113,9 @@ class TestDiarizeEmbeddings:
         # No N x N float64 array is formed: the sweep computes the affinity a
         # block of rows at a time from the unit rows, and counting builds no
         # component basis when the components already give every eigenvalue.
-        # The final graph has fewer components than speakers, so the
-        # clustering solve takes no dense fallback either.
+        # The clustering solve of a CSR graph holds N x K vectors; with more
+        # components than K it takes a seeded frame of them and solves nothing
+        # (TestLanczosSolve bounds that case alone).
         n = 2000
         data = generate(SynthConfig(n_speakers=8, n_segments=n, dim=128, noise_sigma=0.15,
                                     overlap_fraction=0.15, seed=1))

@@ -8,12 +8,15 @@ stand-in for an imperfect overlap detector), with flags decoded from noisy
 frame posteriors by ``viterbi`` and ``frames_to_flags`` (the whole system),
 and without flags. One cell has more speakers than ``max_speakers``; one has
 720 rows, so that counting (without flags) and clustering run on the Lanczos
-paths.
+paths. The paper's baseline, average-linkage AHC on cosine distance
+(``oracles.ahc_labels``), clusters each 4-speaker recording once; its rows
+carry ``"ahc"`` in the ``flags`` field that names the variant.
 
 ``quality_grid.json`` holds ``k_hat``, ``p_hat``, the final cluster count and
-the DER of every cell, and for decoded flags the percentage of segments whose
-flag differs from the oracle's; the test recomputes them and compares
-exactly. After a change that is meant to move them, rewrite the file with
+the DER of every cell (AHC rows: the cluster count and DER), and for decoded
+flags the percentage of segments whose flag differs from the oracle's; the
+test recomputes them and compares exactly. After a change that is meant to
+move them, rewrite the file with
 
     PYTHONPATH=src python tests/test_quality_grid.py
 """
@@ -23,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import ahc_labels
 from diarcut import synth
-from diarcut.ingest import FramePosteriors, OverlapVector
+from diarcut.ingest import FramePosteriors, OverlapVector, assignment_to_timeline
 from diarcut.overlap_decode import OVERLAP, SINGLE, DurationConfig, frames_to_flags, viterbi
 from diarcut.pipeline import DiarizationConfig, diarize_embeddings
 from diarcut.scoring import der_score
@@ -54,6 +58,12 @@ def grid_cells():
     ]
     cells.append((12, 200, 0.0, 0.0, 1, "none", 10))
     cells += [(4, 720, 0.1, 0.15, 1, flags, 10) for flags in ("oracle", "none")]
+    cells += [
+        (4, 120, overlap, sigma, seed, "ahc", None)
+        for sigma in (0.15, 0.23)
+        for overlap in (0.0, 0.1, 0.2, 0.3, 0.4)
+        for seed in (1, 2)
+    ]
     return cells
 
 
@@ -89,6 +99,14 @@ def decoded_flags(data, seed) -> OverlapVector:
 def run_cell(speakers, segments, overlap, sigma, seed, flags, max_speakers) -> dict:
     data = generate(SynthConfig(n_speakers=speakers, n_segments=segments, dim=128,
                                 overlap_fraction=overlap, noise_sigma=sigma, seed=seed))
+    cell = {"speakers": speakers, "segments": segments, "overlap": overlap, "sigma": sigma,
+            "seed": seed, "flags": flags}
+    if flags == "ahc":
+        labels = ahc_labels(data.embeddings.vectors)
+        onehot = np.eye(labels.max() + 1, dtype=np.int8)[labels]
+        timeline = assignment_to_timeline(onehot, data.embeddings.spans)
+        cell.update(num_speakers=onehot.shape[1], der=der_score(data.reference, timeline).der)
+        return cell
     ov = None if flags == "none" else data.overlap
     if flags == "flipped":
         rng = np.random.default_rng(seed)
@@ -98,12 +116,8 @@ def run_cell(speakers, segments, overlap, sigma, seed, flags, max_speakers) -> d
     if flags == "decoded":
         ov = decoded_flags(data, seed)
     out = diarize_embeddings(data.embeddings, ov, DiarizationConfig(max_speakers=max_speakers))
-    cell = {
-        "speakers": speakers, "segments": segments, "overlap": overlap, "sigma": sigma,
-        "seed": seed, "flags": flags, "max_speakers": max_speakers,
-        "k_hat": out.report.k_hat, "p_hat": out.report.p_hat,
-        "num_speakers": out.num_speakers, "der": der_score(data.reference, out.timeline).der,
-    }
+    cell.update(max_speakers=max_speakers, k_hat=out.report.k_hat, p_hat=out.report.p_hat,
+                num_speakers=out.num_speakers, der=der_score(data.reference, out.timeline).der)
     if flags == "decoded":
         cell["flag_error"] = 100 * np.count_nonzero(ov.flags != data.overlap.flags) / segments
     return cell
@@ -114,6 +128,17 @@ def test_grid_matches_pinned_values():
     got = [run_cell(*cell) for cell in grid_cells()]
     assert [cell for cell in got if cell not in want] == []
     assert got == want
+
+
+def test_spectral_with_oracle_flags_beats_ahc_on_every_overlap_cell():
+    cells = json.loads(GRID_FILE.read_text(encoding="utf-8"))
+    der = {(c["flags"], c["sigma"], c["overlap"], c["seed"]): c["der"]
+           for c in cells if c["segments"] == 120 and c["speakers"] == 4}
+    ahc = {key[1:]: value for key, value in der.items() if key[0] == "ahc"}
+    assert len(ahc) == 20
+    # keys are (sigma, overlap, seed)
+    losing = [key for key, value in ahc.items() if key[1] > 0 and der[("oracle", *key)] >= value]
+    assert losing == []
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,14 +139,34 @@ class TestLanczosSolve:
         rows = got.x_tilde_star
         assert np.allclose(rows @ rows.T, labels[:, None] == labels[None, :], rtol=0, atol=1e-12)
 
-    def test_components_beyond_k_fall_back_to_dense(self, monkeypatch):
+    def test_components_beyond_k_take_a_seeded_frame(self, monkeypatch):
         from scipy.sparse import linalg as sla
 
         monkeypatch.setattr(sla, "eigsh", lambda *a, **k: pytest.fail("no solve expected"))
         graph = block_graph(*[sparse_graph(1, 40, 0.15, seed) for seed in range(10, 15)])
         assert components(graph) == 5
         got = continuous_solve(graph, 3)
-        assert np.array_equal(got.z_star, continuous_solve(graph.toarray(), 3).z_star)
+        assert np.array_equal(got.lambda_star, np.ones(3))
+        d = np.asarray(graph.sum(axis=1)).ravel()
+        assert np.allclose(got.z_star.T @ (d[:, None] * got.z_star), np.eye(3), rtol=0, atol=1e-12)
+        # LAPACK's basis of the eigenvalue-1 space leaves 80 of these rows zero
+        assert np.linalg.norm(got.z_star, axis=1).min() > 0
+        assert np.array_equal(got.z_star, continuous_solve(graph, 3).z_star)
+
+    def test_components_beyond_k_need_no_n_by_n_array(self):
+        # 12 speakers at sigma 0 and p = 20 leave 12 components for K = 10
+        n = 2000
+        data = generate(SynthConfig(n_speakers=12, n_segments=n, dim=128, seed=1))
+        graph = binarize(cosine_affinity(data.embeddings), 20)
+        assert components(graph) == 12
+        continuous_solve(graph, 10)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            continuous_solve(graph, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     def test_floored_isolated_node(self, caplog):
         from scipy import sparse
