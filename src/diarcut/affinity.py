@@ -1,4 +1,4 @@
-"""Cosine affinity, row-wise binarization and large-graph Lanczos."""
+"""Cosine affinity, row-wise binarization and the graph eigensolver."""
 
 from __future__ import annotations
 
@@ -154,51 +154,72 @@ def binarize_sweep(unit: np.ndarray, budgets, flagged=None):
             yield sparse.csr_matrix((np.full(2 * cols.size, 0.5), pairs), shape=(n, n))
 
 
-def lanczos_ncv(k: int) -> int:
-    """Lanczos basis size for k eigenpairs; the matrix needs this many rows."""
-    return max(ARPACK_NCV, 2 * k + 1)
-
-
-def lanczos_eigsh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors: bool = False):
-    """k eigenpairs at the ``which`` end ("LA"/"SA") of a symmetric sparse matrix.
-
-    With ``weight``, each connected component C of the matrix's graph with
-    nonzero weight on C must have the unit vector along weight * 1_C as an
-    eigenvector. These c vectors are the known basis, since plain Lanczos
-    reports a repeated eigenvalue with missing copies; with c < k, Lanczos
-    finds the other k - c on mat + shift * P (P the projector onto the basis,
-    ``shift`` moving its eigenvalue past the far end of the spectrum). With
-    c > k, any k-frame of their span will do: row i of the basis is then
-    weight_i / ||weight_C(i)|| times row C(i) of the Q of a QR of a c x k
-    Gaussian drawn from ARPACK_SEED. Without ``weight`` the basis is empty.
-
-    ARPACK starts from the fixed seeded vector, with the basis sized for k
-    eigenpairs. Returns c, the other k - c eigenvalues and, if ``vectors``,
-    the N x k eigenvectors, basis first, each from the ``which`` end inward;
-    without, c >= k builds no basis. Raises NumericalError if ARPACK fails.
+def component_labels(mat) -> np.ndarray:
+    """Component label per node of a symmetric graph, numbered by lowest node
+    as ``csgraph`` does. Dense arrays need no scipy: each sweep gives a node
+    the least label of itself and its neighbours, then that label's label.
     """
-    from scipy.sparse import csgraph
-    from scipy.sparse import linalg as sla
+    if not isinstance(mat, np.ndarray):
+        from scipy.sparse import csgraph
 
-    n = mat.shape[0]
-    c, basis = 0, np.empty((n, 0))
+        return csgraph.connected_components(mat, directed=False)[1]
+    rows, cols = np.nonzero(mat)
+    labels, spread = None, np.arange(mat.shape[0])
+    while not np.array_equal(labels, spread):
+        labels, spread = spread, spread.copy()
+        np.minimum.at(spread, rows, labels[cols])
+        spread = spread[spread]
+    return np.unique(labels, return_inverse=True)[1]
+
+
+def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors: bool = False):
+    """k eigenpairs at the ``which`` end ("LA"/"SA") of a symmetric graph matrix.
+
+    With ``weight``, the c components C with nonzero weight must each have
+    the unit vector along weight * 1_C as an eigenvector. With c >= k these
+    are the answer, with no solve; past k, row i is weight_i / ||weight_C(i)||
+    times row C(i) of a seeded c x k orthonormal frame (the Q of a QR of a
+    Gaussian from ARPACK_SEED). Otherwise a dense array keeps the k at the
+    ``which`` end of LAPACK's full solve, and a CSR matrix takes the other
+    k - c from seeded Lanczos with min(N, max(ARPACK_NCV, 2k + 1)) vectors
+    on mat + shift * P, P projecting onto the component vectors (Lanczos
+    drops copies of a repeated eigenvalue; ``shift`` moves them aside).
+
+    Returns how many leading pairs are component vectors (0 from LAPACK),
+    the other eigenvalues and, if ``vectors``, the N x k eigenvectors, each
+    from the ``which`` end inward. Raises NumericalError if the solver fails
+    or Lanczos is asked for all N pairs.
+    """
+    n, c = mat.shape[0], 0
     if weight is not None:
-        _, labels = csgraph.connected_components(mat, directed=False)
+        labels = component_labels(mat)
         norms = np.sqrt(np.bincount(labels, weights=weight * weight))
         c = int(np.count_nonzero(norms))
-        if vectors or c < k:
-            frame = np.zeros((norms.size, min(c, k)))  # one row per component
-            frame[norms > 0] = np.eye(c) if c <= k else np.linalg.qr(
-                np.random.default_rng(ARPACK_SEED).standard_normal((c, k)))[0]
-            basis = (weight / np.where(norms > 0, norms, 1.0)[labels])[:, None] * frame[labels]
+    if c < k and isinstance(mat, np.ndarray):
+        try:
+            w, found = np.linalg.eigh(mat)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"LAPACK eigensolve failed on {n} rows: {exc}") from exc
+        top = np.argsort(w)[::-1][:k] if which == "LA" else np.argsort(w)[:k]
+        return 0, w[top], found[:, top] if vectors else None
+    basis = np.empty((n, 0))
+    if weight is not None and (vectors or c < k):
+        frame = np.zeros((norms.size, min(c, k)))  # one row per component
+        frame[norms > 0] = np.eye(c) if c <= k else np.linalg.qr(
+            np.random.default_rng(ARPACK_SEED).standard_normal((c, k)))[0]
+        basis = (weight / np.where(norms > 0, norms, 1.0)[labels])[:, None] * frame[labels]
     if c >= k:
         return c, np.empty(0), basis if vectors else None
+    if k - c >= n:
+        raise NumericalError(f"Lanczos finds at most {n - 1} eigenpairs of {n} rows; {k - c} asked")
+    from scipy.sparse import linalg as sla
+
     op = mat if not c else sla.LinearOperator(
         (n, n), matvec=lambda x: mat @ x + shift * (basis @ (basis.T @ x)), dtype=float
     )
     v0 = np.random.default_rng(ARPACK_SEED).standard_normal(n)
     try:
-        out = sla.eigsh(op, k=k - c, which=which, v0=v0, ncv=lanczos_ncv(k),
+        out = sla.eigsh(op, k=k - c, which=which, v0=v0, ncv=min(n, max(ARPACK_NCV, 2 * k + 1)),
                         return_eigenvectors=vectors)
     except sla.ArpackError as exc:  # ArpackNoConvergence is a subclass
         raise NumericalError(f"Lanczos eigensolve failed on {n} rows: {exc}") from exc

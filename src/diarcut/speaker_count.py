@@ -78,39 +78,28 @@ def eigengap_vector(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
-    """Lowest ``m`` eigenvalues and the largest one of a graph's Laplacian.
+    """Lowest ``m`` eigenvalues (fewer when N < m), ascending, and the largest
+    one of the Laplacian L = diag(d) - A of a symmetric binarized graph A.
 
-    The Laplacian is L = diag(d) - A of the symmetric binarized graph A. A
-    dense graph, or one narrower than the Lanczos basis, takes the full
-    spectrum from ``eigvalsh``. A CSR graph takes lambda_max and then the low
-    end from ``affinity.lanczos_eigsh``, the latter with the components'
-    indicator vectors as basis: L has one zero per component, so c >= m
-    components give m zeros; otherwise Lanczos finds the next m - c with the
-    null space lifted above lambda_max. Values within ZERO_SNAP of zero snap
-    to zero on both paths.
-
-    Args:
-        binarized: symmetric nonnegative N x N graph, dense or CSR.
-        m: number of lowest eigenvalues wanted; fewer come back when N < m.
-
-    Returns:
-        (lowest eigenvalues ascending, lambda_max).
-
-    Raises:
-        NumericalError: ARPACK failed to converge or broke down.
+    A dense graph takes the full spectrum from one ``eigvalsh``, which reads
+    both ends at once. A CSR graph takes lambda_max and then the low end from
+    ``affinity.graph_eigh`` with the components' indicator vectors as basis:
+    L has one zero per component, so c >= m components give m zeros;
+    otherwise Lanczos finds the next m - c with the null space lifted above
+    lambda_max. Values within ZERO_SNAP of zero snap to zero on both paths.
+    Raises NumericalError if Lanczos fails to converge or breaks down.
     """
     n = binarized.shape[0]
-    if isinstance(binarized, np.ndarray) or n < aff.lanczos_ncv(m):
-        dense = binarized if isinstance(binarized, np.ndarray) else binarized.toarray()
+    if isinstance(binarized, np.ndarray):
         # Symmetric by construction, so L is formed without checks.
-        lam = np.linalg.eigvalsh(np.diag(dense.sum(axis=1)) - dense)
+        lam = np.linalg.eigvalsh(np.diag(binarized.sum(axis=1)) - binarized)
         lam[np.abs(lam) < ZERO_SNAP] = 0.0
         return lam[:m], float(lam[-1])
 
     from scipy import sparse  # only large graphs pay its import time
     lap = (sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized).tocsr()
-    lam_max = float(aff.lanczos_eigsh(lap, 1, "LA")[1][0])
-    c, values, _ = aff.lanczos_eigsh(lap, m, "SA", np.ones(n), lam_max + 1.0)
+    lam_max = float(aff.graph_eigh(lap, 1, "LA")[1][0])
+    c, values, _ = aff.graph_eigh(lap, min(m, n), "SA", np.ones(n), lam_max + 1.0)
     low = np.concatenate([np.zeros(c), values])[:m]
     low[np.abs(low) < ZERO_SNAP] = 0.0
     return low, lam_max

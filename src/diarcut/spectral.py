@@ -9,9 +9,10 @@ non-maximal suppression for the best binary matrix at a fixed rotation, and
 an orthogonal Procrustes fit for the best rotation at a fixed binary matrix.
 Rows flagged as overlapping keep their two largest entries instead of one,
 so their row sum is 2 and the segment carries two speaker labels.  Only K
-eigenvectors are needed (Yu & Shi, ICCV 2003): dense graphs take them from a
-full LAPACK solve, CSR graphs (SPARSE_MIN_N rows or more) from deflated
-Lanczos iteration or, past K components, from a seeded frame of those.
+eigenvectors are needed (Yu & Shi, ICCV 2003). K or more connected components
+give them with no solve (past K, a seeded frame of their span); otherwise
+dense graphs take a full LAPACK solve and CSR graphs (SPARSE_MIN_N rows or
+more) deflated Lanczos iteration.
 """
 
 from __future__ import annotations
@@ -105,10 +106,10 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     W give Z = D^-1/2 W with Z^T D Z = I by construction.  D holds the row
     sums of the graph; isolated nodes get a floored degree.
 
-    A dense graph takes all eigenpairs from LAPACK. A CSR graph takes the top
-    K from ``affinity.lanczos_eigsh``, with the eigenvalue-1 vectors
-    D^1/2 1_C of its c components of positive degree set in place; with
-    c > K, where any K-frame of their span is optimal, a seeded one.
+    One ``affinity.graph_eigh`` call gives the top K: the c components of
+    positive degree set their eigenvalue-1 vectors D^1/2 1_C in place (past
+    K, where any K-frame of their span is optimal, a seeded one), and the
+    graph's format picks the solver for the rest.
 
     Args:
         binarized: symmetric nonnegative affinity graph, dense or CSR.
@@ -123,35 +124,22 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     d = np.asarray(binarized.sum(axis=1), dtype=float).ravel()
     isolated = d <= 0
     if isolated.any():
-        log.warning(
-            "%d isolated nodes after binarization; flooring degrees at %g",
-            int(isolated.sum()),
-            DEGREE_FLOOR,
-        )
+        log.warning("%d isolated nodes after binarization; flooring degrees at %g",
+                    int(isolated.sum()), DEGREE_FLOOR)
         d = d + DEGREE_FLOOR
     dinv_sqrt = 1.0 / np.sqrt(d)
-    if not isinstance(binarized, np.ndarray) and n >= affinity.lanczos_ncv(k):
+    if isinstance(binarized, np.ndarray):
+        sym = dinv_sqrt[:, None] * binarized * dinv_sqrt[None, :]
+        sym = 0.5 * (sym + sym.T)
+    else:
         sym = binarized.tocsr(copy=True)
         rows = np.repeat(np.arange(n), np.diff(sym.indptr))
         sym.data *= dinv_sqrt[rows] * dinv_sqrt[sym.indices]
-        # Component vectors D^1/2 1_C move from eigenvalue 1 to -2, below the
-        # spectrum; isolated nodes (eigenvalue 0) get no such vector.
-        weight = np.where(isolated, 0.0, np.sqrt(d))
-        c, values, vec = affinity.lanczos_eigsh(sym, k, "LA", weight, -3.0, vectors=True)
-        lambda_star = np.concatenate([np.ones(c), values])[:k]
-    else:
-        a = binarized if isinstance(binarized, np.ndarray) else binarized.toarray()
-        sym = dinv_sqrt[:, None] * a * dinv_sqrt[None, :]
-        sym = 0.5 * (sym + sym.T)
-        try:
-            w, vec = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"eigensolver failed on the normalized affinity "
-                f"(degree range [{d.min():.3e}, {d.max():.3e}])"
-            ) from exc
-        top = np.argsort(w)[::-1][:k]
-        lambda_star, vec = w[top], vec[:, top]
+    # Lanczos moves the component vectors from eigenvalue 1 to -2, below the
+    # spectrum; isolated nodes (eigenvalue 0) get no such vector.
+    weight = np.where(isolated, 0.0, np.sqrt(d))
+    known, values, vec = affinity.graph_eigh(sym, k, "LA", weight, -3.0, vectors=True)
+    lambda_star = np.concatenate([np.ones(known), values])[:k]
     z_star = dinv_sqrt[:, None] * vec
     x_tilde_star = row_normalize(z_star)
     return ContinuousSolution(z_star, lambda_star, x_tilde_star)

@@ -393,3 +393,56 @@ class TestFiniteContractPerBlock:
         u = self.overflowing(i, j, "nan", rng)
         with pytest.raises(ContractError, match="finite"):
             binarize(u, 3, flags_at(self.N, [i, j]))
+
+
+class TestComponentLabels:
+    """Dense graphs label their components in numpy, numbered as csgraph does."""
+
+    @staticmethod
+    def csgraph_labels(graph):
+        from scipy.sparse import csgraph
+
+        return csgraph.connected_components(graph, directed=False)[1]
+
+    @pytest.mark.parametrize("flags", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_binarized_graphs(self, flags, seed):
+        from diarcut.synth import SynthConfig, generate
+
+        data = generate(SynthConfig(n_speakers=6, n_segments=150, noise_sigma=0.05,
+                                    overlap_fraction=0.2, seed=seed))
+        overlap = data.overlap if flags else None
+        for p in (2, 3, 5, 9):
+            graph = binarize(cosine_affinity(data.embeddings), p, overlap)
+            # unflagged rows link to themselves; flagged rows pick single columns only
+            loops = np.diag(graph) > 0
+            assert np.array_equal(loops, ~(data.overlap.flags == 1) if flags else np.ones(150, bool))
+            assert np.array_equal(affinity.component_labels(graph), self.csgraph_labels(graph))
+
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_random_graphs_with_isolated_nodes(self, self_loops, rng):
+        for _ in range(20):
+            n = int(rng.integers(1, 60))
+            upper = np.triu(rng.uniform(size=(n, n)) < rng.uniform(0.0, 0.08), 1)
+            graph = 0.5 * (upper + upper.T)
+            if self_loops:
+                graph[np.diag_indices(n)] = rng.integers(0, 2, n)
+            assert np.array_equal(affinity.component_labels(graph), self.csgraph_labels(graph))
+
+    def test_long_paths_in_scrambled_order(self, rng):
+        n = 300
+        order = rng.permutation(n)
+        graph = np.zeros((n, n))
+        for path in np.split(order, [100, 250]):  # three paths; the last of 50 nodes
+            graph[path[:-1], path[1:]] = graph[path[1:], path[:-1]] = 1.0
+        labels = affinity.component_labels(graph)
+        assert np.array_equal(labels, self.csgraph_labels(graph))
+        assert labels.max() == 2
+
+    def test_csr_graphs_ask_csgraph(self):
+        from scipy import sparse
+
+        graph = block_affinity([3, 1, 4])[::-1, ::-1]
+        labels = affinity.component_labels(sparse.csr_matrix(graph))
+        assert np.array_equal(labels, [0, 0, 0, 0, 1, 2, 2, 2])
+        assert np.array_equal(labels, affinity.component_labels(graph))

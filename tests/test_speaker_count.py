@@ -244,11 +244,31 @@ class TestLanczosBranch:
         assert np.allclose(r_got[finite], r_want[finite], rtol=1e-9, atol=0)
         assert (lanczos.p_hat, lanczos.k_hat) == (dense.p_hat, dense.k_hat)
 
-    def test_graph_narrower_than_basis_stays_dense(self, monkeypatch):
+    def test_graph_narrower_than_basis_matches_dense(self, monkeypatch):
+        # 30 rows, fewer than the 36 Lanczos vectors asked for: ARPACK runs
+        # with all 30, and no graph is copied into a dense array
+        from scipy import sparse
+
         u = synth_units(3, 30, 0.1, 2)
-        want = estimate(u).to_dict()
+        dense = estimate(u)
         monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
-        assert estimate(u).to_dict() == want
+        for cls in (sparse.csr_matrix, sparse.csr_array):
+            monkeypatch.setattr(cls, "toarray", lambda *a, **kw: pytest.fail("no dense copy expected"))
+        lanczos = estimate(u)
+        assert (lanczos.p_hat, lanczos.k_hat) == (dense.p_hat, dense.k_hat)
+        for got, want in zip(lanczos.eigenvalues_per_p, dense.eigenvalues_per_p):
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.allclose(lanczos.lambda_max_per_p, dense.lambda_max_per_p, rtol=0, atol=1e-12)
+
+    def test_graph_with_fewer_rows_than_eigenvalues_wanted(self, sparse):
+        # 5 rows, 11 eigenvalues wanted: all 5 come back, as from the dense graph
+        from scipy import sparse as sp
+
+        graph = np.kron(np.eye(2), np.ones((3, 3)))[1:, 1:]  # a pair and a triangle
+        lam, lam_max = speaker_count.low_spectrum(sp.csr_matrix(graph), 11)
+        want, want_max = speaker_count.low_spectrum(graph, 11)
+        assert lam.shape == (5,)
+        assert np.allclose(lam, want, rtol=0, atol=1e-12) and lam_max == pytest.approx(want_max)
 
     def test_deterministic(self, sparse):
         u = synth_units(4, 100, 0.1, 6)

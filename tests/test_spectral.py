@@ -9,7 +9,7 @@ from conftest import block_affinity, enumerate_assignments, random_orthonormal
 from oracles import degree_normalize, laplacian, objective_continuous, objective_discrete
 from diarcut import spectral
 from diarcut.affinity import binarize, cosine_affinity
-from diarcut.errors import ContractError
+from diarcut.errors import ContractError, NumericalError
 from diarcut.ingest import OverlapVector, assignment_to_timeline, write_rttm
 from diarcut.synth import SynthConfig, generate
 from diarcut.spectral import (
@@ -68,6 +68,25 @@ class TestContinuousSolve:
     def test_k_out_of_range(self):
         with pytest.raises(ContractError):
             continuous_solve(np.eye(3), 4)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_components_give_k_vectors_without_a_solve(self, monkeypatch, k):
+        # two components: K = 2 takes their vectors, K = 1 a seeded frame of them
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("no solve expected"))
+        a = block_affinity([4, 5])
+        sol = continuous_solve(a, k)
+        assert np.array_equal(sol.lambda_star, np.ones(k))
+        assert np.linalg.norm(sol.z_star, axis=1).min() > 0
+        gram = sol.z_star.T @ (a.sum(axis=1)[:, None] * sol.z_star)
+        assert np.allclose(gram, np.eye(k), rtol=0, atol=1e-12)
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def fail(*args):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="LAPACK eigensolve failed on 9 rows"):
+            continuous_solve(block_affinity([4, 5]), 3)
 
     def test_eigenvalues_descending(self, rng):
         a = block_affinity([5, 5], off_value=0.1)
@@ -186,13 +205,37 @@ class TestLanczosSolve:
         assert np.array_equal(a.z_star, b.z_star)
         assert np.array_equal(a.lambda_star, b.lambda_star)
 
-    def test_narrow_graph_stays_dense(self, monkeypatch):
+    def test_narrow_graph_matches_dense(self, monkeypatch):
+        # 30 rows, fewer than the 36 Lanczos vectors asked for at K = 5: ARPACK
+        # runs with all 30, and the graph is never copied into a dense array
+        from scipy import sparse
+        from scipy.linalg import subspace_angles
         from scipy.sparse import linalg as sla
 
-        monkeypatch.setattr(sla, "eigsh", lambda *a, **k: pytest.fail("no solve expected"))
         graph = sparse_graph(3, 30, 0.1, 17)
-        got = continuous_solve(graph, 3)
-        assert np.array_equal(got.z_star, continuous_solve(graph.toarray(), 3).z_star)
+        assert components(graph) == 3
+        want = continuous_solve(graph.toarray(), 5)
+        ncv, real = [], sla.eigsh
+        monkeypatch.setattr(sla, "eigsh", lambda *a, **kw: ncv.append(kw["ncv"]) or real(*a, **kw))
+        for cls in (sparse.csr_matrix, sparse.csr_array):
+            monkeypatch.setattr(cls, "toarray", lambda *a, **kw: pytest.fail("no dense copy expected"))
+        got = continuous_solve(graph, 5)
+        assert ncv == [30]
+        assert np.allclose(got.lambda_star, want.lambda_star, rtol=0, atol=1e-12)
+        assert subspace_angles(got.z_star, want.z_star).max() < 1e-8
+
+    def test_dense_graph_takes_the_same_frame(self):
+        graph = block_graph(*[sparse_graph(1, 40, 0.15, seed) for seed in range(10, 15)])
+        got = continuous_solve(graph.toarray(), 3)
+        assert np.array_equal(got.z_star, continuous_solve(graph, 3).z_star)
+        assert np.linalg.norm(got.z_star, axis=1).min() > 0
+
+    def test_every_node_isolated_at_k_equal_n_is_a_typed_error(self):
+        # Lanczos cannot return all N eigenpairs; there are no components to set
+        from scipy import sparse
+
+        with pytest.raises(NumericalError, match="at most 799 eigenpairs"):
+            continuous_solve(sparse.csr_matrix((800, 800)), 800)
 
 
 class TestNmsAssign:
