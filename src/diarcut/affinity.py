@@ -155,14 +155,10 @@ def binarize_sweep(unit: np.ndarray, budgets, flagged=None):
 
 
 def component_labels(mat) -> np.ndarray:
-    """Component label per node of a symmetric graph, numbered by lowest node
-    as ``csgraph`` does. Dense arrays need no scipy: each sweep gives a node
-    the least label of itself and its neighbours, then that label's label.
+    """Component label per node of a symmetric graph, dense or CSR, numbered
+    by lowest node: each sweep gives a node the least label of itself and its
+    neighbours, then that label's label. A stored zero is no edge.
     """
-    if not isinstance(mat, np.ndarray):
-        from scipy.sparse import csgraph
-
-        return csgraph.connected_components(mat, directed=False)[1]
     rows, cols = np.nonzero(mat)
     labels, spread = None, np.arange(mat.shape[0])
     while not np.array_equal(labels, spread):

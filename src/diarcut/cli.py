@@ -227,15 +227,9 @@ def main(argv=None) -> int:
             if created:
                 os.remove(path)
         return args.func(args)
-    except OSError as exc:
+    except (OSError, DiarcutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except DiarcutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -82,7 +82,8 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     one of the Laplacian L = diag(d) - A of a symmetric binarized graph A.
 
     A dense graph takes the full spectrum from one ``eigvalsh``, which reads
-    both ends at once. A CSR graph takes lambda_max and then the low end from
+    both ends at once. A CSR graph takes lambda_max (0 when L is zero, as
+    when every node links only to itself) and then the low end from
     ``affinity.graph_eigh`` with the components' indicator vectors as basis:
     L has one zero per component, so c >= m components give m zeros;
     otherwise Lanczos finds the next m - c with the null space lifted above
@@ -97,8 +98,8 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
         return lam[:m], float(lam[-1])
 
     from scipy import sparse  # only large graphs pay its import time
-    lap = (sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized).tocsr()
-    lam_max = float(aff.graph_eigh(lap, 1, "LA")[1][0])
+    lap = sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized
+    lam_max = float(aff.graph_eigh(lap, 1, "LA")[1][0]) if lap.count_nonzero() else 0.0
     c, values, _ = aff.graph_eigh(lap, min(m, n), "SA", np.ones(n), lam_max + 1.0)
     low = np.concatenate([np.zeros(c), values])[:m]
     low[np.abs(low) < ZERO_SNAP] = 0.0

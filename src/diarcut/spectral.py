@@ -104,7 +104,10 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     The eigenproblem of the non-symmetric D^-1 A is computed through the
     similar symmetric matrix D^-1/2 A D^-1/2, whose orthonormal eigenvectors
     W give Z = D^-1/2 W with Z^T D Z = I by construction.  D holds the row
-    sums of the graph; isolated nodes get a floored degree.
+    sums of the graph; isolated nodes get a floored degree.  Each entry
+    a_ij is scaled once, to d_i^-1/2 a_ij d_j^-1/2, in the graph's own
+    format; binarized entries (0, 1/2, 1) scale exactly, so the result is
+    exactly symmetric.
 
     One ``affinity.graph_eigh`` call gives the top K: the c components of
     positive degree set their eigenvalue-1 vectors D^1/2 1_C in place (past
@@ -130,11 +133,8 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     dinv_sqrt = 1.0 / np.sqrt(d)
     if isinstance(binarized, np.ndarray):
         sym = dinv_sqrt[:, None] * binarized * dinv_sqrt[None, :]
-        sym = 0.5 * (sym + sym.T)
     else:
-        sym = binarized.tocsr(copy=True)
-        rows = np.repeat(np.arange(n), np.diff(sym.indptr))
-        sym.data *= dinv_sqrt[rows] * dinv_sqrt[sym.indices]
+        sym = binarized.multiply(dinv_sqrt[:, None]).multiply(dinv_sqrt).tocsr()
     # Lanczos moves the component vectors from eigenvalue 1 to -2, below the
     # spectrum; isolated nodes (eigenvalue 0) get no such vector.
     weight = np.where(isolated, 0.0, np.sqrt(d))

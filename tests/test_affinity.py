@@ -396,7 +396,8 @@ class TestFiniteContractPerBlock:
 
 
 class TestComponentLabels:
-    """Dense graphs label their components in numpy, numbered as csgraph does."""
+    """Graphs of both formats label their components in numpy, numbered as
+    csgraph does; csgraph stays here as the oracle."""
 
     @staticmethod
     def csgraph_labels(graph):
@@ -439,10 +440,37 @@ class TestComponentLabels:
         assert np.array_equal(labels, self.csgraph_labels(graph))
         assert labels.max() == 2
 
-    def test_csr_graphs_ask_csgraph(self):
+    def test_csr_graphs_match_csgraph(self, monkeypatch, rng):
         from scipy import sparse
+        from diarcut.synth import SynthConfig, generate
 
         graph = block_affinity([3, 1, 4])[::-1, ::-1]
         labels = affinity.component_labels(sparse.csr_matrix(graph))
         assert np.array_equal(labels, [0, 0, 0, 0, 1, 2, 2, 2])
         assert np.array_equal(labels, affinity.component_labels(graph))
+        monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0)
+        data = generate(SynthConfig(n_speakers=6, n_segments=150, noise_sigma=0.05,
+                                    overlap_fraction=0.2, seed=1))
+        for p in (1, 2, 3, 5, 9):
+            graph = binarize(cosine_affinity(data.embeddings), p, data.overlap)
+            assert sparse.issparse(graph)
+            assert np.array_equal(affinity.component_labels(graph), self.csgraph_labels(graph))
+        for _ in range(10):
+            n = int(rng.integers(3, 300))
+            upper = sparse.triu(sparse.random(n, n, density=rng.uniform(0.0, 3.0 / n), rng=rng), 1)
+            graph = (upper + upper.T).tocsr()
+            assert np.array_equal(affinity.component_labels(graph), self.csgraph_labels(graph))
+
+    def test_stored_zeros_are_no_edges(self):
+        # two blocks of 4 whose cross entries are stored zeros: csgraph takes
+        # them as edges; the dense twin cannot hold them, and the labels agree
+        from scipy import sparse
+
+        rows, cols = np.nonzero(np.kron(np.eye(2), np.ones((4, 4))))
+        data = np.r_[np.ones(rows.size), 0.0, 0.0]
+        graph = sparse.csr_matrix((data, (np.r_[rows, 0, 4], np.r_[cols, 4, 0])), shape=(8, 8))
+        assert graph.nnz == rows.size + 2
+        labels = affinity.component_labels(graph)
+        assert np.array_equal(labels, [0] * 4 + [1] * 4)
+        assert np.array_equal(labels, affinity.component_labels(graph.toarray()))
+        assert self.csgraph_labels(graph).max() == 0

@@ -466,6 +466,21 @@ class TestDiarizeCommand:
         assert last_json(out)["p_hat"] == 20
         assert "clamped" in caplog.text
 
+    def test_sweep_from_p_one_on_a_csr_recording(self, tmp_path, capsys, monkeypatch):
+        # at p = 1 every row keeps only itself, so the CSR Laplacian is zero
+        data = tmp_path / "data"
+        run_cli(capsys, "synth", "--speakers", "4", "--segments", "720", "--sigma", "0.15",
+                "--seed", "1", "--out-dir", str(data))
+        argv = ["diarize", "--embeddings", str(data / "embeddings.txt"),
+                "--out", str(tmp_path / "h.rttm"), "--p-range", "1:20"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        monkeypatch.setattr(affinity, "SPARSE_MIN_N", 10**9)
+        dense_code, dense_out, _ = run_cli(capsys, *argv)
+        assert dense_code == 0
+        got, want = last_json(out), last_json(dense_out)
+        assert (got["p_hat"], got["k_hat"]) == (want["p_hat"], want["k_hat"])
+
     def test_determinism_byte_identical(self, synth_dir, tmp_path, capsys):
         outs = []
         jsons = []
@@ -753,6 +768,18 @@ class TestStartup:
     def test_small_diarize_loads_no_sparse(self, tmp_path):
         argv = self._small_recording(tmp_path / "data")
         assert self._loaded(argv) == [[0], [], []]
+
+    def test_csr_diarize_loads_no_csgraph(self, tmp_path):
+        # CSR graphs label their components in numpy, as dense ones do
+        synth = generate(SynthConfig(n_speakers=4, n_segments=affinity.SPARSE_MIN_N + 20,
+                                     noise_sigma=0.15, seed=1))
+        tmp_path.joinpath("data").mkdir()
+        emb = tmp_path / "data" / "emb.txt"
+        ingest.save_embeddings(synth.embeddings, emb)
+        codes, _, after = self._loaded(["diarize", "--embeddings", emb, "--out", tmp_path / "h.rttm"])
+        assert codes == [0]
+        assert "scipy.sparse.linalg" in after
+        assert not [m for m in after if m.startswith("scipy.sparse.csgraph")]
 
     def test_score_leaves_optimize_unloaded(self, tmp_path):
         ref = tmp_path / "ref.rttm"

@@ -270,6 +270,16 @@ class TestLanczosBranch:
         assert lam.shape == (5,)
         assert np.allclose(lam, want, rtol=0, atol=1e-12) and lam_max == pytest.approx(want_max)
 
+    def test_edgeless_graph_matches_dense(self):
+        # every node links only to itself, so L = 0: Lanczos would start from
+        # L v0 = 0, and the dense path gives all zeros
+        from scipy import sparse as sp
+
+        lam, lam_max = speaker_count.low_spectrum(sp.csr_matrix(np.eye(800)), 11)
+        want, want_max = speaker_count.low_spectrum(np.eye(800), 11)
+        assert np.array_equal(lam, np.zeros(11)) and lam_max == 0.0
+        assert np.array_equal(lam, want) and lam_max == want_max
+
     def test_deterministic(self, sparse):
         u = synth_units(4, 100, 0.1, 6)
         assert estimate(u).to_dict() == estimate(u).to_dict()
@@ -294,16 +304,14 @@ class TestLanczosBranch:
         assert calls == ["LA"]
 
     def test_one_component_pass_per_graph(self, sparse, monkeypatch):
-        from scipy.sparse import csgraph
-
         calls = []
-        real = csgraph.connected_components
+        real = affinity.component_labels
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return real(*args, **kwargs)
+        def counted(mat):
+            calls.append(mat.shape)
+            return real(mat)
 
-        monkeypatch.setattr(csgraph, "connected_components", counted)
+        monkeypatch.setattr(affinity, "component_labels", counted)
         report = estimate(synth_units(4, 100, 0.1, 6))
         # lambda_max comes from plain Lanczos; only the low end deflates
         assert calls == [(100, 100)] * len(report.p_values)
