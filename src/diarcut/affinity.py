@@ -179,7 +179,10 @@ def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors
     ``which`` end of LAPACK's full solve, and a CSR matrix takes the other
     k - c from seeded Lanczos with min(N, max(ARPACK_NCV, 2k + 1)) vectors
     on mat + shift * P, P projecting onto the component vectors (Lanczos
-    drops copies of a repeated eigenvalue; ``shift`` moves them aside).
+    drops copies of a repeated eigenvalue; ``shift`` moves them aside). A CSR
+    matrix with no nonzero entry gets that solve's answer without one: k - c
+    zeros, with the unit vectors of the first k - c nodes that have no
+    component vector.
 
     Returns how many leading pairs are component vectors (0 from LAPACK),
     the other eigenvalues and, if ``vectors``, the N x k eigenvectors, each
@@ -208,6 +211,11 @@ def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors
         return c, np.empty(0), basis if vectors else None
     if k - c >= n:
         raise NumericalError(f"Lanczos finds at most {n - 1} eigenpairs of {n} rows; {k - c} asked")
+    if not mat.count_nonzero():  # Lanczos breaks down on the zero matrix
+        free = np.flatnonzero(weight == 0) if weight is not None else np.arange(n)
+        found = np.zeros((n, k - c))
+        found[free[:k - c], np.arange(k - c)] = 1.0
+        return c, np.zeros(k - c), np.hstack([basis, found]) if vectors else None
     from scipy.sparse import linalg as sla
 
     op = mat if not c else sla.LinearOperator(

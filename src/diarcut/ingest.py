@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,10 @@ log = logging.getLogger(__name__)
 # Same-speaker intervals closer than this are merged, so float dust from
 # repeated window arithmetic cannot fragment a continuous talk spurt.
 MERGE_GAP = 1e-6
+
+# Characters per block of a file read: a block is the whole lines that first
+# reach this size, so memory holds one block of text, however long the lines.
+READ_BLOCK = 1 << 14
 
 
 class RowError(ContractError):
@@ -205,32 +210,73 @@ def _normalize(entries) -> list[tuple[str, float, float]]:
     return merged
 
 
-class _Reader:
-    """The non-blank lines of a UTF-8 file, read one at a time.
+def _undecodable(lines: list[str]):
+    """Index and UTF-8 decode error of the first line that held a byte the
+    reader escaped (errors="surrogateescape"), or None. Encoding the line
+    back gives its bytes, so the error is the one they raise."""
+    for i, line in enumerate(lines):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return i, exc
+    return None
 
-    Iterating yields the data lines. A ``#<header> value`` line is the
-    file's one optional header; ``value`` holds its value converted by
-    ``kind``. ``lines[i]`` is the file line of data line i.
+
+class _Reader:
+    """The non-blank lines of a UTF-8 file, read a block of lines at a time.
+
+    Iterating yields ``(numbers, lines)``: a run of consecutive data lines
+    of one block and the range of their file line numbers; memory holds one
+    block. A ``#<header> value`` line is the file's one optional header;
+    ``value`` holds its value converted by ``kind``. Errors come in file
+    order: the data lines before a header or a line that is not UTF-8 are
+    yielded before that line is read.
     """
 
     def __init__(self, path, header: str | None = None, kind=float):
         self.path, self.header, self.kind = Path(path), header, kind
         self.lineno, self.value, self.header_line = 0, None, None
-        self.lines = array("l")
+        self.rows = 0  # data lines yielded
+        self.run_rows, self.run_lines = array("l"), array("l")  # first data and file line per run
 
     def __iter__(self):
-        with self.path.open("rb") as fh:
-            for self.lineno, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise self.error(f"not UTF-8 text ({exc.reason})")
-                text = line.strip()
-                if self.header and text.startswith("#"):
-                    self._read_header(text)
-                elif text:
-                    self.lines.append(self.lineno)
-                    yield line
+        # Bytes that are not UTF-8 are read as lone surrogates, which valid
+        # UTF-8 never decodes to; a block that is all ASCII holds none.
+        with self.path.open(encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+            while lines := fh.readlines(READ_BLOCK):
+                first, text = self.lineno + 1, "".join(lines)
+                bad = None if text.isascii() else _undecodable(lines)
+                yield from self._runs(lines[:bad[0]] if bad else lines, first,
+                                      self.header is not None and "#" in text)
+                if bad:
+                    self.lineno = first + bad[0]
+                    raise self.error(f"not UTF-8 text ({bad[1].reason})")
+                self.lineno = first + len(lines) - 1
+
+    def numbered(self):
+        """The data lines one at a time, each after its file line number."""
+        for numbers, lines in self:
+            yield from zip(numbers, lines)
+
+    def _runs(self, lines: list[str], first: int, marked: bool):
+        """The runs of data lines between the blank and header lines of one
+        block; ``first`` is the file line of ``lines[0]``, and only a
+        ``marked`` block can hold a header."""
+        cuts = []
+        if marked or any(map(str.isspace, lines)):
+            cuts = [i for i, line in enumerate(lines) if line.isspace()
+                    or marked and "#" in line and line.lstrip().startswith("#")]
+        start = 0
+        for cut in cuts + [len(lines)]:
+            if start < cut:
+                self.run_rows.append(self.rows)
+                self.run_lines.append(first + start)
+                self.rows += cut - start
+                yield range(first + start, first + cut), lines[start:cut]
+            if cut < len(lines) and not lines[cut].isspace():
+                self.lineno = first + cut
+                self._read_header(lines[cut].strip())
+            start = cut + 1
 
     def _read_header(self, line: str) -> None:
         parts = line[1:].split()
@@ -247,9 +293,14 @@ class _Reader:
     def error(self, problem: str, lineno: int | None = None) -> ParseError:
         return ParseError(f"{self.path}:{lineno or self.lineno}: {problem}")
 
+    def line_of(self, row: int) -> int:
+        """The file line of data line ``row``."""
+        run = bisect_right(self.run_rows, row) - 1
+        return self.run_lines[run] + row - self.run_rows[run]
+
     def failure(self, exc: ContractError) -> ParseError:
         """A record type's error at the line of its row, or else of the header."""
-        return self.error(str(exc), self.lines[exc.row] if isinstance(exc, RowError)
+        return self.error(str(exc), self.line_of(exc.row) if isinstance(exc, RowError)
                           else self.header_line)
 
 
@@ -263,22 +314,22 @@ def load_embeddings(path) -> EmbeddingSequence:
     spans: list[SegmentSpan] = []
     vectors: list[np.ndarray] = []
     try:
-        for line in reader:
+        for lineno, line in reader.numbered():
             fields = line.split("\t")
             if len(fields) != 4:
-                raise reader.error(f"expected 4 tab-separated fields, got {len(fields)}")
+                raise reader.error(f"expected 4 tab-separated fields, got {len(fields)}", lineno)
             rec, start_s, end_s, vec_s = fields
             try:
                 start, end = float(start_s), float(end_s)
             except ValueError:
-                raise reader.error(f"bad time fields {start_s!r} {end_s!r}")
+                raise reader.error(f"bad time fields {start_s!r} {end_s!r}", lineno)
             try:
                 vec = np.array(vec_s.split(), dtype=float)
             except ValueError:
-                raise reader.error("bad vector component")
+                raise reader.error("bad vector component", lineno)
             if vectors and vec.size != vectors[0].size:
                 raise reader.error(f"vector has {vec.size} components, "
-                                   f"previous rows have {vectors[0].size}")
+                                   f"previous rows have {vectors[0].size}", lineno)
             spans.append(SegmentSpan(rec, len(spans), start, end))
             vectors.append(vec)
         if not spans:
@@ -310,10 +361,10 @@ def save_embeddings(seq: EmbeddingSequence, path) -> None:
 def load_overlap_flags(path, expected_length: int | None = None) -> OverlapVector:
     reader = _Reader(path)
     flags: list[int] = []
-    for line in reader:
+    for lineno, line in reader.numbered():
         line = line.strip()
         if line not in ("0", "1"):
-            raise reader.error(f"expected 0 or 1, got {line!r}")
+            raise reader.error(f"expected 0 or 1, got {line!r}", lineno)
         flags.append(int(line))
     if expected_length is not None and len(flags) != expected_length:
         raise ParseError(f"{reader.path}: {len(flags)} flags but "
@@ -335,14 +386,27 @@ def load_posteriors(path) -> FramePosteriors:
     reader = _Reader(path, "frame_shift", float)
     values = array("d")
     try:
-        for line in reader:
-            parts = line.split()
-            if len(parts) != 3:
-                raise reader.error(f"expected 3 posteriors, got {len(parts)}")
+        for numbers, block in reader:
+            # One split and one conversion for the block, with a ";" token
+            # between rows: no float reads ";", so when every fourth token is
+            # one and the rest convert, every row has three fields. np.array
+            # parses each str as float() does.
+            tokens = " ; ".join(block).split()
             try:
-                values.extend([float(v) for v in parts])
+                if len(tokens) == 4 * len(block) - 1 and tokens[3::4] == [";"] * (len(block) - 1):
+                    del tokens[3::4]
+                    values.frombytes(np.array(tokens, dtype=float).tobytes())
+                    continue
             except ValueError:
-                raise reader.error("bad posterior value")
+                pass
+            for lineno, line in zip(numbers, block):  # a bad row: name the first
+                parts = line.split()
+                if len(parts) != 3:
+                    raise reader.error(f"expected 3 posteriors, got {len(parts)}", lineno)
+                try:
+                    values.extend([float(v) for v in parts])
+                except ValueError:
+                    raise reader.error("bad posterior value", lineno)
         if reader.value is None:
             raise ParseError(f"{reader.path}: missing '#frame_shift S' header")
         if not values:
@@ -373,20 +437,20 @@ def load_rttm(path) -> Timeline:
     reader = _Reader(path)
     entries: list[tuple[str, float, float]] = []
     rec_ids: set[str] = set()
-    for line in reader:
+    for lineno, line in reader.numbered():
         fields = line.split()
         if fields[0] != "SPEAKER":
             continue
         if len(fields) != 10:
-            raise reader.error(f"SPEAKER record has {len(fields)} fields, expected 10")
+            raise reader.error(f"SPEAKER record has {len(fields)} fields, expected 10", lineno)
         try:
             onset = float(fields[3])
             dur = float(fields[4])
         except ValueError:
-            raise reader.error("bad onset/duration")
+            raise reader.error("bad onset/duration", lineno)
         end = onset + dur
         if not (math.isfinite(end) and end > onset):
-            raise reader.error("bad onset/duration")
+            raise reader.error("bad onset/duration", lineno)
         rec_ids.add(fields[1])
         entries.append((fields[7], onset, end))
     if len(rec_ids) > 1:

@@ -9,17 +9,19 @@ emission score, the duration-expanded state graph with its Viterbi
 decoder, whose labels the run-length ``decode`` must reproduce, the
 agglomerative (AHC) baseline the quality grid compares against, and the
 scorer's regions with the collar windows merged up front, which the
-one-sweep ``_regions`` must reproduce.
+one-sweep ``_regions`` must reproduce, and the posteriors file read one
+line at a time, whose rows and errors the block reader must reproduce.
 """
 
 import bisect
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from diarcut.affinity import TIE_EPS
-from diarcut.errors import ContractError, InfeasiblePathError
-from diarcut.ingest import FramePosteriors, OverlapVector, Timeline
+from diarcut.errors import ContractError, InfeasiblePathError, ParseError
+from diarcut.ingest import FramePosteriors, OverlapVector, RowError, Timeline
 from diarcut.overlap_decode import (
     _ALLOWED_INTO,
     CLASSES,
@@ -92,6 +94,59 @@ def overlap_aware_binarize(
         cutoff_i = np.sort(vals)[::-1][budget - 1]
         kept[i, single_cols[vals >= cutoff_i - TIE_EPS]] = 1.0
     return 0.5 * (kept + kept.T)
+
+
+# ---------------------------------------------------------------------------
+# posteriors file
+
+
+def posteriors_by_line(path) -> FramePosteriors:
+    """Read a posteriors file one line at a time, each line decoded, stripped
+    and parsed on its own; every refusal is a ParseError naming the file line.
+    """
+    path = Path(path)
+    shift, header_line, numbers, rows = None, None, [], []
+
+    def error(problem, lineno):
+        return ParseError(f"{path}:{lineno}: {problem}")
+
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"not UTF-8 text ({exc.reason})", lineno)
+            text = line.strip()
+            if text.startswith("#"):
+                parts = text[1:].split()
+                if len(parts) != 2 or parts[0] != "frame_shift":
+                    raise error(f"unrecognized header {text!r}", lineno)
+                if header_line is not None:
+                    raise error(f"second header {text!r}; line {header_line} has the first", lineno)
+                try:
+                    shift = float(parts[1])
+                except ValueError:
+                    raise error(f"bad frame_shift header {text!r}", lineno)
+                header_line = lineno
+            elif text:
+                parts = text.split()
+                if len(parts) != 3:
+                    raise error(f"expected 3 posteriors, got {len(parts)}", lineno)
+                try:
+                    rows.append([float(v) for v in parts])
+                except ValueError:
+                    raise error("bad posterior value", lineno)
+                numbers.append(lineno)
+    if shift is None:
+        raise ParseError(f"{path}: missing '#frame_shift S' header")
+    if not rows:
+        raise ParseError(f"{path}: no posterior rows")
+    try:
+        return FramePosteriors("rec", shift, np.array(rows))
+    except RowError as exc:
+        raise error(str(exc), numbers[exc.row]) from exc
+    except ContractError as exc:
+        raise error(str(exc), header_line) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import interval_union_length, rttm_same_partition
+from diarcut import ingest
 from diarcut.errors import ContractError, ParseError
 from diarcut.ingest import (
     EmbeddingSequence,
@@ -23,6 +25,7 @@ from diarcut.ingest import (
     save_posteriors,
     write_rttm,
 )
+from oracles import posteriors_by_line
 
 
 def spans(n, rec="rec", stride=0.75, window=1.5):
@@ -288,6 +291,78 @@ class TestPosteriors:
         f.write_text(f"#frame_shift {shift}\n0.2 0.3 0.5\n")
         with pytest.raises(ParseError, match=re.escape(f"post.txt:1: {message}")):
             load_posteriors(f)
+
+
+# Posterior file lines: rows that parse, lines the reader skips, and lines
+# that end the read, so that each can fall on a block boundary.
+GOOD_ROWS = [b"0.2 0.3 0.5", b"1 0 0", b"0.25\t0.25  0.5", b" 0.5 0.5 0 ", b"1_0e-1 0 0",
+             "\u0661 0 0".encode(), b"0.5\x0c0.5 0"]
+BLANK_LINES = [b"", b"  ", b"\t", b"\r"]
+HEADERS = [b"#frame_shift 0.01", b" \t#frame_shift 2.5e-2"]
+BAD_LINES = [b"#frame_shift 0.02", b"#frame_shift x", b"#dim 3", b"0.2 0.8", b"0.2 0.3 0.5 0",
+             b"0.1 0.8 zz", b"1 ; 0", b"0.5 0.5 0 ;", b"0.5 0.5 0.5", b"-0.1 0.6 0.5",
+             b"infinity 0 0", b"\xff 0 0", b"0.2 0.3 \xc3"]
+
+
+@st.composite
+def posterior_files(draw):
+    """Bytes of a posteriors file: good rows and blank lines, a header at
+    times, and up to two bad lines or further headers."""
+    lines = draw(st.lists(st.sampled_from(GOOD_ROWS + BLANK_LINES), max_size=12))
+    inserts = draw(st.lists(st.tuples(st.integers(0, 12), st.sampled_from(BAD_LINES + HEADERS)),
+                            max_size=2))
+    if draw(st.booleans()):  # else the file may have no header
+        inserts.append((draw(st.integers(0, 12)), draw(st.sampled_from(HEADERS))))
+    for at, line in inserts:
+        lines.insert(min(at, len(lines)), line)
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if ends and draw(st.booleans()):
+        ends[-1] = b""  # the last line without a newline
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+class TestBlockReader:
+    def test_blocks_read_as_lines(self, tmp_path, monkeypatch):
+        # blocks of 1-48 characters hold 1 to about 4 of these lines, so every
+        # edge case lands on a block boundary somewhere
+        f = tmp_path / "post.txt"
+        outcomes = set()
+
+        @settings(max_examples=400, deadline=None, database=None)
+        @given(data=posterior_files(), block=st.integers(1, 48))
+        def check(data, block):
+            f.write_bytes(data)
+            monkeypatch.setattr(ingest, "READ_BLOCK", block)
+            try:
+                want = posteriors_by_line(f)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    load_posteriors(f)
+                assert str(got.value) == str(exc)
+                outcomes.add("error")
+                return
+            got = load_posteriors(f)
+            assert got.frame_shift == want.frame_shift
+            assert got.rows.tobytes() == want.rows.tobytes()
+            outcomes.add("rows")
+
+        check()
+        assert outcomes == {"rows", "error"}
+
+    def test_memory_holds_one_block(self, tmp_path, rng):
+        # the file is about 12 MB of text; a whole-file read peaks far above the rows
+        rows = rng.random((200_000, 3))
+        f = tmp_path / "post.txt"
+        save_posteriors(FramePosteriors("rec", 0.01, rows / rows.sum(axis=1, keepdims=True)), f)
+        tracemalloc.start()
+        try:
+            post = load_posteriors(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert post.num_frames == 200_000
+        assert peak < 3 * post.rows.nbytes
 
 
 class TestRttm:
