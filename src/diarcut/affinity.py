@@ -187,7 +187,7 @@ def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors
     Returns how many leading pairs are component vectors (0 from LAPACK),
     the other eigenvalues and, if ``vectors``, the N x k eigenvectors, each
     from the ``which`` end inward. Raises NumericalError if the solver fails
-    or Lanczos is asked for all N pairs.
+    or Lanczos is asked for all N pairs of a nonzero matrix.
     """
     n, c = mat.shape[0], 0
     if weight is not None:
@@ -209,13 +209,13 @@ def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors
         basis = (weight / np.where(norms > 0, norms, 1.0)[labels])[:, None] * frame[labels]
     if c >= k:
         return c, np.empty(0), basis if vectors else None
-    if k - c >= n:
-        raise NumericalError(f"Lanczos finds at most {n - 1} eigenpairs of {n} rows; {k - c} asked")
     if not mat.count_nonzero():  # Lanczos breaks down on the zero matrix
         free = np.flatnonzero(weight == 0) if weight is not None else np.arange(n)
         found = np.zeros((n, k - c))
         found[free[:k - c], np.arange(k - c)] = 1.0
         return c, np.zeros(k - c), np.hstack([basis, found]) if vectors else None
+    if k - c >= n:
+        raise NumericalError(f"Lanczos finds at most {n - 1} eigenpairs of {n} rows; {k - c} asked")
     from scipy.sparse import linalg as sla
 
     op = mat if not c else sla.LinearOperator(

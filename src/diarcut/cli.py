@@ -134,8 +134,8 @@ def _cmd_detect_overlap(args) -> int:
     cfg = overlap_decode.DurationConfig(**_field_values(args, DURATION_FIELDS))
     post = ingest.load_posteriors(args.posteriors)
     labels = overlap_decode.viterbi(post, cfg)
-    seq = ingest.load_embeddings(args.segments)
-    flags = overlap_decode.frames_to_flags(labels, seq.spans)
+    spans = ingest.load_spans(args.segments)
+    flags = overlap_decode.frames_to_flags(labels, spans)
     ingest.save_overlap_flags(flags, args.out)
     if args.lab:
         with Path(args.lab).open("w", encoding="utf-8") as fh:
@@ -143,11 +143,11 @@ def _cmd_detect_overlap(args) -> int:
                 fh.write(f"{start:.3f}\t{end:.3f}\toverlap\n")
     summary = {
         "out": str(args.out),
-        "n_segments": len(seq),
+        "n_segments": len(spans),
         "n_flagged": int(flags.flags.sum()),
         "n_frames": len(labels),
     }
-    print(f"flagged {summary['n_flagged']} of {len(seq)} segments; wrote {args.out}")
+    print(f"flagged {summary['n_flagged']} of {len(spans)} segments; wrote {args.out}")
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 
@@ -195,7 +195,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("detect-overlap", help="decode posteriors into overlap flags")
     p.add_argument("--posteriors", required=True)
-    p.add_argument("--segments", required=True, help="embeddings file providing spans")
+    p.add_argument("--segments", required=True, help="embeddings file; only fields 1-3 are read")
     p.add_argument("--out", required=True)
     _add_field_options(p, DURATION_FIELDS)
     p.add_argument("--lab", default=None, help="also write overlap regions as a .lab file")

@@ -72,6 +72,17 @@ class SegmentSpan:
         return self.end - self.start
 
 
+def _check_recording(spans: list[SegmentSpan]) -> list[SegmentSpan]:
+    """The spans, if they are of one recording and their speaker time fits a float64."""
+    for i, span in enumerate(spans):
+        if span.recording_id != spans[0].recording_id:
+            raise RowError(i, f"segment {i} is of recording {span.recording_id!r}, not "
+                              f"{spans[0].recording_id!r}; use one file per recording")
+    if not math.isfinite(2 * sum(span.duration for span in spans)):  # two labels a span at most
+        raise RowError(len(spans) - 1, "the segments' speaker time overflows float64")
+    return spans
+
+
 @dataclass
 class EmbeddingSequence:
     """Per-segment embedding vectors with their time spans, in file order."""
@@ -87,18 +98,13 @@ class EmbeddingSequence:
             raise ContractError(
                 f"{len(self.spans)} spans but {self.vectors.shape[0]} vectors"
             )
-        for i, span in enumerate(self.spans):
-            if span.recording_id != self.spans[0].recording_id:
-                raise RowError(i, f"segment {i} is of recording {span.recording_id!r}, not "
-                                  f"{self.spans[0].recording_id!r}; use one file per recording")
+        _check_recording(self.spans)
         bad = np.flatnonzero(~np.isfinite(self.vectors).all(axis=1))
         if bad.size:
             raise RowError(bad[0], f"segment {bad[0]} has a non-finite embedding component")
         bad = np.flatnonzero(~self.vectors.any(axis=1))
         if bad.size:
             raise RowError(bad[0], f"segment {bad[0]} has a zero-norm embedding")
-        if not math.isfinite(2 * sum(span.duration for span in self.spans)):  # two labels a span at most
-            raise RowError(len(self.spans) - 1, "the segments' speaker time overflows float64")
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -308,21 +314,29 @@ class _Reader:
 # embeddings
 
 
+def _read_spans(reader: _Reader):
+    """Each data line of an embeddings file as (file line, span, unread vector field)."""
+    for index, (lineno, line) in enumerate(reader.numbered()):
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise reader.error(f"expected 4 tab-separated fields, got {len(fields)}", lineno)
+        rec, start_s, end_s, vec_s = fields
+        try:
+            start, end = float(start_s), float(end_s)
+        except ValueError:
+            raise reader.error(f"bad time fields {start_s!r} {end_s!r}", lineno)
+        yield lineno, SegmentSpan(rec, index, start, end), vec_s
+    if not reader.rows:
+        raise ParseError(f"{reader.path}: no segments found")
+
+
 def load_embeddings(path) -> EmbeddingSequence:
     """Parse an embeddings file into a validated sequence, in file order."""
     reader = _Reader(path, "dim", int)
     spans: list[SegmentSpan] = []
     vectors: list[np.ndarray] = []
     try:
-        for lineno, line in reader.numbered():
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise reader.error(f"expected 4 tab-separated fields, got {len(fields)}", lineno)
-            rec, start_s, end_s, vec_s = fields
-            try:
-                start, end = float(start_s), float(end_s)
-            except ValueError:
-                raise reader.error(f"bad time fields {start_s!r} {end_s!r}", lineno)
+        for lineno, span, vec_s in _read_spans(reader):
             try:
                 vec = np.array(vec_s.split(), dtype=float)
             except ValueError:
@@ -330,14 +344,21 @@ def load_embeddings(path) -> EmbeddingSequence:
             if vectors and vec.size != vectors[0].size:
                 raise reader.error(f"vector has {vec.size} components, "
                                    f"previous rows have {vectors[0].size}", lineno)
-            spans.append(SegmentSpan(rec, len(spans), start, end))
+            spans.append(span)
             vectors.append(vec)
-        if not spans:
-            raise ParseError(f"{reader.path}: no segments found")
         if reader.value not in (None, vectors[0].size):
             raise reader.error(f"header says {reader.value} components, rows have "
                                f"{vectors[0].size}", reader.header_line)
         return EmbeddingSequence(spans, np.vstack(vectors))
+    except ContractError as exc:
+        raise reader.failure(exc) from exc
+
+
+def load_spans(path) -> list[SegmentSpan]:
+    """The spans of an embeddings file, checked as load_embeddings checks them; vectors unread."""
+    reader = _Reader(path, "dim", int)
+    try:
+        return _check_recording([span for _, span, _ in _read_spans(reader)])
     except ContractError as exc:
         raise reader.failure(exc) from exc
 

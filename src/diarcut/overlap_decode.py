@@ -12,12 +12,15 @@ The decoder works on runs, not on a duration-expanded state graph (an
 explicit-duration HMM; S.-Z. Yu, "Hidden semi-Markov models", Artificial
 Intelligence 174, 2010).  A run of class c over frames [s, t] scores its
 entry score, the best run of a permitted class ending at s - 1, plus a
-difference of prefix sums of c's emissions.  The best run of c ending at t
-is therefore a sliding-window maximum over s, kept in a monotonic deque, so
-time and memory are O(T) whatever the bounds.  Ties resolve as in the
-equivalent chain graph with class-major states: the lower class first
-(silence, single, overlap), then the shorter run, except that an unbounded
-class with a one-frame minimum keeps its running run over a fresh entry.
+difference of prefix sums of c's emissions.  Silence and overlap runs enter
+from single, and single runs from the better of silence and overlap
+(silence on ties), so each frame's entry scores are worked out once.  The
+best run of c ending at t is therefore a sliding-window maximum over s, kept
+in a monotonic deque, so time and memory are O(T) whatever the bounds.
+Ties resolve as in the equivalent chain graph with class-major states: the
+lower class first (silence, single, overlap), then the shorter run, except
+that an unbounded class with a one-frame minimum keeps its running run over
+a fresh entry.
 These rules apply to exactly equal scores; scores built from prefix sums
 round differently from frame-by-frame sums, so labelings whose scores differ
 only by rounding may resolve differently from the chain graph.
@@ -42,14 +45,6 @@ log = logging.getLogger(__name__)
 SILENCE, SINGLE, OVERLAP = 0, 1, 2
 CLASSES = (SILENCE, SINGLE, OVERLAP)
 CLASS_NAMES = ("silence", "single", "overlap")
-
-# Exits permitted into each class; overlap reaches silence only through
-# single-speaker speech and vice versa.
-_ALLOWED_INTO = {
-    SILENCE: (SINGLE,),
-    SINGLE: (SILENCE, OVERLAP),
-    OVERLAP: (SINGLE,),
-}
 
 
 @dataclass(frozen=True)
@@ -154,9 +149,9 @@ def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
     log_emis = np.asarray(log_emis, dtype=float)
     t_len = len(log_emis)
     neg = -math.inf
-    # Per class and frame t: the class a run starting at t enters from, and
-    # the start of the best run ending at t.
-    came_from = [array("b", bytes(t_len)) for _ in CLASSES]
+    # Per frame t: the class a single run starting at t enters from, and per
+    # class the start of the best run ending at t.
+    came_from = array("b", bytes(t_len))
     start = [array("i", bytes(4 * t_len)) for _ in CLASSES]
     lanes = []
     for c, (m, mx) in zip(CLASSES, bounds):
@@ -167,30 +162,26 @@ def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
         # The entry score of a run starting at t minus the prefix sum of the
         # class's emissions before t.
         key = array("d", bytes(8 * t_len))
-        lanes.append(
-            (c, m, mx, beaten, _ALLOWED_INTO[c], deque(), emis, key, came_from[c], start[c])
-        )
+        lanes.append((c, m, mx, beaten, deque(), emis, key, start[c]))
     total = [0.0, 0.0, 0.0]  # prefix sums of each class's finite emissions
     blocked = [-1, -1, -1]  # last frame each class may not cover
     # Score of the best run of each class ending before frame t; the empty
     # prefix may precede any class.
     best = [0.0, 0.0, 0.0]
     for t in range(t_len):
-        last = best[:]
-        for c, m, mx, beaten, sources, window, emis, key, came, starts in lanes:
+        # Entry scores, once per frame: silence and overlap take the best
+        # single run, single the better of silence and overlap, silence on ties.
+        came = OVERLAP if best[OVERLAP] > best[SILENCE] else SILENCE
+        came_from[t] = came
+        entry = (best[SINGLE], best[came], best[SINGLE])
+        for c, m, mx, beaten, window, emis, key, starts in lanes:
             e = emis[t]
             if e == neg:
                 blocked[c] = t
                 window.clear()
                 best[c] = neg
                 continue
-            # Enter from the best permitted class, the lowest one on ties.
-            score, prev = neg, 0
-            for p in sources:
-                if last[p] > score:
-                    score, prev = last[p], p
-            key[t] = score - total[c]
-            came[t] = prev
+            key[t] = entry[c] - total[c]
             total[c] += e
             s = t - m + 1  # a run starting at s just reached the minimum
             if s > blocked[c] and key[s] > neg:
@@ -220,7 +211,7 @@ def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
     while t >= 0:
         s = start[c][t]
         labels[s : t + 1] = c
-        c, t = came_from[c][s], s - 1
+        c, t = came_from[s] if c == SINGLE else SINGLE, s - 1
     return labels
 
 
@@ -258,7 +249,7 @@ def check_labels(labels: FrameLabels, cfg: DurationConfig) -> None:
                 f"{CLASS_NAMES[cls]} run of {n_frames} frames violates maximum {hi}"
             )
     for (c1, _, _), (c2, _, _) in zip(runs, runs[1:]):
-        if c1 not in _ALLOWED_INTO[c2]:
+        if SINGLE not in (c1, c2):  # silence and overlap touch
             raise ContractError(f"{CLASS_NAMES[c1]} run followed by {CLASS_NAMES[c2]} run")
 
 

@@ -22,12 +22,7 @@ import numpy as np
 from diarcut.affinity import TIE_EPS
 from diarcut.errors import ContractError, InfeasiblePathError, ParseError
 from diarcut.ingest import FramePosteriors, OverlapVector, RowError, Timeline
-from diarcut.overlap_decode import (
-    _ALLOWED_INTO,
-    CLASSES,
-    DurationConfig,
-    run_bounds,
-)
+from diarcut.overlap_decode import CLASSES, OVERLAP, SILENCE, SINGLE, DurationConfig, run_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +220,14 @@ def degree_normalize(assignment, degree: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # overlap decoder
+
+# Exits permitted into each class; overlap reaches silence only through
+# single-speaker speech and vice versa.
+_ALLOWED_INTO = {
+    SILENCE: (SINGLE,),
+    SINGLE: (SILENCE, OVERLAP),
+    OVERLAP: (SINGLE,),
+}
 
 
 def path_score(labels: np.ndarray, posteriors: FramePosteriors) -> float:

@@ -716,6 +716,54 @@ class TestDetectOverlapCommand:
         assert code == 0
         assert out.read_text() == "0\n1\n1\n"
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("\t1 0\n", "\t0 0\n"), ("0 1", "nan 1"), ("0 1", "x 1"), ("0 1", "0 1 1"),
+         ("rec", "#dim 7\nrec")],
+        ids=["zero", "nan", "non-numeric", "ragged", "header"],
+    )
+    def test_vector_field_is_not_read(self, tmp_path, capsys, old, new):
+        # detect-overlap takes only the segment times: flags and .lab are the clean file's
+        rows = []
+        for t in range(300):
+            mid = (t + 0.5) * 0.01
+            rows.append([0.0, 0.05, 0.95] if 0.5 <= mid < 1.6 else [0.0, 0.95, 0.05])
+        post, emb = self._write_inputs(tmp_path, rows)
+        clean = emb.read_text()
+        outputs = []
+        for text in (clean, clean.replace(old, new, 1)):
+            emb.write_text(text)
+            out, lab = tmp_path / f"flags{len(outputs)}.txt", tmp_path / f"ovl{len(outputs)}.lab"
+            code, _, err = run_cli(capsys, "detect-overlap", "--posteriors", str(post),
+                                   "--segments", str(emb), "--out", str(out), "--lab", str(lab))
+            assert code == 0, err
+            outputs.append((out.read_bytes(), lab.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == b"1\n1\n0\n"
+        code, _, _ = run_cli(capsys, "diarize", "--embeddings", str(emb),
+                             "--out", str(tmp_path / "hyp.rttm"))
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [("rec\t0.0\t1.5\t1 0\nrec\t0.75\t2.25\n", 2), ("rec\t0.0\tx\t1 0\n", 1),
+         ("rec\t0.0\t1.5\t1 0\n\nrec\t1.0\t1.0004\t0 1\n", 3),
+         ("a\t0.0\t1.5\t1 0\nb\t0.75\t2.25\t0 1\n", 2), ("", None)],
+        ids=["three-fields", "time", "sub-millisecond", "two-recordings", "empty"],
+    )
+    def test_span_errors_match_diarize(self, tmp_path, capsys, text, lineno):
+        post, emb = self._write_inputs(tmp_path, [[0.0, 1.0, 0.0]] * 300)
+        emb.write_text(text)
+        errors = []
+        for argv in (["diarize", "--embeddings", str(emb)],
+                     ["detect-overlap", "--posteriors", str(post), "--segments", str(emb)]):
+            code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out.txt"))
+            assert code == 2
+            errors.append([line for line in err.splitlines() if line.startswith("error: ")])
+        assert errors[0] == errors[1] and len(errors[0]) == 1
+        where = f"error: {emb}:{lineno}: " if lineno else f"error: {emb}: no segments found"
+        assert errors[0][0].startswith(where)
+
     def test_frame_shift_option_is_gone(self, tmp_path, capsys):
         post, emb = self._write_inputs(tmp_path, [[0.1, 0.8, 0.1]] * 300)
         with pytest.raises(SystemExit) as exc:

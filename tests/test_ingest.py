@@ -20,6 +20,7 @@ from diarcut.ingest import (
     load_overlap_flags,
     load_posteriors,
     load_rttm,
+    load_spans,
     save_embeddings,
     save_overlap_flags,
     save_posteriors,
@@ -180,6 +181,46 @@ class TestEmbeddings:
         back = load_embeddings(f)
         assert np.array_equal(back.vectors, seq.vectors)
         assert [s.start for s in back.spans] == [s.start for s in seq.spans]
+
+
+class TestSpans:
+    CLEAN = "#dim 2\nrec\t0.0\t1.5\t1 0\n\nrec\t0.75\t2.25\t0 1\nrec\t1.5\t3.0\t1 1\n"
+
+    def test_spans_of_embeddings(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_text(self.CLEAN)
+        assert load_spans(f) == load_embeddings(f).spans
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("1 0", "0 0"), ("0 1", "nan 1"), ("0 1", "x 1"), ("1 1", "1 1 1"), ("#dim 2", "#dim 7"),
+         ("1 1", "")],
+        ids=["zero", "nan", "non-numeric", "ragged", "header", "empty"],
+    )
+    def test_vector_field_is_not_read(self, tmp_path, old, new):
+        f = tmp_path / "emb.txt"
+        f.write_text(self.CLEAN)
+        want = load_spans(f)
+        f.write_text(self.CLEAN.replace(old, new, 1))
+        with pytest.raises(ParseError):
+            load_embeddings(f)
+        assert load_spans(f) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        ["rec\t0\t1\t1 0\nrec\t1\t2\n", "rec\t0\tx\t1 0\n", "rec\t1.0\t1.0004\t1 0\n",
+         "a\t0\t1\t1 0\nb\t0\t1\t0 1\n", "rec\t0\t6e307\t1 0\nrec\t6e307\t1.2e308\t0 1\n",
+         "rec my\t0\t1\t1 0\n", "#dim 2\n\n", "", "#dim x\nrec\t0\t1\t1 0\n"],
+        ids=["fields", "time", "sub-millisecond", "two-recordings", "overflow", "recording-id",
+             "header-only", "empty", "bad-header"],
+    )
+    def test_span_errors_match_load_embeddings(self, tmp_path, text):
+        f = tmp_path / "emb.txt"
+        f.write_text(text)
+        with pytest.raises(ParseError) as want:
+            load_embeddings(f)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(want.value))}$"):
+            load_spans(f)
 
 
 class TestOverlapFlags:
@@ -444,7 +485,7 @@ class TestRttm:
         assert len(load_rttm(f).entries) == 1
 
 
-LOADERS = [load_embeddings, load_overlap_flags, load_posteriors, load_rttm]
+LOADERS = [load_embeddings, load_spans, load_overlap_flags, load_posteriors, load_rttm]
 
 # Fragments of every format, so that generated files get past the first line.
 TOKENS = [

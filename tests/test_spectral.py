@@ -230,9 +230,10 @@ class TestLanczosSolve:
         assert np.array_equal(got.z_star, continuous_solve(graph, 3).z_star)
         assert np.linalg.norm(got.z_star, axis=1).min() > 0
 
-    @pytest.mark.parametrize("k", [1, 799])
+    @pytest.mark.parametrize("k", [1, 799, 800])
     def test_graph_without_edges_gets_the_dense_answer(self, monkeypatch, k):
-        # ARPACK breaks down on the zero matrix ("Starting vector is zero")
+        # ARPACK breaks down on the zero matrix ("Starting vector is zero");
+        # k = N, which Lanczos could not give at all, needs no solve either
         from scipy import sparse
         from scipy.sparse import linalg as sla
 
@@ -243,13 +244,6 @@ class TestLanczosSolve:
         assert np.array_equal(got.lambda_star, want.lambda_star)
         w = got.z_star / np.linalg.norm(got.z_star, axis=0)  # every degree is the floor
         assert np.array_equal(w.T @ w, np.eye(k))
-
-    def test_every_node_isolated_at_k_equal_n_is_a_typed_error(self):
-        # Lanczos cannot return all N eigenpairs; there are no components to set
-        from scipy import sparse
-
-        with pytest.raises(NumericalError, match="at most 799 eigenpairs"):
-            continuous_solve(sparse.csr_matrix((800, 800)), 800)
 
 
 class TestNmsAssign:
