@@ -171,29 +171,28 @@ def component_labels(mat) -> np.ndarray:
 def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors: bool = False):
     """k eigenpairs at the ``which`` end ("LA"/"SA") of a symmetric graph matrix.
 
-    With ``weight``, the c components C with nonzero weight must each have
-    the unit vector along weight * 1_C as an eigenvector. With c >= k these
-    are the answer, with no solve; past k, row i is weight_i / ||weight_C(i)||
-    times row C(i) of a seeded c x k orthonormal frame (the Q of a QR of a
-    Gaussian from ARPACK_SEED). Otherwise a dense array keeps the k at the
-    ``which`` end of LAPACK's full solve, and a CSR matrix takes the other
-    k - c from seeded Lanczos with min(N, max(ARPACK_NCV, 2k + 1)) vectors
-    on mat + shift * P, P projecting onto the component vectors (Lanczos
-    drops copies of a repeated eigenvalue; ``shift`` moves them aside). A CSR
-    matrix with no nonzero entry gets that solve's answer without one: k - c
-    zeros, with the unit vectors of the first k - c nodes that have no
-    component vector.
+    With ``weight``, which must be positive, each of the c components C must
+    have the unit vector along weight * 1_C as an eigenvector. With c >= k
+    these are the answer, with no solve; past k, row i is weight_i /
+    ||weight_C(i)|| times row C(i) of a seeded c x k orthonormal frame (the Q
+    of a QR of a Gaussian from ARPACK_SEED). Otherwise a dense array keeps
+    the k at the ``which`` end of LAPACK's full solve, and a CSR matrix takes
+    the other k - c from seeded Lanczos with min(N, max(ARPACK_NCV, 2k + 1))
+    vectors on mat + shift * P, P projecting onto the component vectors
+    (Lanczos drops copies of a repeated eigenvalue; ``shift`` moves them
+    aside). A zero matrix has c = N components, so with weights it needs no
+    solve; without, Lanczos cannot start on it, and the caller answers.
 
     Returns how many leading pairs are component vectors (0 from LAPACK),
     the other eigenvalues and, if ``vectors``, the N x k eigenvectors, each
     from the ``which`` end inward. Raises NumericalError if the solver fails
-    or Lanczos is asked for all N pairs of a nonzero matrix.
+    or Lanczos is asked for all N pairs.
     """
     n, c = mat.shape[0], 0
     if weight is not None:
         labels = component_labels(mat)
         norms = np.sqrt(np.bincount(labels, weights=weight * weight))
-        c = int(np.count_nonzero(norms))
+        c = norms.size
     if c < k and isinstance(mat, np.ndarray):
         try:
             w, found = np.linalg.eigh(mat)
@@ -203,17 +202,11 @@ def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors
         return 0, w[top], found[:, top] if vectors else None
     basis = np.empty((n, 0))
     if weight is not None and (vectors or c < k):
-        frame = np.zeros((norms.size, min(c, k)))  # one row per component
-        frame[norms > 0] = np.eye(c) if c <= k else np.linalg.qr(
+        frame = np.eye(c) if c <= k else np.linalg.qr(  # one row per component
             np.random.default_rng(ARPACK_SEED).standard_normal((c, k)))[0]
-        basis = (weight / np.where(norms > 0, norms, 1.0)[labels])[:, None] * frame[labels]
+        basis = (weight / norms[labels])[:, None] * frame[labels]
     if c >= k:
         return c, np.empty(0), basis if vectors else None
-    if not mat.count_nonzero():  # Lanczos breaks down on the zero matrix
-        free = np.flatnonzero(weight == 0) if weight is not None else np.arange(n)
-        found = np.zeros((n, k - c))
-        found[free[:k - c], np.arange(k - c)] = 1.0
-        return c, np.zeros(k - c), np.hstack([basis, found]) if vectors else None
     if k - c >= n:
         raise NumericalError(f"Lanczos finds at most {n - 1} eigenpairs of {n} rows; {k - c} asked")
     from scipy.sparse import linalg as sla

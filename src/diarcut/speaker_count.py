@@ -99,7 +99,7 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
 
     from scipy import sparse  # only large graphs pay its import time
     lap = sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized
-    lam_max = float(aff.graph_eigh(lap, 1, "LA")[1][0])
+    lam_max = float(aff.graph_eigh(lap, 1, "LA")[1][0]) if lap.count_nonzero() else 0.0
     c, values, _ = aff.graph_eigh(lap, min(m, n), "SA", np.ones(n), lam_max + 1.0)
     low = np.concatenate([np.zeros(c), values])[:m]
     low[np.abs(low) < ZERO_SNAP] = 0.0

@@ -8,7 +8,8 @@ discrete answer is recovered by alternating two exact subproblem solvers:
 non-maximal suppression for the best binary matrix at a fixed rotation, and
 an orthogonal Procrustes fit for the best rotation at a fixed binary matrix.
 Rows flagged as overlapping keep their two largest entries instead of one,
-so their row sum is 2 and the segment carries two speaker labels.  Only K
+so their row sum is 2 and the segment carries two speaker labels.  D^-1 A
+exists only if every degree is positive, which the solve checks.  Only K
 eigenvectors are needed (Yu & Shi, ICCV 2003). K or more connected components
 give them with no solve (past K, a seeded frame of their span); otherwise
 dense graphs take a full LAPACK solve and CSR graphs (SPARSE_MIN_N rows or
@@ -27,8 +28,6 @@ from .errors import ContractError, NumericalError
 from .ingest import OverlapVector
 
 log = logging.getLogger(__name__)
-
-DEGREE_FLOOR = 1e-10
 
 # Discretization schedule: RESTARTS seeded starts, each stopping once a round
 # lowers the objective by less than a relative PHI_STOP_RTOL, or at MAX_ROUNDS.
@@ -104,18 +103,19 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     The eigenproblem of the non-symmetric D^-1 A is computed through the
     similar symmetric matrix D^-1/2 A D^-1/2, whose orthonormal eigenvectors
     W give Z = D^-1/2 W with Z^T D Z = I by construction.  D holds the row
-    sums of the graph; isolated nodes get a floored degree.  Each entry
-    a_ij is scaled once, to d_i^-1/2 a_ij d_j^-1/2, in the graph's own
-    format; binarized entries (0, 1/2, 1) scale exactly, so the result is
-    exactly symmetric.
+    sums of the graph, which must be positive and finite; those of
+    ``affinity.binarize`` are at least 1/2.  Each entry a_ij is scaled once,
+    to d_i^-1/2 a_ij d_j^-1/2, in the graph's own format; binarized entries
+    (0, 1/2, 1) scale exactly, so the result is exactly symmetric.
 
-    One ``affinity.graph_eigh`` call gives the top K: the c components of
-    positive degree set their eigenvalue-1 vectors D^1/2 1_C in place (past
-    K, where any K-frame of their span is optimal, a seeded one), and the
-    graph's format picks the solver for the rest.
+    One ``affinity.graph_eigh`` call gives the top K: the c components set
+    their eigenvalue-1 vectors D^1/2 1_C in place (past K, where any K-frame
+    of their span is optimal, a seeded one), and the graph's format picks
+    the solver for the rest.
 
     Args:
-        binarized: symmetric nonnegative affinity graph, dense or CSR.
+        binarized: symmetric nonnegative affinity graph, dense or CSR; a
+            degree that is not positive and finite raises ContractError.
         k: number of eigenvectors, 1 <= k <= N.
 
     Returns:
@@ -125,20 +125,16 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     if not 1 <= k <= n:
         raise ContractError(f"k={k} outside [1, {n}]")
     d = np.asarray(binarized.sum(axis=1), dtype=float).ravel()
-    isolated = d <= 0
-    if isolated.any():
-        log.warning("%d isolated nodes after binarization; flooring degrees at %g",
-                    int(isolated.sum()), DEGREE_FLOOR)
-        d = d + DEGREE_FLOOR
+    bad = np.flatnonzero(~(np.isfinite(d) & (d > 0)))
+    if bad.size:
+        raise ContractError(f"node {bad[0]} has degree {d[bad[0]]}; it must be positive and finite")
     dinv_sqrt = 1.0 / np.sqrt(d)
     if isinstance(binarized, np.ndarray):
         sym = dinv_sqrt[:, None] * binarized * dinv_sqrt[None, :]
     else:
         sym = binarized.multiply(dinv_sqrt[:, None]).multiply(dinv_sqrt).tocsr()
-    # Lanczos moves the component vectors from eigenvalue 1 to -2, below the
-    # spectrum; isolated nodes (eigenvalue 0) get no such vector.
-    weight = np.where(isolated, 0.0, np.sqrt(d))
-    known, values, vec = affinity.graph_eigh(sym, k, "LA", weight, -3.0, vectors=True)
+    # Lanczos moves the component vectors from eigenvalue 1 to -2, below the spectrum.
+    known, values, vec = affinity.graph_eigh(sym, k, "LA", np.sqrt(d), -3.0, vectors=True)
     lambda_star = np.concatenate([np.ones(known), values])[:k]
     z_star = dinv_sqrt[:, None] * vec
     x_tilde_star = row_normalize(z_star)

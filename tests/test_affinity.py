@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import block_affinity
 from diarcut import affinity
@@ -474,3 +477,35 @@ class TestComponentLabels:
         assert np.array_equal(labels, [0] * 4 + [1] * 4)
         assert np.array_equal(labels, affinity.component_labels(graph.toarray()))
         assert self.csgraph_labels(graph).max() == 0
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_every_binarized_row_sums_to_at_least_a_half(data):
+    # continuous_solve refuses a node without positive degree; this is why the
+    # pipeline never builds one: every row keeps at least one entry
+    from scipy import sparse
+
+    n = data.draw(st.integers(1, 12))
+    pool = data.draw(arrays(float, (data.draw(st.integers(1, n)), 3), elements=st.integers(-2, 2)))
+    pool[~pool.any(axis=1), 0] = 1.0
+    # rows drawn from a small pool repeat, so whole rows of affinities tie
+    vectors = pool[data.draw(arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))]
+    u = unit_rows(vectors)
+    p = data.draw(st.integers(1, n))
+    mode = data.draw(st.sampled_from(["none", "random", "all but one", "all"]))
+    flags = {
+        "none": None,
+        "random": data.draw(arrays(np.int8, n, elements=st.integers(0, 1))),
+        "all but one": (np.arange(n) != data.draw(st.integers(0, n - 1))).astype(np.int8),
+        "all": np.ones(n, dtype=np.int8),
+    }[mode]
+    csr = data.draw(st.booleans())
+    with pytest.MonkeyPatch.context() as mp:
+        if csr:
+            mp.setattr(affinity, "SPARSE_MIN_N", 0)
+        graphs = [binarize(u, p, None if flags is None else OverlapVector(flags))]
+        graphs += list(binarize_sweep(u, range(1, n + 1)))
+    for graph in graphs:
+        assert sparse.issparse(graph) == csr
+        assert np.asarray(graph.sum(axis=1)).min() >= 0.5

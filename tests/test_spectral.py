@@ -187,17 +187,26 @@ class TestLanczosSolve:
             tracemalloc.stop()
         assert peak < n * n * 8
 
-    def test_floored_isolated_node(self, caplog):
+    @staticmethod
+    def _no_solve(monkeypatch):
+        from scipy.sparse import linalg as sla
+
+        monkeypatch.setattr(sla, "eigsh", lambda *a, **kw: pytest.fail("no solve expected"))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: pytest.fail("no solve expected"))
+
+    def test_isolated_node_is_refused(self, monkeypatch):
+        # D^-1 A does not exist with a zero degree; the binarization never builds one
         from scipy import sparse
 
+        self._no_solve(monkeypatch)
         graph = sparse_graph(3, 100, 0.15, 15)
         n = graph.shape[0]
         # a last row and column with no link at all
         graph = sparse.csr_matrix(sparse.bmat([[graph, None], [None, sparse.csr_matrix((1, 1))]]))
         assert graph.shape == (n + 1, n + 1)
-        with caplog.at_level("WARNING", logger="diarcut.spectral"):
-            self._compare(graph, 3)
-        assert "1 isolated nodes" in caplog.text
+        for fmt in (graph, graph.toarray()):
+            with pytest.raises(ContractError, match=f"node {n} has degree 0.0"):
+                continuous_solve(fmt, 3)
 
     def test_deterministic(self):
         graph = sparse_graph(5, 150, 0.2, 16)
@@ -231,19 +240,28 @@ class TestLanczosSolve:
         assert np.linalg.norm(got.z_star, axis=1).min() > 0
 
     @pytest.mark.parametrize("k", [1, 799, 800])
-    def test_graph_without_edges_gets_the_dense_answer(self, monkeypatch, k):
-        # ARPACK breaks down on the zero matrix ("Starting vector is zero");
-        # k = N, which Lanczos could not give at all, needs no solve either
+    def test_graph_without_edges_is_refused(self, monkeypatch, k):
+        # every degree is zero: refused before ARPACK, which breaks down on the zero matrix
         from scipy import sparse
-        from scipy.sparse import linalg as sla
 
-        monkeypatch.setattr(sla, "eigsh", lambda *a, **kw: pytest.fail("no solve expected"))
-        got = continuous_solve(sparse.csr_matrix((800, 800)), k)
-        want = continuous_solve(np.zeros((800, 800)), k)
-        assert np.array_equal(got.lambda_star, np.zeros(k))
-        assert np.array_equal(got.lambda_star, want.lambda_star)
-        w = got.z_star / np.linalg.norm(got.z_star, axis=0)  # every degree is the floor
-        assert np.array_equal(w.T @ w, np.eye(k))
+        self._no_solve(monkeypatch)
+        for graph in (sparse.csr_matrix((800, 800)), np.zeros((800, 800))):
+            with pytest.raises(ContractError, match="node 0 has degree 0.0"):
+                continuous_solve(graph, k)
+
+    @pytest.mark.parametrize("n", [2, 800])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0])
+    def test_degree_not_positive_and_finite_is_refused(self, monkeypatch, n, bad):
+        # a NaN, infinite or negative row sum would reach sqrt and the eigensolver
+        from scipy import sparse
+
+        self._no_solve(monkeypatch)
+        graph = np.eye(n)
+        graph[0, 1] = graph[1, 0] = 0.5
+        graph[1, 1] = bad
+        for fmt in (graph, sparse.csr_matrix(graph)):
+            with pytest.raises(ContractError, match=f"node 1 has degree {bad + 0.5}"):
+                continuous_solve(fmt, 1)
 
 
 class TestNmsAssign:
