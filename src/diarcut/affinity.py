@@ -32,22 +32,22 @@ ARPACK_SEED = 0
 
 
 def cosine_affinity(seq: EmbeddingSequence) -> np.ndarray:
-    """Unit-norm rows of the segment embeddings: rows i and j multiply to
-    the cosine similarity of segments i and j.
+    """N x d unit-norm rows (``normalize_rows``) of the nonzero segment
+    embeddings: rows i and j multiply to the cosine similarity of segments i
+    and j. The binarization forms these products one row block at a time, so
+    no N x N affinity is ever held.
+    """
+    return normalize_rows(seq.vectors)
 
-    Each row is first scaled by the power of two that brings its largest
+
+def normalize_rows(rows) -> np.ndarray:
+    """Each row of a 2-D array, none of them zero, scaled to unit norm.
+
+    A row is first scaled by the power of two that brings its largest
     component into [0.5, 1), so the norm neither over- nor underflows; the
     scaling is exact, and in-range rows normalize bit for bit as v / ||v||.
-    The binarization forms these products one row block at a time, so no
-    N x N affinity is ever held.
-
-    Args:
-        seq: embedding sequence; its vectors are nonzero.
-
-    Returns:
-        N x d array of unit-norm rows.
     """
-    vecs = np.asarray(seq.vectors, dtype=float)
+    vecs = np.asarray(rows, dtype=float)
     _, exp = np.frexp(np.abs(vecs).max(axis=1))
     scaled = np.ldexp(vecs, -exp[:, None])
     return scaled / np.linalg.norm(scaled, axis=1)[:, None]
@@ -176,7 +176,8 @@ def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors
     these are the answer, with no solve; past k, row i is weight_i /
     ||weight_C(i)|| times row C(i) of a seeded c x k orthonormal frame (the Q
     of a QR of a Gaussian from ARPACK_SEED). Otherwise a dense array keeps
-    the k at the ``which`` end of LAPACK's full solve, and a CSR matrix takes
+    the k at the ``which`` end of LAPACK's full solve (``eigvalsh`` unless
+    ``vectors``; k = N gives the whole spectrum), and a CSR matrix takes
     the other k - c from seeded Lanczos with min(N, max(ARPACK_NCV, 2k + 1))
     vectors on mat + shift * P, P projecting onto the component vectors
     (Lanczos drops copies of a repeated eigenvalue; ``shift`` moves them
@@ -195,7 +196,7 @@ def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors
         c = norms.size
     if c < k and isinstance(mat, np.ndarray):
         try:
-            w, found = np.linalg.eigh(mat)
+            w, found = np.linalg.eigh(mat) if vectors else (np.linalg.eigvalsh(mat), None)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"LAPACK eigensolve failed on {n} rows: {exc}") from exc
         top = np.argsort(w)[::-1][:k] if which == "LA" else np.argsort(w)[:k]

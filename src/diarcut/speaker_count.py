@@ -7,9 +7,10 @@ among the low ones relative to the spectral radius scores the candidate.  The
 factor minimizing r(p) = p / g_p wins, and the position of its largest
 eigengap gives the estimated number of speakers.
 
-Small graphs are dense and take the full spectrum; CSR graphs (SPARSE_MIN_N
-rows or more) take the low end from Lanczos iteration with the null space
-(one zero per connected component) deflated: the same values to rounding.
+Every eigenvalue comes from ``affinity.graph_eigh``: small graphs are
+dense and take the full spectrum from LAPACK; CSR graphs (SPARSE_MIN_N rows
+or more) take the low end from Lanczos iteration with the null space (one
+zero per connected component) deflated: the same values to rounding.
 """
 
 from __future__ import annotations
@@ -81,19 +82,20 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     """Lowest ``m`` eigenvalues (fewer when N < m), ascending, and the largest
     one of the Laplacian L = diag(d) - A of a symmetric binarized graph A.
 
-    A dense graph takes the full spectrum from one ``eigvalsh``, which reads
-    both ends at once. A CSR graph takes lambda_max (0 when L is zero, as
-    when every node links only to itself) and then the low end from
-    ``affinity.graph_eigh`` with the components' indicator vectors as basis:
-    L has one zero per component, so c >= m components give m zeros;
-    otherwise Lanczos finds the next m - c with the null space lifted above
-    lambda_max. Values within ZERO_SNAP of zero snap to zero on both paths.
-    Raises NumericalError if Lanczos fails to converge or breaks down.
+    Every solve goes through ``affinity.graph_eigh``. A dense graph takes
+    all N eigenvalues from one LAPACK ``eigvalsh``, which reads both ends
+    at once. A CSR graph takes lambda_max (0 when L is zero, as when every node
+    links only to itself) and then the low end with the components'
+    indicator vectors as basis: L has one zero per component, so c >= m
+    components give m zeros; otherwise Lanczos finds the next m - c with the
+    null space lifted above lambda_max. Values within ZERO_SNAP of zero snap
+    to zero on both paths. Raises NumericalError if LAPACK fails or Lanczos
+    fails to converge or breaks down.
     """
     n = binarized.shape[0]
     if isinstance(binarized, np.ndarray):
         # Symmetric by construction, so L is formed without checks.
-        lam = np.linalg.eigvalsh(np.diag(binarized.sum(axis=1)) - binarized)
+        lam = aff.graph_eigh(np.diag(binarized.sum(axis=1)) - binarized, n, "SA")[1]
         lam[np.abs(lam) < ZERO_SNAP] = 0.0
         return lam[:m], float(lam[-1])
 

@@ -111,7 +111,10 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     One ``affinity.graph_eigh`` call gives the top K: the c components set
     their eigenvalue-1 vectors D^1/2 1_C in place (past K, where any K-frame
     of their span is optimal, a seeded one), and the graph's format picks
-    the solver for the rest.
+    the solver for the rest. X_tilde is Z with its rows scaled to unit norm
+    by ``affinity.normalize_rows``. No row of Z is zero: up to K components,
+    its columns span their vectors, which are nonzero on every node; past
+    K, each row is a scaled row of the seeded frame.
 
     Args:
         binarized: symmetric nonnegative affinity graph, dense or CSR; a
@@ -137,18 +140,7 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     known, values, vec = affinity.graph_eigh(sym, k, "LA", np.sqrt(d), -3.0, vectors=True)
     lambda_star = np.concatenate([np.ones(known), values])[:k]
     z_star = dinv_sqrt[:, None] * vec
-    x_tilde_star = row_normalize(z_star)
-    return ContinuousSolution(z_star, lambda_star, x_tilde_star)
-
-
-def row_normalize(z: np.ndarray) -> np.ndarray:
-    """Scale each row to unit Euclidean norm (zero rows pass through)."""
-    z = np.asarray(z, dtype=float)
-    norms = np.linalg.norm(z, axis=1)
-    safe = np.where(norms > 0, norms, 1.0)
-    if (norms == 0).any():
-        log.warning("%d zero rows during row normalization", int((norms == 0).sum()))
-    return z / safe[:, None]
+    return ContinuousSolution(z_star, lambda_star, affinity.normalize_rows(z_star))
 
 
 def nms_assign(rotated: np.ndarray, overlap: OverlapVector) -> np.ndarray:

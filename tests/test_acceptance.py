@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import block_units, enumerate_assignments, random_orthonormal, random_timeline
-from diarcut.affinity import cosine_affinity
+from diarcut.affinity import cosine_affinity, normalize_rows
 from diarcut.cli import main as cli_main
 from diarcut.ingest import OverlapVector, Timeline
 from diarcut.overlap_decode import (
@@ -24,7 +24,6 @@ from diarcut.spectral import (
     assignment_distance,
     nms_assign,
     procrustes,
-    row_normalize,
 )
 from diarcut.speaker_count import estimate
 from diarcut.synth import SynthConfig, generate
@@ -95,7 +94,7 @@ def test_c03_nms_brute_force_equivalence():
         for trial in range(50):
             n = int(rng.integers(2, 9))
             k = int(rng.integers(2, 4))
-            rotated = row_normalize(rng.standard_normal((n, k))) @ random_orthonormal(k, rng)
+            rotated = normalize_rows(rng.standard_normal((n, k))) @ random_orthonormal(k, rng)
             for flags in (np.zeros(n, dtype=np.int8), rng.integers(0, 2, n).astype(np.int8)):
                 out = nms_assign(rotated, OverlapVector(flags))
                 got = float(np.sum((out - rotated) ** 2))

@@ -15,7 +15,7 @@ from diarcut.affinity import (
     build_bundle,
     cosine_affinity,
 )
-from diarcut.errors import ContractError
+from diarcut.errors import ContractError, NumericalError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
 from oracles import full_affinity, laplacian, overlap_aware_binarize, p_binarize
 
@@ -509,3 +509,12 @@ def test_every_binarized_row_sums_to_at_least_a_half(data):
     for graph in graphs:
         assert sparse.issparse(graph) == csr
         assert np.asarray(graph.sum(axis=1)).min() >= 0.5
+
+
+def test_lanczos_is_not_asked_for_every_eigenpair():
+    # ARPACK finds at most N - 1 pairs; every pipeline call deflates at least one component
+    from scipy import sparse
+
+    graph = sparse.csr_matrix(np.eye(5))
+    with pytest.raises(NumericalError, match="Lanczos finds at most 4 eigenpairs of 5 rows; 5 asked"):
+        affinity.graph_eigh(graph, 5, "LA")

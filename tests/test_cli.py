@@ -447,6 +447,24 @@ class TestDiarizeCommand:
         assert code == 3
         assert "Lanczos eigensolve failed" in err
 
+    def test_dense_counting_eigensolver_failure_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        # counting's dense solve is graph_eigh's too, so LAPACK's error is mapped alike
+        data = tmp_path / "data"
+        run_cli(capsys, "synth", "--speakers", "3", "--segments", "60", "--out-dir", str(data))
+
+        def fail(*args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, _, err = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(data / "embeddings.txt"),
+            "--out", str(tmp_path / "h.rttm"),
+        )
+        assert code == 3
+        assert "error: LAPACK eigensolve failed on 60 rows: Eigenvalues did not converge" in err
+
     def test_more_speakers_than_the_cap_clamp(self, tmp_path, capsys, caplog):
         # 12 noiseless speakers: every swept graph has at least 12 components,
         # so every eigengap ratio is zero; the count clamps to max_speakers

@@ -34,6 +34,15 @@ def spans(n, rec="rec", stride=0.75, window=1.5):
 
 
 class TestEmbeddings:
+    @pytest.mark.parametrize("vectors", [np.ones(2), np.ones((2, 3, 1))])
+    def test_vectors_must_form_a_matrix(self, vectors):
+        with pytest.raises(ContractError, match="embedding vectors must form a 2-D matrix"):
+            EmbeddingSequence(spans(2), vectors)
+
+    def test_span_and_vector_counts_must_agree(self):
+        with pytest.raises(ContractError, match="3 spans but 2 vectors"):
+            EmbeddingSequence(spans(3), np.ones((2, 4)))
+
     def test_two_lines(self, tmp_path):
         f = tmp_path / "emb.txt"
         f.write_text("rec\t0.0\t1.5\t1.0 0.0 0.0\nrec\t0.75\t2.25\t0.0 1.0 0.0\n")
@@ -242,6 +251,11 @@ class TestOverlapFlags:
         with pytest.raises(ContractError, match="overlap flags must be 0 or 1"):
             OverlapVector(np.array(flags))
 
+    @pytest.mark.parametrize("flags", [np.zeros((2, 2)), np.array(1)])
+    def test_flags_must_form_a_vector(self, flags):
+        with pytest.raises(ContractError, match="overlap flags must be a vector"):
+            OverlapVector(flags)
+
     def test_length_check(self, tmp_path):
         f = tmp_path / "flags.txt"
         f.write_text("0\n1\n")
@@ -266,6 +280,11 @@ class TestPosteriors:
         f.write_text("0.2 0.5 0.3\n")
         with pytest.raises(ParseError, match="frame_shift"):
             load_posteriors(f)
+
+    @pytest.mark.parametrize("rows", [np.full((2, 2), 0.5), np.full(3, 1 / 3), np.full((2, 4), 0.25)])
+    def test_rows_must_be_t_by_3(self, rows):
+        with pytest.raises(ContractError, match="posterior rows must be T x 3"):
+            FramePosteriors("rec", 0.01, rows)
 
     def test_row_sum_checked(self, tmp_path):
         f = tmp_path / "post.txt"

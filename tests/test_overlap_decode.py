@@ -251,6 +251,15 @@ class TestViterbi:
         with pytest.raises(ContractError, match=message):
             check_labels(FrameLabels(np.array(labels), 1.0), frame_config())
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([1, 1, 1, 1], "single run of 4 frames violates maximum 3"),
+         ([1, 2, 2, 2, 1], "overlap run of 3 frames violates maximum 2")],
+    )
+    def test_check_labels_rejects_a_run_over_its_maximum(self, labels, message):
+        with pytest.raises(ContractError, match=message):
+            check_labels(FrameLabels(np.array(labels), 1.0), frame_config(max_sing=3, max_ovl=2))
+
     def test_default_bounds_at_twenty_ms(self):
         # min_silence 0.01 s is half a frame here; it decodes as a one-frame minimum
         rows = [[0.05, 0.9, 0.05]] * 150

@@ -29,6 +29,10 @@ class TestEigengapVector:
         with pytest.raises(ContractError, match="ascending"):
             eigengap_vector(np.array([1.0, 0.5]))
 
+    def test_matrix_rejected(self):
+        with pytest.raises(ContractError, match="eigenvalues must be a vector"):
+            eigengap_vector(np.zeros((2, 2)))
+
 
 class TestEstimateBlockDiagonal:
     def test_two_blocks_small_sweep(self):
@@ -119,6 +123,10 @@ class TestEstimateContract:
     def test_empty_sweep_rejected(self):
         with pytest.raises(ContractError, match="sweep"):
             estimate(np.eye(2), p_min=5, p_max=4)
+
+    def test_zero_max_speakers_rejected(self):
+        with pytest.raises(ContractError, match="max_speakers must be at least 1"):
+            estimate(block_units([3, 3]), max_speakers=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_few_segments_give_one_speaker(self, n):

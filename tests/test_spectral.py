@@ -1,14 +1,16 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import block_affinity, enumerate_assignments, random_orthonormal
 from oracles import degree_normalize, laplacian, objective_continuous, objective_discrete
-from diarcut import spectral
-from diarcut.affinity import binarize, cosine_affinity
+from diarcut import affinity, spectral
+from diarcut.affinity import binarize, cosine_affinity, normalize_rows
 from diarcut.errors import ContractError, NumericalError
 from diarcut.ingest import OverlapVector, assignment_to_timeline, write_rttm
 from diarcut.synth import SynthConfig, generate
@@ -20,7 +22,6 @@ from diarcut.spectral import (
     discretize_full,
     nms_assign,
     procrustes,
-    row_normalize,
 )
 
 
@@ -92,6 +93,45 @@ class TestContinuousSolve:
         a = block_affinity([5, 5], off_value=0.1)
         sol = continuous_solve(a, 4)
         assert (np.diff(sol.lambda_star) <= 1e-12).all()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_no_row_of_z_is_zero_and_x_tilde_rows_are_unit(data):
+    # X_tilde is Z with its rows scaled to unit norm, with no zero-row case:
+    # up to K components Z's columns span their vectors, past K a seeded frame
+    from scipy import sparse
+
+    blocks = []
+    for size in data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5)):
+        half = np.triu(data.draw(arrays(np.int8, (size, size), elements=st.integers(0, 2))) / 2.0)
+        block = half + np.triu(half, 1).T
+        chain = np.arange(size - 1)
+        block[chain, chain + 1] = block[chain + 1, chain] = np.maximum(block[chain, chain + 1], 0.5)
+        if size == 1:
+            block[0, 0] = 1.0
+        blocks.append(block)
+    c, n = len(blocks), sum(len(b) for b in blocks)
+    mode = data.draw(st.sampled_from(["c < K", "c = K", "c > K"]))
+    if mode == "c < K":
+        assume(c < n)
+        k = data.draw(st.integers(c + 1, n))
+    elif mode == "c = K":
+        k = c
+    else:
+        assume(c > 1)
+        k = data.draw(st.integers(1, c - 1))
+    order = np.array(data.draw(st.permutations(range(n))))
+    graph = sparse.block_diag(blocks).toarray()[np.ix_(order, order)]
+    csr = data.draw(st.booleans())
+    with pytest.MonkeyPatch.context() as mp:
+        if csr:
+            mp.setattr(affinity, "SPARSE_MIN_N", 0)
+            graph = sparse.csr_matrix(graph)
+        sol = continuous_solve(graph, k)
+    assert sol.z_star.shape == (n, k)
+    assert np.linalg.norm(sol.z_star, axis=1).min() > 0
+    assert np.allclose(np.linalg.norm(sol.x_tilde_star, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def sparse_graph(speakers, segments, sigma, seed, p=6, overlap=0.0):
@@ -282,6 +322,10 @@ class TestNmsAssign:
         with pytest.raises(ContractError, match="second cluster"):
             nms_assign(np.array([[0.7]]), OverlapVector(np.array([1])))
 
+    def test_overlap_length_mismatch_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="overlap vector length does not match row count"):
+            nms_assign(np.zeros((3, 2)), OverlapVector.zeros(2))
+
     def test_row_sums_match_constraint(self, rng):
         for _ in range(20):
             n, k = int(rng.integers(2, 12)), int(rng.integers(2, 5))
@@ -305,6 +349,18 @@ class TestNmsAssign:
 
 
 class TestProcrustes:
+    def test_shape_mismatch_is_a_contract_error(self):
+        with pytest.raises(ContractError, match=re.escape("assignment (3, 2), continuous (3, 3)")):
+            procrustes(np.eye(3)[:, :2], np.eye(3))
+
+    def test_svd_failure_is_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(NumericalError, match="SVD failed in the rotation fit"):
+            procrustes(np.eye(3), np.eye(3))
+
     def test_self_alignment_is_identity(self, rng):
         x = np.zeros((6, 2), dtype=np.int8)
         x[np.arange(6), [0, 0, 1, 1, 0, 1]] = 1
@@ -342,6 +398,12 @@ class TestDiscretize:
         xt = np.asarray(xt, dtype=float)
         return ContinuousSolution(xt.copy(), np.ones(xt.shape[1]), xt)
 
+    @pytest.mark.parametrize("k, seed", [(0, 0), (2, -1)])
+    def test_no_cluster_or_negative_seed_is_refused(self, k, seed):
+        solution = self._solution(np.eye(3)[:, :k])
+        with pytest.raises(ContractError, match=f"got K={k}, seed={seed}"):
+            discretize_full(solution, OverlapVector.zeros(3), seed=seed)
+
     def test_binary_fixed_point(self):
         flags = np.array([0, 0, 1, 0])
         xt = np.array(
@@ -364,7 +426,7 @@ class TestDiscretize:
 
     def test_phi_non_increasing(self, rng):
         for trial in range(10):
-            xt = row_normalize(rng.standard_normal((15, 3)))
+            xt = normalize_rows(rng.standard_normal((15, 3)))
             flags = rng.integers(0, 2, 15)
             result = discretize_full(self._solution(xt), OverlapVector(flags), seed=trial)
             for history in result.phi_histories:
@@ -374,7 +436,7 @@ class TestDiscretize:
                 )
 
     def test_row_sum_constraint(self, rng):
-        xt = row_normalize(rng.standard_normal((12, 4)))
+        xt = normalize_rows(rng.standard_normal((12, 4)))
         flags = rng.integers(0, 2, 12)
         out = discretize_full(self._solution(xt), OverlapVector(flags)).assignment
         assert np.array_equal(out.matrix.sum(axis=1), 1 + flags)
@@ -411,7 +473,7 @@ class TestDiscretize:
             return finals[(len(calls) - 1) // 2]
 
         monkeypatch.setattr(spectral, "assignment_distance", phi)
-        xt = row_normalize(np.random.default_rng(0).standard_normal((8, 2)))
+        xt = normalize_rows(np.random.default_rng(0).standard_normal((8, 2)))
         monkeypatch.setattr(spectral, "RESTARTS", 2)
         result = discretize_full(self._solution(xt), OverlapVector.zeros(8))
         assert result.best_restart == winner
@@ -447,7 +509,7 @@ class TestDiscretize:
         for trial in range(trials):
             n, k = 6, 2
             flags = rng.integers(0, 2, n)
-            xt = row_normalize(rng.standard_normal((n, k)))
+            xt = normalize_rows(rng.standard_normal((n, k)))
             sol = self._solution(xt)
             result = discretize_full(sol, OverlapVector(flags), seed=trial)
             best = np.inf
@@ -495,7 +557,7 @@ class TestObjectives:
         x[np.arange(8), rng.integers(0, 3, 8)] = 1
         degree = rng.uniform(0.5, 2.0, 8)
         z = degree_normalize(x, degree)
-        back = row_normalize(z)
+        back = normalize_rows(z)
         assert np.array_equal(back.argmax(axis=1), x.argmax(axis=1))
 
 
@@ -507,3 +569,13 @@ class TestTypes:
     def test_assignment_accepts_overlap_rows(self):
         am = AssignmentMatrix(np.array([[1, 1]]), OverlapVector(np.array([1])))
         assert am.k == 2
+
+    @pytest.mark.parametrize(
+        "matrix, n_flags, message",
+        [(np.array([1, 0]), 2, "assignment must be a matrix"),
+         (np.array([[2, -1]]), 1, "assignment entries must be 0 or 1"),
+         (np.array([[1, 0]]), 2, "overlap vector length does not match row count")],
+    )
+    def test_assignment_refuses_a_malformed_matrix(self, matrix, n_flags, message):
+        with pytest.raises(ContractError, match=message):
+            AssignmentMatrix(matrix, OverlapVector.zeros(n_flags))
