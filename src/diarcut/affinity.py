@@ -30,6 +30,9 @@ ARPACK_NCV = 36
 # the Laplacian's null space, so a random one is drawn, the same every call.
 ARPACK_SEED = 0
 
+# Eigenvalue-only ARPACK solves stop at this relative residual; values are off by ~its square.
+ARPACK_TOL = 1e-8
+
 
 def cosine_affinity(seq: EmbeddingSequence) -> np.ndarray:
     """N x d unit-norm rows (``normalize_rows``) of the nonzero segment
@@ -181,8 +184,8 @@ def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors
     the other k - c from seeded Lanczos with min(N, max(ARPACK_NCV, 2k + 1))
     vectors on mat + shift * P, P projecting onto the component vectors
     (Lanczos drops copies of a repeated eigenvalue; ``shift`` moves them
-    aside). A zero matrix has c = N components, so with weights it needs no
-    solve; without, Lanczos cannot start on it, and the caller answers.
+    aside), to machine precision if ``vectors``, else to residual ARPACK_TOL.
+    Lanczos cannot start on a zero matrix without weights; the caller answers.
 
     Returns how many leading pairs are component vectors (0 from LAPACK),
     the other eigenvalues and, if ``vectors``, the N x k eigenvectors, each
@@ -218,7 +221,7 @@ def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors
     v0 = np.random.default_rng(ARPACK_SEED).standard_normal(n)
     try:
         out = sla.eigsh(op, k=k - c, which=which, v0=v0, ncv=min(n, max(ARPACK_NCV, 2 * k + 1)),
-                        return_eigenvectors=vectors)
+                        tol=0.0 if vectors else ARPACK_TOL, return_eigenvectors=vectors)
     except sla.ArpackError as exc:  # ArpackNoConvergence is a subclass
         raise NumericalError(f"Lanczos eigensolve failed on {n} rows: {exc}") from exc
     values, found = out if vectors else (np.sort(out), None)  # sorted only with vectors

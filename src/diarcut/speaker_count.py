@@ -9,8 +9,8 @@ eigengap gives the estimated number of speakers.
 
 Every eigenvalue comes from ``affinity.graph_eigh``: small graphs are
 dense and take the full spectrum from LAPACK; CSR graphs (SPARSE_MIN_N rows
-or more) take the low end from Lanczos iteration with the null space (one
-zero per connected component) deflated: the same values to rounding.
+or more) take the low end from Lanczos, null space (one zero per component)
+deflated, stopped at residual ARPACK_TOL: LAPACK's values to about 1e-13.
 """
 
 from __future__ import annotations
@@ -88,9 +88,9 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     links only to itself) and then the low end with the components'
     indicator vectors as basis: L has one zero per component, so c >= m
     components give m zeros; otherwise Lanczos finds the next m - c with the
-    null space lifted above lambda_max. Values within ZERO_SNAP of zero snap
-    to zero on both paths. Raises NumericalError if LAPACK fails or Lanczos
-    fails to converge or breaks down.
+    null space lifted above lambda_max. Both Lanczos solves stop at residual
+    ARPACK_TOL. Near-zeros (ZERO_SNAP) snap to zero on both paths. Raises
+    NumericalError if LAPACK fails or Lanczos fails to converge or breaks down.
     """
     n = binarized.shape[0]
     if isinstance(binarized, np.ndarray):

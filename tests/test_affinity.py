@@ -17,6 +17,7 @@ from diarcut.affinity import (
 )
 from diarcut.errors import ContractError, NumericalError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
+from diarcut.synth import SynthConfig, generate
 from oracles import full_affinity, laplacian, overlap_aware_binarize, p_binarize
 
 
@@ -518,3 +519,19 @@ def test_lanczos_is_not_asked_for_every_eigenpair():
     graph = sparse.csr_matrix(np.eye(5))
     with pytest.raises(NumericalError, match="Lanczos finds at most 4 eigenpairs of 5 rows; 5 asked"):
         affinity.graph_eigh(graph, 5, "LA")
+
+
+def test_eigenvector_solves_run_to_machine_precision():
+    # counting's eigenvalue-only solves stop at ARPACK_TOL; the clustering
+    # solve's must not: three components, and Lanczos finds three more pairs
+    from scipy import sparse
+
+    parts = [generate(SynthConfig(n_speakers=2, n_segments=150, noise_sigma=0.15, seed=seed))
+             for seed in (1, 2)]
+    graph = sparse.block_diag([binarize(cosine_affinity(d.embeddings), 10) for d in parts], format="csr")
+    d = np.asarray(graph.sum(axis=1)).ravel()
+    sym = sparse.csr_matrix(graph.multiply(1 / np.sqrt(d)[:, None]).multiply(1 / np.sqrt(d)))
+    c, values, vectors = affinity.graph_eigh(sym, 6, "LA", np.sqrt(d), -3.0, vectors=True)
+    assert c == 3 and values.shape == (3,)
+    lam = np.concatenate([np.ones(c), values])
+    assert np.linalg.norm(sym @ vectors - vectors * lam, axis=0).max() <= 1e-12

@@ -338,6 +338,51 @@ class TestLanczosBranch:
             estimate(synth_units(3, 60, 0.1, 2))
 
 
+def flagged_single_rows(speakers, segments, seed):
+    """Unit rows of the single-speaker segments of a recording with 15 % flags."""
+    data = generate(SynthConfig(n_speakers=speakers, n_segments=segments, dim=128, noise_sigma=0.15,
+                                overlap_fraction=0.15, seed=seed))
+    return cosine_affinity(data.embeddings)[data.overlap.flags == 0]
+
+
+class TestLanczosCost:
+    """Counting reads only eigenvalues, so its Lanczos solves stop at ARPACK_TOL."""
+
+    def test_products_per_sweep_are_bounded(self, monkeypatch):
+        # products are counted, not timed: 13 243 with every solve run to
+        # machine precision, 9 020 at ARPACK_TOL, alike under 1 and 2 BLAS threads
+        from scipy.sparse import linalg as sla
+
+        products, real = [0], sla.eigsh
+
+        def counted(mat, *args, **kwargs):
+            op = sla.aslinearoperator(mat)
+
+            def matvec(x):
+                products[0] += 1
+                return op.matvec(x)
+
+            return real(sla.LinearOperator(op.shape, matvec=matvec, dtype=float), *args, **kwargs)
+
+        monkeypatch.setattr(sla, "eigsh", counted)
+        u = flagged_single_rows(8, 2600, 1)
+        assert u.shape[0] == 2210
+        report = estimate(u)
+        assert (report.p_hat, report.k_hat) == (7, 8)
+        assert products[0] <= 11_000, products[0]
+
+    @pytest.mark.parametrize("p", [3, 10, 20])
+    def test_meeting_sized_spectrum_matches_dense(self, p):
+        u = flagged_single_rows(8, 1300, 1)
+        graph = affinity.binarize(u, p)
+        assert not isinstance(graph, np.ndarray)  # CSR, so the low end comes from Lanczos
+        lam, lam_max = speaker_count.low_spectrum(graph, 11)
+        want = np.linalg.eigvalsh(laplacian(graph.toarray())[1])
+        want[np.abs(want) < ZERO_SNAP] = 0.0
+        assert np.allclose(lam, want[:11], rtol=0, atol=1e-12)
+        assert lam_max == pytest.approx(want[-1], rel=1e-12, abs=0)
+
+
 class EmbSeqStub:
     """Bare vector holder satisfying the cosine_affinity interface."""
 
