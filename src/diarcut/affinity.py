@@ -16,7 +16,7 @@ from .ingest import EmbeddingSequence, OverlapVector
 TIE_EPS = 1e-9
 
 # Graphs of this many rows or more are CSR with Lanczos spectra; below, dense
-# LAPACK is faster (counting sweeps crossed near N = 700; 2-core x86 VM).
+# LAPACK. Counting sweeps cross near N = 450 (2-core x86 VM; see ROADMAP).
 SPARSE_MIN_N = 700
 
 # Rows per block of the binarization sweep, which holds one such block at a time.
@@ -143,12 +143,16 @@ def binarize_sweep(unit: np.ndarray, budgets, flagged=None):
         cands.append((block[rows, cols], (rows + start).astype(np.int32), cols.astype(np.int32)))
     cand_values, cand_rows, cand_cols = map(np.concatenate, zip(*cands))
     del cands  # a generator's locals live until it finishes
+    if n < SPARSE_MIN_N:  # flat positions of each candidate pair and of its mirror
+        at = cand_rows.astype(np.intp) * n + cand_cols
+        mirror = cand_cols.astype(np.intp) * n + cand_rows
     for cutoff in cutoffs:
         kept = cand_values >= cutoff[cand_rows]
         if n < SPARSE_MIN_N:
-            dense = np.zeros((n, n))
-            dense[cand_rows, cand_cols] = kept
-            yield 0.5 * (dense + dense.T)
+            dense, half = np.zeros(n * n), 0.5 * kept
+            dense[at] = half
+            dense[mirror] += half  # no pair repeats, so no write is lost
+            yield dense.reshape(n, n)
         else:
             from scipy import sparse  # only large graphs pay its import time
             rows, cols = cand_rows[kept], cand_cols[kept]

@@ -9,6 +9,7 @@ machine-readable JSON line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -164,6 +165,7 @@ def _cmd_score(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parsing leaves no state in it
 def build_parser() -> _Parser:
     parser = _Parser(prog="diarcut", description=__doc__)
     parser.add_argument("--log-level", default="INFO", type=str.upper, help="logging level name",
@@ -213,11 +215,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=args.log_level,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    # basicConfig acts once per process; the level is set anew by every call
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
+    log.setLevel(args.log_level)
     _manifest(args)
     try:
         # a bad output path fails here, before the run; a file made by this check is removed

@@ -510,9 +510,8 @@ def assignment_to_timeline(assignment: np.ndarray, spans) -> Timeline:
     # Each column's rank in lexicographic order from row 0 down, set bits first.
     packed = 255 - np.packbits(matrix != 0, axis=0)
     rank = np.argsort(np.lexsort(packed[::-1])) if matrix.size else []
-    entries = []
-    for i, span in enumerate(spans):
-        for j in np.flatnonzero(matrix[i]):
-            entries.append((f"spk{rank[j]}", span.start, span.end))
+    rows, cols = np.nonzero(matrix)
+    entries = [(f"spk{rank[j]}", spans[i].start, spans[i].end)
+               for i, j in zip(rows.tolist(), cols.tolist())]
     recording_id = spans[0].recording_id if spans else "rec"
     return Timeline.from_entries(entries, recording_id)

@@ -95,7 +95,9 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     n = binarized.shape[0]
     if isinstance(binarized, np.ndarray):
         # Symmetric by construction, so L is formed without checks.
-        lam = aff.graph_eigh(np.diag(binarized.sum(axis=1)) - binarized, n, "SA")[1]
+        lap = np.diag(binarized.sum(axis=1))
+        lap -= binarized
+        lam = aff.graph_eigh(lap, n, "SA")[1]
         lam[np.abs(lam) < ZERO_SNAP] = 0.0
         return lam[:m], float(lam[-1])
 

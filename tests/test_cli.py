@@ -28,6 +28,14 @@ def last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
 
 
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports diarcut from this checkout; it must exit 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+
+
 def reversed_copy(src, dst):
     """Write the data lines of ``src`` to ``dst`` in reverse, headers first."""
     lines = src.read_text().splitlines(keepends=True)
@@ -806,13 +814,8 @@ class TestStartup:
             "codes = [diarcut.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
             "print(json.dumps([codes, before, scipy()]))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         runs = json.dumps([list(map(str, argv)) for argv in argvs])
-        proc = subprocess.run(
-            [sys.executable, "-c", script, runs],
-            capture_output=True, text=True, env=env, timeout=120, check=True,
-        )
+        proc = fresh_python("-c", script, runs)
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
     @staticmethod
@@ -860,6 +863,65 @@ class TestStartup:
         diarize = self._small_recording(data)
         score = ["score", "--ref", data / "ref.rttm", "--hyp", data / "h.rttm"]
         assert self._loaded(diarize, score) == [[0, 0], [], []]
+
+
+class TestRepeatedCalls:
+    # batch callers and the benchmark run many commands through one process
+
+    def test_one_parser_serves_any_sequence_of_commands(self, tmp_path, capsys):
+        synth = generate(SynthConfig(n_speakers=4, n_segments=80, overlap_fraction=0.2,
+                                     noise_sigma=0.1, seed=3))
+        ingest.save_embeddings(synth.embeddings, tmp_path / "emb.txt")
+        ingest.save_overlap_flags(synth.overlap, tmp_path / "flags.txt")
+        ingest.write_rttm(synth.reference, tmp_path / "ref.rttm")
+        rows = np.tile([0.05, 0.9, 0.05], (6200, 1))
+        rows[1000:1300] = [0.05, 0.1, 0.85]
+        ingest.save_posteriors(ingest.FramePosteriors("synth", 0.01, rows), tmp_path / "post.txt")
+        t = tmp_path
+        runs = [  # each command and the files it writes
+            (["diarize", "--embeddings", t / "emb.txt", "--flags", t / "flags.txt",
+              "--out", t / "a.rttm", "--dump-report", t / "report.json",
+              "--max-speakers", "3", "--p-range", "3:9"], ["a.rttm", "report.json"]),
+            (["diarize", "--embeddings", t / "emb.txt", "--out", t / "b.rttm"], ["b.rttm"]),
+            (["score", "--ref", t / "ref.rttm", "--hyp", t / "b.rttm"], []),
+            (["detect-overlap", "--posteriors", t / "post.txt", "--segments", t / "emb.txt",
+              "--out", t / "o.txt", "--lab", t / "o.lab"], ["o.txt", "o.lab"]),
+        ]
+        fresh = []
+        for argv, written in runs:
+            stdout = fresh_python("-m", "diarcut.cli", *map(str, argv)).stdout
+            fresh.append((stdout, {name: (t / name).read_bytes() for name in written}))
+        for name in ("a.rttm", "report.json", "b.rttm", "o.txt", "o.lab"):
+            (t / name).unlink()
+        for (argv, written), (stdout, files) in zip(runs, fresh):
+            code, out, _ = run_cli(capsys, *map(str, argv))
+            assert code == 0
+            assert out == stdout
+            assert {name: (t / name).read_bytes() for name in written} == files
+            (t / "report.json").unlink(missing_ok=True)
+        # the second diarize keeps no option of the first: no report, no cap of 3
+        assert not (t / "report.json").exists()
+        assert last_json(fresh[0][0])["k_hat"] <= 3 < last_json(fresh[1][0])["k_hat"]
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("first, second", [("default", "ERROR"), ("ERROR", "default")])
+    def test_log_level_applies_to_every_call(self, synth_dir, first, second):
+        # logging.basicConfig acts once per process, so the first call's level must not stick
+        script = (
+            "import sys\n"
+            "import diarcut.cli\n"
+            "ref, *levels = sys.argv[1:]\n"
+            "for level in levels:\n"
+            "    print('== call', level, file=sys.stderr, flush=True)\n"
+            "    option = [] if level == 'default' else ['--log-level', level]\n"
+            "    assert diarcut.cli.main([*option, 'score', '--ref', ref, '--hyp', ref]) == 0\n"
+        )
+        levels = [first, second, first]
+        err = fresh_python("-c", script, str(synth_dir / "reference.rttm"), *levels).stderr
+        calls = err.split("== call ")[1:]
+        assert [c.split("\n", 1)[0] for c in calls] == levels
+        manifests = [c.count("INFO diarcut: manifest ") for c in calls]
+        assert manifests == [int(level == "default") for level in levels]
 
 
 class TestUsage:
