@@ -16,7 +16,9 @@ from .ingest import EmbeddingSequence, OverlapVector
 TIE_EPS = 1e-9
 
 # Graphs of this many rows or more are CSR with Lanczos spectra; below, dense
-# LAPACK. Counting sweeps cross near N = 450 (2-core x86 VM; see ROADMAP).
+# LAPACK. Set at the counting sweeps' N = 700 crossover, measured before
+# ARPACK_TOL existed; no benchmark workload has 240-960 rows, so no run tells
+# a moved crossover apart (ROADMAP item 7 re-measures it after L_sym).
 SPARSE_MIN_N = 700
 
 # Rows per block of the binarization sweep, which holds one such block at a time.

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage, 2 data or configuration error, 3 numerical
 failure.  Every run logs a reproducibility manifest (version, seed, resolved
-configuration); human-readable results go to stdout together with one
-machine-readable JSON line.
+configuration).  Each command returns its human-readable lines and a summary;
+``main`` alone writes stdout: those lines, then the summary as one JSON line.
+A command that fails writes nothing to stdout.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _parse_p_range(text: str) -> tuple[int, int]:
         raise ConfigError(f"--p-range expects MIN:MAX, got {text!r}")
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> tuple[str, dict]:
     cfg = synth.SynthConfig(
         n_speakers=args.speakers,
         n_segments=args.segments,
@@ -95,15 +96,14 @@ def _cmd_synth(args) -> int:
         "n_overlap": int(result.overlap.flags.sum()),
         "n_speakers": cfg.n_speakers,
     }
-    print(
+    text = (
         f"wrote {summary['n_segments']} segments "
         f"({summary['n_overlap']} overlapping, {cfg.n_speakers} speakers) to {out}"
     )
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
+    return text, summary
 
 
-def _cmd_diarize(args) -> int:
+def _cmd_diarize(args) -> tuple[str, dict]:
     p_min, p_max = _parse_p_range(args.p_range)
     config = DiarizationConfig(p_min=p_min, p_max=p_max, **_field_values(args, DIARIZE_FIELDS))
     seq = ingest.load_embeddings(args.embeddings)
@@ -113,9 +113,8 @@ def _cmd_diarize(args) -> int:
     result = diarize_embeddings(seq, overlap, config)
     ingest.write_rttm(result.timeline, args.out)
     if args.dump_report:
-        Path(args.dump_report).write_text(
-            json.dumps(result.report.to_dict(), sort_keys=True), encoding="utf-8"
-        )
+        with Path(args.dump_report).open("w", encoding="utf-8") as fh:
+            json.dump(result.report.to_dict(), fh, sort_keys=True)
     summary = {
         "out": str(args.out),
         "n_segments": len(seq),
@@ -123,15 +122,14 @@ def _cmd_diarize(args) -> int:
         "k_hat": result.num_speakers,
         "phi": result.discretization.phi,
     }
-    print(
+    text = (
         f"{len(seq)} segments -> {result.num_speakers} speakers "
         f"(p={result.report.p_hat}); wrote {args.out}"
     )
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
+    return text, summary
 
 
-def _cmd_detect_overlap(args) -> int:
+def _cmd_detect_overlap(args) -> tuple[str, dict]:
     cfg = overlap_decode.DurationConfig(**_field_values(args, DURATION_FIELDS))
     post = ingest.load_posteriors(args.posteriors)
     labels = overlap_decode.viterbi(post, cfg)
@@ -148,21 +146,16 @@ def _cmd_detect_overlap(args) -> int:
         "n_flagged": int(flags.flags.sum()),
         "n_frames": len(labels),
     }
-    print(f"flagged {summary['n_flagged']} of {len(spans)} segments; wrote {args.out}")
-    print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK
+    return f"flagged {summary['n_flagged']} of {len(spans)} segments; wrote {args.out}", summary
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args) -> tuple[str, dict]:
     reference = ingest.load_rttm(args.ref)
     hypothesis = ingest.load_rttm(args.hyp)
     breakdown = scoring.der_score(reference, hypothesis, collar=args.collar)
-    print(f"missed speech : {breakdown.missed:5.1f}%")
-    print(f"false alarm   : {breakdown.false_alarm:5.1f}%")
-    print(f"confusion     : {breakdown.confusion:5.1f}%")
-    print(f"DER           : {breakdown.der:5.1f}%")
-    print(json.dumps(asdict(breakdown), sort_keys=True))
-    return EXIT_OK
+    rows = (("missed speech", breakdown.missed), ("false alarm", breakdown.false_alarm),
+            ("confusion", breakdown.confusion), ("DER", breakdown.der))
+    return "\n".join(f"{name:<13} : {pct:5.1f}%" for name, pct in rows), asdict(breakdown)
 
 
 @functools.cache  # one parser per process: parsing leaves no state in it
@@ -226,7 +219,9 @@ def main(argv=None) -> int:
             open(path, "a").close()
             if created:
                 os.remove(path)
-        return args.func(args)
+        text, summary = args.func(args)
+        print(text, json.dumps(summary, sort_keys=True), sep="\n")
+        return EXIT_OK
     except (OSError, DiarcutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_DATA

@@ -10,7 +10,8 @@ File formats (all plain UTF-8 text; blank lines are skipped):
   embeddings data line i
 * posteriors: ``#frame_shift S`` header and one ``p_silence p_single
   p_overlap`` row per frame
-* RTTM: standard 10-field ``SPEAKER`` records
+* RTTM: standard 10-field ``SPEAKER`` records, read into a :class:`Timeline`;
+  ``Timeline(entries)`` checks, merges and sorts the intervals it is given
 
 A file has at most one header; it may stand anywhere and holds for every row.
 """
@@ -171,49 +172,39 @@ class FramePosteriors:
 
 @dataclass
 class Timeline:
-    """Normalized (speaker, start, end) intervals for one recording.
+    """(speaker, start, end) intervals for one recording, normalized on construction.
 
-    Entries are kept merged per speaker and sorted by (start, end, speaker);
-    construct through :meth:`from_entries` unless the input is already
-    normalized.
+    Every interval must end after it starts. Each speaker's intervals merge
+    across gaps up to ``MERGE_GAP``, and entries sort by (start, end, speaker).
     """
 
     entries: list[tuple[str, float, float]] = field(default_factory=list)
     recording_id: str = "rec"
 
-    @classmethod
-    def from_entries(
-        cls, entries, recording_id: str = "rec"
-    ) -> "Timeline":
-        for spk, start, end in entries:
+    def __post_init__(self):
+        per_speaker: dict[str, list[tuple[float, float]]] = {}
+        for spk, start, end in self.entries:
             if not end > start:
                 raise ContractError(
                     f"interval ({spk!r}, {start}, {end}) has non-positive duration"
                 )
-        return cls(_normalize(entries), recording_id)
+            per_speaker.setdefault(spk, []).append((float(start), float(end)))
+        merged: list[tuple[str, float, float]] = []
+        for spk, ivs in per_speaker.items():
+            ivs.sort()
+            cur_s, cur_e = ivs[0]
+            for s, e in ivs[1:]:
+                if s - cur_e <= MERGE_GAP:
+                    cur_e = max(cur_e, e)
+                else:
+                    merged.append((spk, cur_s, cur_e))
+                    cur_s, cur_e = s, e
+            merged.append((spk, cur_s, cur_e))
+        self.entries = sorted(merged, key=lambda t: (t[1], t[2], t[0]))
 
     @property
     def speakers(self) -> list[str]:
         return sorted({spk for spk, _, _ in self.entries})
-
-
-def _normalize(entries) -> list[tuple[str, float, float]]:
-    per_speaker: dict[str, list[tuple[float, float]]] = {}
-    for spk, start, end in entries:
-        per_speaker.setdefault(spk, []).append((float(start), float(end)))
-    merged: list[tuple[str, float, float]] = []
-    for spk, ivs in per_speaker.items():
-        ivs.sort()
-        cur_s, cur_e = ivs[0]
-        for s, e in ivs[1:]:
-            if s - cur_e <= MERGE_GAP:
-                cur_e = max(cur_e, e)
-            else:
-                merged.append((spk, cur_s, cur_e))
-                cur_s, cur_e = s, e
-        merged.append((spk, cur_s, cur_e))
-    merged.sort(key=lambda t: (t[1], t[2], t[0]))
-    return merged
 
 
 def _undecodable(lines: list[str]):
@@ -479,7 +470,7 @@ def load_rttm(path) -> Timeline:
             f"{reader.path}: contains {len(rec_ids)} recording ids {sorted(rec_ids)}; "
             "split into one file per recording"
         )
-    return Timeline.from_entries(entries, next(iter(rec_ids), "rec"))
+    return Timeline(entries, next(iter(rec_ids), "rec"))
 
 
 def write_rttm(timeline: Timeline, path) -> None:
@@ -514,4 +505,4 @@ def assignment_to_timeline(assignment: np.ndarray, spans) -> Timeline:
     entries = [(f"spk{rank[j]}", spans[i].start, spans[i].end)
                for i, j in zip(rows.tolist(), cols.tolist())]
     recording_id = spans[0].recording_id if spans else "rec"
-    return Timeline.from_entries(entries, recording_id)
+    return Timeline(entries, recording_id)

@@ -89,7 +89,7 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     indicator vectors as basis: L has one zero per component, so c >= m
     components give m zeros; otherwise Lanczos finds the next m - c with the
     null space lifted above lambda_max. Both Lanczos solves stop at residual
-    ARPACK_TOL. Near-zeros (ZERO_SNAP) snap to zero on both paths. Raises
+    ARPACK_TOL. Near-zeros (ZERO_SNAP) of the low end snap to zero. Raises
     NumericalError if LAPACK fails or Lanczos fails to converge or breaks down.
     """
     n = binarized.shape[0]
@@ -98,14 +98,13 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
         lap = np.diag(binarized.sum(axis=1))
         lap -= binarized
         lam = aff.graph_eigh(lap, n, "SA")[1]
-        lam[np.abs(lam) < ZERO_SNAP] = 0.0
-        return lam[:m], float(lam[-1])
-
-    from scipy import sparse  # only large graphs pay its import time
-    lap = sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized
-    lam_max = float(aff.graph_eigh(lap, 1, "LA")[1][0]) if lap.count_nonzero() else 0.0
-    c, values, _ = aff.graph_eigh(lap, min(m, n), "SA", np.ones(n), lam_max + 1.0)
-    low = np.concatenate([np.zeros(c), values])[:m]
+        low, lam_max = lam[:m], float(lam[-1])  # lambda_max is 0 or >= 1/2: no snap
+    else:
+        from scipy import sparse  # only large graphs pay its import time
+        lap = sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized
+        lam_max = float(aff.graph_eigh(lap, 1, "LA")[1][0]) if lap.count_nonzero() else 0.0
+        c, values, _ = aff.graph_eigh(lap, min(m, n), "SA", np.ones(n), lam_max + 1.0)
+        low = np.concatenate([np.zeros(c), values])[:m]
     low[np.abs(low) < ZERO_SNAP] = 0.0
     return low, lam_max
 

@@ -120,7 +120,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
     return SynthResult(
         EmbeddingSequence(spans, vectors),
         OverlapVector(flags),
-        Timeline.from_entries(entries, cfg.recording_id),
+        Timeline(entries, cfg.recording_id),
         labels,
         centroids,
     )

@@ -34,7 +34,7 @@ def random_timeline(
         start = round(float(rng.uniform(0, horizon - 1.0)), 3)
         dur = round(float(rng.uniform(0.2, 5.0)), 3)
         entries.append((spk, start, start + dur))
-    return Timeline.from_entries(entries)
+    return Timeline(entries)
 
 
 def shifted(timeline: Timeline, offset: float) -> Timeline:

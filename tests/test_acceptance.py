@@ -240,7 +240,7 @@ def test_c09_scoring_self_consistency():
             ref = random_timeline(rng)
             hyp = random_timeline(rng, prefix="hyp")
             base = der_score(ref, hyp)
-            renamed = Timeline.from_entries(
+            renamed = Timeline(
                 [(f"r-{spk}", s, e) for spk, s, e in hyp.entries]
             )
             again = der_score(ref, renamed)

@@ -1000,6 +1000,51 @@ class TestUsage:
         assert "MIN:MAX" in err
 
 
+class TestStdout:
+    """Each command writes its human lines, then one sorted JSON line; a failure writes none."""
+
+    RUNS = [  # argv, human lines, JSON keys
+        (["synth", "--speakers", "3", "--segments", "24", "--overlap-frac", "0.2",
+          "--sigma", "0.1", "--seed", "3", "--out-dir", "data"],
+         ["wrote 24 segments (5 overlapping, 3 speakers) to data"],
+         {"n_overlap", "n_segments", "n_speakers", "out_dir"}),
+        (["diarize", "--embeddings", "data/embeddings.txt", "--flags", "data/overlap_flags.txt",
+          "--out", "hyp.rttm", "--dump-report", "report.json"],
+         ["24 segments -> 3 speakers (p=4); wrote hyp.rttm"],
+         {"k_hat", "n_segments", "out", "p_hat", "phi"}),
+        (["detect-overlap", "--posteriors", "post.txt", "--segments", "data/embeddings.txt",
+          "--out", "flags.txt"],
+         ["flagged 2 of 24 segments; wrote flags.txt"],
+         {"n_flagged", "n_frames", "n_segments", "out"}),
+        (["score", "--ref", "data/reference.rttm", "--hyp", "hyp.rttm"],
+         ["missed speech :   0.0%", "false alarm   :   0.0%",
+          "confusion     :   2.1%", "DER           :   2.1%"],
+         {"confusion", "confusion_seconds", "der", "false_alarm", "false_alarm_seconds",
+          "missed", "missed_seconds", "total_reference_speaker_time"}),
+    ]
+
+    def test_human_lines_then_one_json_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rows = np.tile([0.05, 0.9, 0.05], (1000, 1))
+        rows[200:300] = [0.05, 0.1, 0.85]
+        ingest.save_posteriors(ingest.FramePosteriors("rec", 0.01, rows), "post.txt")
+        first = []
+        for argv, human, keys in self.RUNS:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            *lines, last = out.splitlines(keepends=True)
+            assert [line.removesuffix("\n") for line in lines] == human
+            summary = json.loads(last)
+            assert set(summary) == keys
+            assert last == json.dumps(summary, sort_keys=True) + "\n"
+            first.append(out)
+        code, out, _ = run_cli(capsys, "diarize", "--embeddings", "data/embeddings.txt",
+                               "--out", "missing_dir/h.rttm")
+        assert (code, out) == (2, "")
+        # the same commands again in this process write the same bytes
+        assert [run_cli(capsys, *argv)[1] for argv, _, _ in self.RUNS] == first
+
+
 class TestManifest:
     def test_logged_once_with_package_version(self, synth_dir, capsys, caplog):
         ref = str(synth_dir / "reference.rttm")

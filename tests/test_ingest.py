@@ -442,7 +442,7 @@ class TestRttm:
         assert load_rttm(f).entries == [("spkA", 0.0, 2.0)]
 
     def test_write_format(self, tmp_path):
-        tl = Timeline.from_entries([("s1", 0.0, 0.75)])
+        tl = Timeline([("s1", 0.0, 0.75)])
         f = tmp_path / "w.rttm"
         write_rttm(tl, f)
         assert f.read_text() == "SPEAKER rec 1 0.000 0.750 <NA> <NA> s1 <NA> <NA>\n"
@@ -454,7 +454,7 @@ class TestRttm:
 
     def test_round_trip_write_then_read(self, tmp_path):
         # millisecond-aligned normalized timelines survive exactly
-        tl = Timeline.from_entries(
+        tl = Timeline(
             [("a", 0.0, 1.5), ("b", 0.75, 2.25), ("a", 1.5, 3.0)], "meeting"
         )
         f = tmp_path / "rt.rttm"
@@ -610,7 +610,7 @@ class TestAssignmentToTimeline:
         paths = [tmp_path / f"{name}.rttm" for name in "abc"]
         write_rttm(assignment_to_timeline(x, spans(3)), paths[0])
         write_rttm(
-            Timeline.from_entries(
+            Timeline(
                 [(f"other{1 - j}", s.start, s.end) for s, j in zip(spans(3), x.argmax(1))]
             ),
             paths[1],
@@ -641,7 +641,7 @@ class TestAssignmentToTimeline:
 class TestTimeline:
     def test_non_positive_interval_rejected(self):
         with pytest.raises(ContractError):
-            Timeline.from_entries([("a", 1.0, 1.0)])
+            Timeline([("a", 1.0, 1.0)])
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(
@@ -654,10 +654,15 @@ class TestTimeline:
             max_size=20,
         )
     )
-    def test_from_entries_idempotent(self, raw):
-        once = Timeline.from_entries([(spk, t, t + d) for spk, t, d in raw])
-        assert Timeline.from_entries(once.entries).entries == once.entries
+    def test_normalization_idempotent(self, raw):
+        once = Timeline([(spk, t, t + d) for spk, t, d in raw])
+        assert Timeline(once.entries).entries == once.entries
+
+    def test_constructor_merges_and_sorts(self):
+        assert Timeline([("a", 2.0, 3.0), ("a", 0.0, 1.0), ("a", 1.0, 2.0)]).entries == [
+            ("a", 0.0, 3.0)
+        ]
 
     def test_float_dust_merged(self):
-        tl = Timeline.from_entries([("a", 0.0, 1.0), ("a", 1.0 + 5e-7, 2.0)])
+        tl = Timeline([("a", 0.0, 1.0), ("a", 1.0 + 5e-7, 2.0)])
         assert tl.entries == [("a", 0.0, 2.0)]

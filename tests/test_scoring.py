@@ -22,7 +22,7 @@ def timelines(speakers: str):
         st.sampled_from(speakers), st.integers(0, 60_000), st.integers(1, 5_000)
     )
     return st.lists(interval, min_size=1, max_size=12).map(
-        lambda raw: Timeline.from_entries(
+        lambda raw: Timeline(
             [(spk, a / 1000, (a + d) / 1000) for spk, a, d in raw]
         )
     )
@@ -32,7 +32,7 @@ def quarter_timelines(speakers: str):
     """Timelines on a quarter-second grid, so collar windows touch exactly."""
     interval = st.tuples(st.sampled_from(speakers), st.integers(0, 160), st.integers(1, 24))
     return st.lists(interval, min_size=1, max_size=10).map(
-        lambda raw: Timeline.from_entries([(spk, a / 4, (a + d) / 4) for spk, a, d in raw])
+        lambda raw: Timeline([(spk, a / 4, (a + d) / 4) for spk, a, d in raw])
     )
 
 
@@ -61,20 +61,20 @@ def cooccurrence(ref: Timeline, hyp: Timeline, h: str, r: str) -> float:
 
 class TestDerScore:
     def test_identical(self):
-        tl = Timeline.from_entries([("a", 0.0, 5.0), ("b", 3.0, 8.0)])
+        tl = Timeline([("a", 0.0, 5.0), ("b", 3.0, 8.0)])
         out = der_score(tl, tl)
         assert (out.missed, out.false_alarm, out.confusion, out.der) == (0, 0, 0, 0)
 
     def test_empty_hypothesis_all_missed(self):
-        ref = Timeline.from_entries([("spkA", 0.0, 10.0)])
+        ref = Timeline([("spkA", 0.0, 10.0)])
         out = der_score(ref, Timeline())
         assert out.missed == pytest.approx(100.0)
         assert out.der == pytest.approx(100.0)
 
     def test_full_overlap_single_hypothesis(self):
         # two speakers across [0, 10], hypothesis covers one: half is missed
-        ref = Timeline.from_entries([("A", 0.0, 10.0), ("B", 0.0, 10.0)])
-        hyp = Timeline.from_entries([("X", 0.0, 10.0)])
+        ref = Timeline([("A", 0.0, 10.0), ("B", 0.0, 10.0)])
+        hyp = Timeline([("X", 0.0, 10.0)])
         out = der_score(ref, hyp)
         assert out.total_reference_speaker_time == pytest.approx(20.0)
         assert out.missed == pytest.approx(50.0)
@@ -83,8 +83,8 @@ class TestDerScore:
         assert out.der == pytest.approx(50.0)
 
     def test_pure_confusion(self):
-        ref = Timeline.from_entries([("A", 0.0, 4.0), ("B", 4.0, 8.0)])
-        hyp = Timeline.from_entries([("X", 0.0, 6.0), ("Y", 6.0, 8.0)])
+        ref = Timeline([("A", 0.0, 4.0), ("B", 4.0, 8.0)])
+        hyp = Timeline([("X", 0.0, 6.0), ("Y", 6.0, 8.0)])
         out = der_score(ref, hyp)
         # X maps to A (4 s > 2 s); frames 4-6 are confusions
         assert out.confusion == pytest.approx(100.0 * 2.0 / 8.0)
@@ -101,7 +101,7 @@ class TestDerScore:
             ref = random_timeline(rng)
             hyp = random_timeline(rng, prefix="hyp")
             base = der_score(ref, hyp)
-            renamed = Timeline.from_entries(
+            renamed = Timeline(
                 [(f"zz-{spk}", s, e) for spk, s, e in hyp.entries]
             )
             again = der_score(ref, renamed)
@@ -124,8 +124,8 @@ class TestDerScore:
         a = der_score(ref1, hyp1)
         b = der_score(ref2, hyp2)
         offset = 10_000.0
-        ref_cat = Timeline.from_entries(ref1.entries + shifted(ref2, offset).entries)
-        hyp_cat = Timeline.from_entries(hyp1.entries + shifted(hyp2, offset).entries)
+        ref_cat = Timeline(ref1.entries + shifted(ref2, offset).entries)
+        hyp_cat = Timeline(hyp1.entries + shifted(hyp2, offset).entries)
         pooled = der_score(ref_cat, hyp_cat)
         assert pooled.missed_seconds == pytest.approx(
             a.missed_seconds + b.missed_seconds, abs=1e-9
@@ -163,7 +163,7 @@ class TestDerScore:
 
     def test_empty_reference_rejected(self):
         with pytest.raises(EmptyReferenceError):
-            der_score(Timeline(), Timeline.from_entries([("a", 0.0, 1.0)]))
+            der_score(Timeline(), Timeline([("a", 0.0, 1.0)]))
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.one_of(quarter_timelines("abc"), timelines("abc")), quarter_timelines("xyz"), collars)
@@ -175,8 +175,8 @@ class TestDerScore:
         assert scoring._regions(ref, hyp, collar) == merged_window_regions(ref, hyp, collar)
 
     def test_collar_excludes_boundaries(self):
-        ref = Timeline.from_entries([("A", 0.0, 10.0)])
-        hyp = Timeline.from_entries([("A", 0.25, 10.0)])
+        ref = Timeline([("A", 0.0, 10.0)])
+        hyp = Timeline([("A", 0.25, 10.0)])
         strict = der_score(ref, hyp, collar=0.0)
         forgiving = der_score(ref, hyp, collar=0.5)
         assert strict.missed > 0
@@ -186,24 +186,24 @@ class TestDerScore:
 
 class TestMapSpeakers:
     def test_identity(self):
-        tl = Timeline.from_entries([("a", 0.0, 2.0), ("b", 2.0, 4.0)])
+        tl = Timeline([("a", 0.0, 2.0), ("b", 2.0, 4.0)])
         assert map_speakers(tl, tl) == {"a": "a", "b": "b"}
 
     def test_permutation(self):
-        ref = Timeline.from_entries([("a", 0.0, 2.0), ("b", 2.0, 4.0)])
-        hyp = Timeline.from_entries([("b", 0.0, 2.0), ("a", 2.0, 4.0)])
+        ref = Timeline([("a", 0.0, 2.0), ("b", 2.0, 4.0)])
+        hyp = Timeline([("b", 0.0, 2.0), ("a", 2.0, 4.0)])
         assert map_speakers(ref, hyp) == {"b": "a", "a": "b"}
 
     def test_unmatched_labels_stay_unmapped(self):
-        ref = Timeline.from_entries([("a", 0.0, 2.0)])
-        hyp = Timeline.from_entries([("x", 0.0, 2.0), ("y", 5.0, 6.0)])
+        ref = Timeline([("a", 0.0, 2.0)])
+        hyp = Timeline([("x", 0.0, 2.0), ("y", 5.0, 6.0)])
         mapping = map_speakers(ref, hyp)
         assert mapping == {"x": "a"}
 
     def test_equal_cooccurrence_maps_to_first_reference(self):
         # x co-occurs 1 s with both a and b; scipy's tie rule maps it to a
-        ref = Timeline.from_entries([("a", 0.0, 1.0), ("b", 1.0, 2.0)])
-        hyp = Timeline.from_entries([("x", 0.0, 2.0)])
+        ref = Timeline([("a", 0.0, 1.0), ("b", 1.0, 2.0)])
+        hyp = Timeline([("x", 0.0, 2.0)])
         assert map_speakers(ref, hyp) == {"x": "a"}
 
     def test_matches_factorial_brute_force(self, rng):
