@@ -34,8 +34,8 @@ from .overlap_decode import (
     viterbi,
 )
 from .pipeline import DiarizationConfig, DiarizationResult, diarize_embeddings
-from .scoring import DerBreakdown, der_score, map_speakers
-from .speaker_count import EigengapReport, eigengap_vector, estimate
+from .scoring import DerBreakdown, der_score
+from .speaker_count import EigengapReport, estimate
 from .spectral import (
     AssignmentMatrix,
     ContinuousSolution,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import affinity, speaker_count, spectral
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .ingest import EmbeddingSequence, OverlapVector, Timeline, assignment_to_timeline
 from .speaker_count import EigengapReport
 from .spectral import AssignmentMatrix, DiscretizeResult
@@ -65,10 +65,15 @@ def diarize_embeddings(
 
     Returns:
         DiarizationResult with the hypothesis timeline and diagnostics.
+
+    Raises:
+        ContractError: the overlap vector's length is not the segment count.
     """
     n = len(seq)
     if overlap is None:
         overlap = OverlapVector.zeros(n)
+    if len(overlap) != n:
+        raise ContractError(f"{len(overlap)} overlap flags for {n} segments")
     unit = affinity.cosine_affinity(seq)
 
     singles = np.flatnonzero(overlap.flags == 0)

@@ -153,16 +153,6 @@ def _optimal_mapping(regions, ref_speakers, hyp_speakers) -> dict[str, str]:
     }
 
 
-def map_speakers(reference: Timeline, hypothesis: Timeline) -> dict[str, str]:
-    """One-to-one partial mapping hypothesis -> reference labels.
-
-    Maximizes summed co-occurrence duration via an exact assignment; labels
-    with no positive co-occurrence stay unmapped.
-    """
-    regions = _regions(reference, hypothesis, collar=0.0)
-    return _optimal_mapping(regions, reference.speakers, hypothesis.speakers)
-
-
 def der_score(
     reference: Timeline, hypothesis: Timeline, collar: float = 0.0
 ) -> DerBreakdown:

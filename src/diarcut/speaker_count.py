@@ -61,23 +61,6 @@ class EigengapReport:
         return out
 
 
-def eigengap_vector(eigenvalues: np.ndarray) -> np.ndarray:
-    """Differences of consecutive eigenvalues, which must be sorted ascending.
-
-    Args:
-        eigenvalues: length-N vector, ascending.
-
-    Returns:
-        Length N-1 vector of nonnegative gaps.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.ndim != 1:
-        raise ContractError("eigenvalues must be a vector")
-    if lam.size and np.any(np.diff(lam) < 0):
-        raise ContractError("eigenvalues must be sorted ascending")
-    return np.diff(lam)
-
-
 def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     """Lowest ``m`` eigenvalues (fewer when N < m), ascending, and the largest
     one of the Laplacian L = diag(d) - A of a symmetric binarized graph A.
@@ -119,10 +102,11 @@ def estimate(
 
     For each p in [p_min, min(p_max, N-1)]: binarize, take the lowest
     max_speakers + 1 Laplacian eigenvalues and lambda_max from
-    ``low_spectrum`` (near-zeros snapped), and compute
+    ``low_spectrum`` (near-zeros snapped), one graph at a time.  The scores
+    come from the stacked spectra, one row per p, in whole-array steps:
 
         g_p = max(gaps) / (lambda_max + EPSILON)
-        r(p) = p / g_p
+        r(p) = p / g_p  (inf where g_p = 0)
 
     p_hat minimizes r (ties to the smaller p).  The estimated count is one
     plus the position of the largest of those max_speakers gaps of the
@@ -163,26 +147,16 @@ def estimate(
         return EigengapReport([], [], [], [], [], [], n, 1, max_speakers)
 
     p_values = list(range(p_min, hi + 1))
-    eigenvalues_per_p: list[np.ndarray] = []
-    gaps_per_p: list[np.ndarray] = []
-    lambda_max_per_p: list[float] = []
-    g_values: list[float] = []
-    r_values: list[float] = []
+    spectra = [low_spectrum(graph, max_speakers + 1) for graph in aff.binarize_sweep(u, p_values)]
+    lam = np.array([low for low, _ in spectra])  # rows ascending, so gaps >= 0
+    lam_max = np.array([top for _, top in spectra])
+    gaps = np.diff(lam, axis=1)
+    g = gaps.max(axis=1) / (lam_max + EPSILON)
+    r = np.divide(p_values, g, out=np.full(g.shape, np.inf), where=g > 0)
 
-    for p, graph in zip(p_values, aff.binarize_sweep(u, p_values)):
-        lam, lam_max = low_spectrum(graph, max_speakers + 1)
-        gaps = eigengap_vector(lam)
-        g = float(gaps.max()) / (lam_max + EPSILON) if gaps.size else 0.0
-        r = p / g if g > 0 else float("inf")
-        eigenvalues_per_p.append(lam)
-        gaps_per_p.append(gaps)
-        lambda_max_per_p.append(lam_max)
-        g_values.append(g)
-        r_values.append(r)
-
-    if np.isfinite(r_values).any():
-        best = int(np.argmin(r_values))
-        k_hat = int(np.argmax(gaps_per_p[best])) + 1
+    if np.isfinite(r).any():
+        best = int(np.argmin(r))
+        k_hat = int(np.argmax(gaps[best])) + 1
     elif n > max_speakers:  # every swept graph has more than max_speakers components
         best, k_hat = len(p_values) - 1, max_speakers
     else:
@@ -195,11 +169,11 @@ def estimate(
         log.warning("eigengap count clamped: the count reached max_speakers=%d", max_speakers)
     return EigengapReport(
         p_values,
-        eigenvalues_per_p,
-        gaps_per_p,
-        lambda_max_per_p,
-        g_values,
-        r_values,
+        list(lam),
+        list(gaps),
+        lam_max.tolist(),
+        g.tolist(),
+        r.tolist(),
         p_hat,
         k_hat,
         max_speakers,

@@ -9,8 +9,9 @@ emission score, the duration-expanded state graph with its Viterbi
 decoder, whose labels the run-length ``decode`` must reproduce, the
 agglomerative (AHC) baseline the quality grid compares against, and the
 scorer's regions with the collar windows merged up front, which the
-one-sweep ``_regions`` must reproduce, and the posteriors file read one
-line at a time, whose rows and errors the block reader must reproduce.
+one-sweep ``_regions`` must reproduce, the speaker mapping that
+``der_score`` scores under, and the posteriors file read one line at a
+time, whose rows and errors the block reader must reproduce.
 """
 
 import bisect
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from diarcut import scoring
 from diarcut.affinity import TIE_EPS
 from diarcut.errors import ContractError, InfeasiblePathError, ParseError
 from diarcut.ingest import FramePosteriors, OverlapVector, RowError, Timeline
@@ -446,3 +448,9 @@ def merged_window_regions(reference: Timeline, hypothesis: Timeline, collar: flo
         if active[0] or active[1]:
             regions.append((right - left, frozenset(active[0]), frozenset(active[1])))
     return regions
+
+
+def map_speakers(reference: Timeline, hypothesis: Timeline) -> dict[str, str]:
+    """The one-to-one hypothesis -> reference mapping ``der_score`` scores under."""
+    regions = scoring._regions(reference, hypothesis, 0.0)
+    return scoring._optimal_mapping(regions, reference.speakers, hypothesis.speakers)

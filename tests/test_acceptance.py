@@ -19,7 +19,7 @@ from diarcut.overlap_decode import (
     viterbi,
 )
 from diarcut.pipeline import diarize_embeddings
-from diarcut.scoring import der_score, map_speakers
+from diarcut.scoring import der_score
 from diarcut.spectral import (
     assignment_distance,
     nms_assign,
@@ -27,7 +27,7 @@ from diarcut.spectral import (
 )
 from diarcut.speaker_count import estimate
 from diarcut.synth import SynthConfig, generate
-from oracles import path_score
+from oracles import map_speakers, path_score
 from test_overlap_decode import brute_force_best, frame_config, random_posteriors
 from test_scoring import cooccurrence
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diarcut import affinity, spectral
-from diarcut.errors import DiarcutError
+from diarcut.errors import ContractError, DiarcutError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
 from diarcut.pipeline import DiarizationConfig, diarize_embeddings
 from diarcut.scoring import der_score
@@ -47,6 +47,15 @@ class TestDiarizeEmbeddings:
         out = diarize_embeddings(data.embeddings, OverlapVector(np.ones(1, dtype=np.int8)))
         assert out.num_speakers == 1
         assert out.assignment.matrix.tolist() == [[1]]
+
+    @pytest.mark.parametrize("length", [30, 39, 41, 50])
+    def test_flags_of_another_length_refused(self, length):
+        # one flag set, inside the 40 segments or past them
+        data = generate(SynthConfig(n_speakers=3, n_segments=40, seed=1))
+        flags = np.zeros(length, dtype=np.int8)
+        flags[length - 10] = 1
+        with pytest.raises(ContractError, match=f"^{length} overlap flags for 40 segments$"):
+            diarize_embeddings(data.embeddings, OverlapVector(flags))
 
     def test_result_carries_diagnostics(self):
         data = generate(SynthConfig(n_speakers=3, n_segments=30, seed=4))

@@ -12,8 +12,8 @@ from conftest import random_timeline, shifted
 from diarcut import scoring
 from diarcut.errors import EmptyReferenceError
 from diarcut.ingest import Timeline
-from diarcut.scoring import der_score, map_speakers
-from oracles import merged_window_regions
+from diarcut.scoring import der_score
+from oracles import map_speakers, merged_window_regions
 
 
 def timelines(speakers: str):

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -7,31 +8,10 @@ from conftest import block_units
 from diarcut import affinity, speaker_count
 from diarcut.errors import ContractError, IndeterminateSpeakerCountError, NumericalError
 from diarcut.pipeline import DiarizationConfig, diarize_embeddings
-from diarcut.speaker_count import ZERO_SNAP, eigengap_vector, estimate
+from diarcut.speaker_count import ZERO_SNAP, estimate
 from diarcut.synth import SynthConfig, generate
 from diarcut.affinity import cosine_affinity
 from oracles import full_affinity, laplacian, p_binarize
-
-
-class TestEigengapVector:
-    def test_simple(self):
-        assert np.array_equal(eigengap_vector(np.array([0.0, 0.0, 5.0])), [0.0, 5.0])
-
-    def test_arithmetic(self):
-        assert np.array_equal(
-            eigengap_vector(np.array([0.0, 1.0, 2.0, 3.0])), [1.0, 1.0, 1.0]
-        )
-
-    def test_constant(self):
-        assert np.array_equal(eigengap_vector(np.full(5, 2.0)), np.zeros(4))
-
-    def test_unsorted_rejected(self):
-        with pytest.raises(ContractError, match="ascending"):
-            eigengap_vector(np.array([1.0, 0.5]))
-
-    def test_matrix_rejected(self):
-        with pytest.raises(ContractError, match="eigenvalues must be a vector"):
-            eigengap_vector(np.zeros((2, 2)))
 
 
 class TestEstimateBlockDiagonal:
@@ -185,15 +165,32 @@ class TestEstimateContract:
             assert np.array_equal(lam, want[:m])
             assert lam_max == want[-1]
 
-    def test_g_recomputable_from_report(self):
-        cfg = SynthConfig(n_speakers=3, n_segments=30, noise_sigma=0.15, seed=3)
-        report = estimate(cosine_affinity(generate(cfg).embeddings))
-        for lam, gaps, lam_max, g in zip(
-            report.eigenvalues_per_p, report.gaps_per_p,
-            report.lambda_max_per_p, report.g_values,
+    @pytest.mark.parametrize("kind, rows, sweep", [
+        ("dense", lambda: synth_units(3, 30, 0.15, 3), {}),
+        ("csr", lambda: synth_units(4, 720, 0.15, 1), {}),
+        ("clamp", lambda: np.kron(np.eye(12), on_circle(0.0, 0.45)), {"p_min": 2, "p_max": 2}),
+    ], ids=["dense", "csr", "clamp"])
+    def test_g_recomputable_from_report(self, kind, rows, sweep):
+        u = rows()
+        assert (u.shape[0] >= affinity.SPARSE_MIN_N) == (kind == "csr")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = estimate(u, **sweep)
+        for p, lam, gaps, lam_max, g, r in zip(
+            report.p_values, report.eigenvalues_per_p, report.gaps_per_p,
+            report.lambda_max_per_p, report.g_values, report.r_values,
         ):
             assert np.array_equal(gaps, np.diff(lam))
             assert g == gaps.max() / (lam_max + speaker_count.EPSILON)
+            assert r == (p / g if g else float("inf"))
+        r = report.r_values
+        assert all(x == float("inf") for x in r) == (kind == "clamp")
+        if kind == "clamp":
+            assert (report.p_hat, report.k_hat) == (report.p_values[-1], report.max_speakers)
+        else:
+            best = r.index(min(r))
+            gaps = report.gaps_per_p[best].tolist()
+            assert (report.p_hat, report.k_hat) == (report.p_values[best], 1 + gaps.index(max(gaps)))
 
 
 def on_circle(*angles):
