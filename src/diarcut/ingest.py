@@ -175,7 +175,7 @@ class Timeline:
     """(speaker, start, end) intervals for one recording, normalized on construction.
 
     Every interval must end after it starts. Each speaker's intervals merge
-    across gaps up to ``MERGE_GAP``, and entries sort by (start, end, speaker).
+    across gaps up to ``MERGE_GAP``; entries sort by (start, speaker), a pair no two share.
     """
 
     entries: list[tuple[str, float, float]] = field(default_factory=list)
@@ -200,7 +200,7 @@ class Timeline:
                     merged.append((spk, cur_s, cur_e))
                     cur_s, cur_e = s, e
             merged.append((spk, cur_s, cur_e))
-        self.entries = sorted(merged, key=lambda t: (t[1], t[2], t[0]))
+        self.entries = sorted(merged, key=lambda t: (t[1], t[0]))
 
     @property
     def speakers(self) -> list[str]:
@@ -474,11 +474,10 @@ def load_rttm(path) -> Timeline:
 
 
 def write_rttm(timeline: Timeline, path) -> None:
-    """Write one SPEAKER line per entry, sorted by (start, speaker)."""
+    """Write one SPEAKER line per entry, in the timeline's (start, speaker) order."""
     path = Path(path)
-    ordered = sorted(timeline.entries, key=lambda t: (t[1], t[0]))
     with path.open("w", encoding="utf-8") as fh:
-        for spk, start, end in ordered:
+        for spk, start, end in timeline.entries:
             fh.write(
                 f"SPEAKER {timeline.recording_id} 1 {start:.3f} {end - start:.3f} "
                 f"<NA> <NA> {spk} <NA> <NA>\n"

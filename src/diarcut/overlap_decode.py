@@ -16,7 +16,11 @@ difference of prefix sums of c's emissions.  Silence and overlap runs enter
 from single, and single runs from the better of silence and overlap
 (silence on ties), so each frame's entry scores are worked out once.  The
 best run of c ending at t is therefore a sliding-window maximum over s, kept
-in a monotonic deque, so time and memory are O(T) whatever the bounds.
+in a monotonic deque, so time is O(T) whatever the bounds.  A run's key, its
+entry score less the prefix sum before it, waits in a queue until the run
+reaches the minimum.  The T-length arrays are per class the emissions
+(8 B/frame) and run starts (4 B/frame), plus one entry class (1 B/frame); a
+class's window and key queue hold at most its max and min frames of entries.
 Ties resolve as in the equivalent chain graph with class-major states: the
 lower class first (silence, single, overlap), then the shorter run, except
 that an unbounded class with a one-frame minimum keeps its running run over
@@ -148,6 +152,8 @@ def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
     """
     log_emis = np.asarray(log_emis, dtype=float)
     t_len = len(log_emis)
+    emissions = [array("d", log_emis[:, c].tobytes()) for c in CLASSES]
+    del log_emis  # the columns hold all the decoder reads
     neg = -math.inf
     # Per frame t: the class a single run starting at t enters from, and per
     # class the start of the best run ending at t.
@@ -158,15 +164,9 @@ def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
         # Shorter runs win ties, except in an unbounded class with a
         # one-frame minimum, which keeps its running run over a fresh entry.
         beaten = operator.lt if mx is None and m == 1 else operator.le
-        emis = array("d", log_emis[:, c].tobytes())
-        # The entry score of a run starting at t minus the prefix sum of the
-        # class's emissions before t.
-        key = array("d", bytes(8 * t_len))
-        lanes.append((c, m, mx, beaten, deque(), emis, key, start[c]))
+        lanes.append((c, m, mx, beaten, deque(), emissions[c], deque(), start[c]))
     total = [0.0, 0.0, 0.0]  # prefix sums of each class's finite emissions
-    blocked = [-1, -1, -1]  # last frame each class may not cover
-    # Score of the best run of each class ending before frame t; the empty
-    # prefix may precede any class.
+    # Best run of each class ending before t; the empty prefix precedes any.
     best = [0.0, 0.0, 0.0]
     for t in range(t_len):
         # Entry scores, once per frame: silence and overlap take the best
@@ -174,30 +174,28 @@ def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
         came = OVERLAP if best[OVERLAP] > best[SILENCE] else SILENCE
         came_from[t] = came
         entry = (best[SINGLE], best[came], best[SINGLE])
-        for c, m, mx, beaten, window, emis, key, starts in lanes:
+        for c, m, mx, beaten, window, emis, keys, starts in lanes:
             e = emis[t]
             if e == neg:
-                blocked[c] = t
+                keys.clear()
                 window.clear()
                 best[c] = neg
                 continue
-            key[t] = entry[c] - total[c]
+            keys.append(entry[c] - total[c])
             total[c] += e
-            s = t - m + 1  # a run starting at s just reached the minimum
-            if s > blocked[c] and key[s] > neg:
-                k = key[s]
+            k = keys.popleft() if len(keys) == m else neg  # its run just reached m
+            if k > neg:
                 while window and beaten(window[-1][0], k):
                     window.pop()
                 # An unbounded window never drops its front, so a run queued
                 # behind it could never win.
                 if mx is not None or not window:
-                    window.append((k, s))
+                    window.append((k, t - m + 1))
             if mx is not None and window and window[0][1] <= t - mx:
                 window.popleft()
             if window:
-                k, s = window[0]
+                k, starts[t] = window[0]
                 best[c] = total[c] + k
-                starts[t] = s
             else:
                 best[c] = neg
 
@@ -227,8 +225,8 @@ def viterbi(posteriors: FramePosteriors, cfg: DurationConfig) -> FrameLabels:
     """
     bounds = run_bounds(cfg, posteriors.frame_shift)
     with np.errstate(divide="ignore"):
-        log_emis = np.log(posteriors.rows)
-    result = FrameLabels(decode(log_emis, bounds), posteriors.frame_shift)
+        labels = decode(np.log(posteriors.rows), bounds)
+    result = FrameLabels(labels, posteriors.frame_shift)
     check_labels(result, cfg)
     return result
 

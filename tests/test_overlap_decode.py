@@ -287,6 +287,25 @@ class TestViterbi:
         with pytest.raises(InfeasiblePathError):
             viterbi(post, cfg)
 
+    def test_unreachable_minimum_forbids_the_class(self, rng):
+        # a minimum far beyond any recording (--min-silence 1e300 gives about
+        # 1e302 frames) must act as a class that no frame may take
+        huge = 10**300
+        for _ in range(500):
+            t_len = int(rng.integers(1, 60))
+            log_emis = np.log(rng.dirichlet(np.ones(3), size=t_len))
+            log_emis[rng.random((t_len, 3)) < 0.05] = -np.inf
+            bounds = list(run_bounds(random_frame_config(rng), 1.0))
+            c = int(rng.integers(0, 3))
+            forbidden, one_frame = log_emis.copy(), list(bounds)
+            forbidden[:, c] = -np.inf
+            one_frame[c] = (1, bounds[c][1])
+            bounds[c] = (huge, None if bounds[c][1] is None else 10 * huge)
+            assert outcome(decode, log_emis, bounds) == outcome(decode, forbidden, one_frame)
+        assert run_bounds(DurationConfig(min_silence=1e300), 0.01)[SILENCE][0] > huge
+        with pytest.raises(InfeasiblePathError):
+            decode(np.zeros((50, 3)), [(huge, None), (huge, 10 * huge), (huge, None)])
+
     def test_max_duration_forces_breaks(self):
         # a bounded single-speaker chain must yield to another class even
         # when the posteriors always favor single
@@ -536,4 +555,14 @@ class TestMatchesChainGraph:
             tracemalloc.stop()
         # a few bytes per frame and class, where the expanded graph would
         # need one backpointer per frame and state
-        assert max(peaks) < 100 * t_len
+        assert max(peaks) < 55 * t_len
+
+    def test_viterbi_memory_per_frame(self, rng):
+        # the log emissions live only until the decoder has copied its columns
+        t_len = 100_000
+        post = FramePosteriors("rec", 0.01, rng.dirichlet(np.ones(3), size=t_len))
+        tracemalloc.start()
+        viterbi(post, DurationConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 64 * t_len
