@@ -21,8 +21,10 @@ TIE_EPS = 1e-9
 # a moved crossover apart (ROADMAP item 7 re-measures it after L_sym).
 SPARSE_MIN_N = 700
 
-# Rows per block of the binarization sweep, which holds one such block at a time.
-BLOCK_ROWS = 256
+# Rows per block of the binarization sweep, whose peak is one block of BLOCK_ROWS x N
+# float64 affinities and its sorted copy. 128 rows keep the block product efficient;
+# below about 48 each block re-streams all N x d unit rows, up to 40 % slower at N = 10 400.
+BLOCK_ROWS = 128
 
 # Lanczos basis size for the ARPACK solves; 32-48 timed alike, but 24,
 # about ARPACK's own default for k = 11, made sweeps up to 1.4 times slower.

@@ -18,16 +18,15 @@ from single, and single runs from the better of silence and overlap
 best run of c ending at t is therefore a sliding-window maximum over s, kept
 in a monotonic deque, so time is O(T) whatever the bounds.  A run's key, its
 entry score less the prefix sum before it, waits in a queue until the run
-reaches the minimum.  The T-length arrays are per class the emissions
-(8 B/frame) and run starts (4 B/frame), plus one entry class (1 B/frame); a
-class's window and key queue hold at most its max and min frames of entries.
+reaches the minimum.  Besides the T x 3 log emissions, read in place, the
+decoder holds per frame a run start per class (12 B) and an entry class (1 B);
+a class's window and key queue hold at most its max and min frames of entries.
 Ties resolve as in the equivalent chain graph with class-major states: the
 lower class first (silence, single, overlap), then the shorter run, except
 that an unbounded class with a one-frame minimum keeps its running run over
-a fresh entry.
-These rules apply to exactly equal scores; scores built from prefix sums
-round differently from frame-by-frame sums, so labelings whose scores differ
-only by rounding may resolve differently from the chain graph.
+a fresh entry.  These rules apply to exactly equal scores; scores built from
+prefix sums round differently from frame-by-frame sums, so labelings whose
+scores differ only by rounding may resolve differently from the chain graph.
 """
 
 from __future__ import annotations
@@ -150,10 +149,8 @@ def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
     Raises:
         InfeasiblePathError: no labeling satisfies the bounds.
     """
-    log_emis = np.asarray(log_emis, dtype=float)
+    log_emis = np.asfortranarray(log_emis, dtype=float)  # columns read in place
     t_len = len(log_emis)
-    emissions = [array("d", log_emis[:, c].tobytes()) for c in CLASSES]
-    del log_emis  # the columns hold all the decoder reads
     neg = -math.inf
     # Per frame t: the class a single run starting at t enters from, and per
     # class the start of the best run ending at t.
@@ -164,15 +161,16 @@ def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
         # Shorter runs win ties, except in an unbounded class with a
         # one-frame minimum, which keeps its running run over a fresh entry.
         beaten = operator.lt if mx is None and m == 1 else operator.le
-        lanes.append((c, m, mx, beaten, deque(), emissions[c], deque(), start[c]))
+        # a minimum past the last frame is never met: forbidden, with no keys queued
+        emis = log_emis[:, c] if m <= t_len else np.broadcast_to(neg, t_len)
+        lanes.append((c, m, mx, beaten, deque(), memoryview(emis), deque(), start[c]))
     total = [0.0, 0.0, 0.0]  # prefix sums of each class's finite emissions
     # Best run of each class ending before t; the empty prefix precedes any.
     best = [0.0, 0.0, 0.0]
     for t in range(t_len):
         # Entry scores, once per frame: silence and overlap take the best
         # single run, single the better of silence and overlap, silence on ties.
-        came = OVERLAP if best[OVERLAP] > best[SILENCE] else SILENCE
-        came_from[t] = came
+        came_from[t] = came = OVERLAP if best[OVERLAP] > best[SILENCE] else SILENCE
         entry = (best[SINGLE], best[came], best[SINGLE])
         for c, m, mx, beaten, window, emis, keys, starts in lanes:
             e = emis[t]
@@ -225,7 +223,7 @@ def viterbi(posteriors: FramePosteriors, cfg: DurationConfig) -> FrameLabels:
     """
     bounds = run_bounds(cfg, posteriors.frame_shift)
     with np.errstate(divide="ignore"):
-        labels = decode(np.log(posteriors.rows), bounds)
+        labels = decode(np.log(posteriors.rows, order="F"), bounds)
     result = FrameLabels(labels, posteriors.frame_shift)
     check_labels(result, cfg)
     return result
