@@ -21,10 +21,10 @@ TIE_EPS = 1e-9
 # a moved crossover apart (ROADMAP item 7 re-measures it after L_sym).
 SPARSE_MIN_N = 700
 
-# Rows per block of the binarization sweep, whose peak is one block of BLOCK_ROWS x N
-# float64 affinities and its sorted copy. 128 rows keep the block product efficient;
-# below about 48 each block re-streams all N x d unit rows, up to 40 % slower at N = 10 400.
-BLOCK_ROWS = 128
+# Rows per block of the binarization sweep, whose peak is one block of BLOCK_ROWS x N float64
+# affinities and its partitioned copy. A p = 2..20 sweep took 1.41 s on 8840 rows (1.30 s at
+# 128) and 50 ms on 1360 (alike); below 48 each block re-streams all N x d unit rows.
+BLOCK_ROWS = 64
 
 # Lanczos basis size for the ARPACK solves; 32-48 timed alike, but 24,
 # about ARPACK's own default for k = 11, made sweeps up to 1.4 times slower.
@@ -55,9 +55,9 @@ def normalize_rows(rows) -> np.ndarray:
     scaling is exact, and in-range rows normalize bit for bit as v / ||v||.
     """
     vecs = np.asarray(rows, dtype=float)
-    _, exp = np.frexp(np.abs(vecs).max(axis=1))
+    _, exp = np.frexp(np.maximum(vecs.max(axis=1), -vecs.min(axis=1)))  # no |vecs| copy
     scaled = np.ldexp(vecs, -exp[:, None])
-    return scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return np.divide(scaled, np.linalg.norm(scaled, axis=1)[:, None], out=scaled)
 
 
 def unit_rows(unit) -> np.ndarray:
@@ -129,9 +129,9 @@ def binarize_sweep(unit: np.ndarray, budgets, flagged=None):
     count or one per row. Entries between two rows set in the boolean
     ``flagged`` count as -inf; a row keeps the entries at or above its cutoff,
     its budget-th largest value less TIE_EPS. Each block of BLOCK_ROWS rows is
-    computed as u[block] u^T, checked finite before that mask and sorted for
-    its cutoffs; the graphs come from its entries at or above its lowest one,
-    so no N x N affinity is formed.
+    computed as u[block] u^T, checked finite before that mask and partitioned
+    for its cutoffs; the graphs come from its entries at or above its lowest
+    one, so no N x N affinity is formed.
     """
     n = unit.shape[0]
     picks = n - np.array([np.full(n, b) for b in budgets])  # budgets x rows
@@ -141,8 +141,10 @@ def binarize_sweep(unit: np.ndarray, budgets, flagged=None):
         part = slice(start, start + BLOCK_ROWS)
         block = affinity_rows(unit, start, start + BLOCK_ROWS)
         if flagged is not None:
-            block = np.where(flagged[part, None] & flagged, -np.inf, block)
-        cutoffs[:, part] = np.sort(block, axis=1)[np.arange(len(block)), picks[:, part]] - TIE_EPS
+            block[flagged[part, None] & flagged] = -np.inf
+        low = picks[:, part].min()  # each row's top n - low values hold all its cutoffs
+        top = np.sort(np.partition(block, low, axis=1)[:, low:], axis=1)
+        cutoffs[:, part] = top[np.arange(len(block)), picks[:, part] - low] - TIE_EPS
         rows, cols = np.nonzero(block >= cutoffs[:, part].min(axis=0)[:, None])
         cands.append((block[rows, cols], (rows + start).astype(np.int32), cols.astype(np.int32)))
     cand_values, cand_rows, cand_cols = map(np.concatenate, zip(*cands))
@@ -157,12 +159,15 @@ def binarize_sweep(unit: np.ndarray, budgets, flagged=None):
             dense[at] = half
             dense[mirror] += half  # no pair repeats, so no write is lost
             yield dense.reshape(n, n)
-        else:
-            from scipy import sparse  # only large graphs pay its import time
-            rows, cols = cand_rows[kept], cand_cols[kept]
-            # Duplicates sum on conversion: 0.5 + 0.5 where both rows keep the pair.
-            pairs = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
-            yield sparse.csr_matrix((np.full(2 * cols.size, 0.5), pairs), shape=(n, n))
+        else:  # built in a call, so its temporaries are gone while the graph is used
+            yield _csr_graph(n, cand_rows[kept], cand_cols[kept])
+
+
+def _csr_graph(n: int, rows: np.ndarray, cols: np.ndarray):
+    """The n x n CSR graph with 0.5 at each (row, col) and its mirror; duplicates sum."""
+    from scipy import sparse  # only large graphs pay its import time
+    pairs = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    return sparse.csr_matrix((np.full(2 * cols.size, 0.5), pairs), shape=(n, n))
 
 
 def component_labels(mat) -> np.ndarray:

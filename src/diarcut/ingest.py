@@ -322,25 +322,27 @@ def _read_spans(reader: _Reader):
 
 
 def load_embeddings(path) -> EmbeddingSequence:
-    """Parse an embeddings file into a validated sequence, in file order."""
+    """Parse an embeddings file into a validated sequence, in file order. The rows
+    go into one ``array("d")`` that the N x d vectors view: they are held once."""
     reader = _Reader(path, "dim", int)
     spans: list[SegmentSpan] = []
-    vectors: list[np.ndarray] = []
+    values, dim = array("d"), 0
     try:
         for lineno, span, vec_s in _read_spans(reader):
             try:
                 vec = np.array(vec_s.split(), dtype=float)
             except ValueError:
                 raise reader.error("bad vector component", lineno)
-            if vectors and vec.size != vectors[0].size:
+            if spans and vec.size != dim:
                 raise reader.error(f"vector has {vec.size} components, "
-                                   f"previous rows have {vectors[0].size}", lineno)
+                                   f"previous rows have {dim}", lineno)
             spans.append(span)
-            vectors.append(vec)
-        if reader.value not in (None, vectors[0].size):
+            values.frombytes(vec.tobytes())
+            dim = vec.size
+        if reader.value not in (None, dim):
             raise reader.error(f"header says {reader.value} components, rows have "
-                               f"{vectors[0].size}", reader.header_line)
-        return EmbeddingSequence(spans, np.vstack(vectors))
+                               f"{dim}", reader.header_line)
+        return EmbeddingSequence(spans, np.frombuffer(values).reshape(len(spans), dim))
     except ContractError as exc:
         raise reader.failure(exc) from exc
 

@@ -58,6 +58,8 @@ def diarize_embeddings(
 ) -> DiarizationResult:
     """Cluster an embedding sequence into a speaker timeline.
 
+    Counting normalizes its rows before all N are, so one set of unit rows is held at a time.
+
     Args:
         seq: validated embedding sequence.
         overlap: per-segment overlap flags; None means no overlaps.
@@ -74,8 +76,6 @@ def diarize_embeddings(
         overlap = OverlapVector.zeros(n)
     if len(overlap) != n:
         raise ContractError(f"{len(overlap)} overlap flags for {n} segments")
-    unit = affinity.cosine_affinity(seq)
-
     singles = np.flatnonzero(overlap.flags == 0)
     # Counting needs a meaningful sweep over the rows it sees; with too few
     # single-speaker rows fall back to all rows.
@@ -85,8 +85,9 @@ def diarize_embeddings(
             "only %d non-overlap segments; estimating the speaker count on all rows",
             singles.size,
         )
-    report = speaker_count.estimate(unit[singles] if count_singles else unit,
-                                    config.p_min, config.p_max, config.max_speakers)
+    report = speaker_count.estimate(
+        affinity.normalize_rows(seq.vectors[singles] if count_singles else seq.vectors),
+        config.p_min, config.p_max, config.max_speakers)
     k = report.k_hat
     if overlap.any() and k < 2:
         # an overlapping segment means two concurrent speakers by definition;
@@ -99,7 +100,7 @@ def diarize_embeddings(
             overlap = OverlapVector.zeros(n)
     log.info("binarization factor p=%d, estimated speakers K=%d", report.p_hat, k)
 
-    graph = affinity.build_bundle(unit, report.p_hat, overlap).binarized
+    graph = affinity.build_bundle(affinity.cosine_affinity(seq), report.p_hat, overlap).binarized
     solution = spectral.continuous_solve(graph, k)
     result = spectral.discretize_full(solution, overlap, config.seed)
     timeline = assignment_to_timeline(result.assignment.matrix, seq.spans)

@@ -117,7 +117,7 @@ def estimate(
     count is clamped to max_speakers at the largest swept p.
 
     Args:
-        unit: N x d unit rows from ``affinity.cosine_affinity``, only those
+        unit: N x d unit rows (``affinity.normalize_rows``) of the segments
             to count on (e.g. the single-speaker rows); the affinity is
             their products, with the diagonal taken as 1.
         p_min, p_max: inclusive sweep bounds; the effective upper bound is

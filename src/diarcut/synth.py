@@ -44,6 +44,8 @@ class SynthConfig:
             raise ConfigError("overlaps require at least 2 speakers")
         if not 0 <= self.noise_sigma <= 1e100:  # beyond, a noisy vector's norm can overflow
             raise ConfigError(f"noise_sigma must lie in [0, 1e100], got {self.noise_sigma}")
+        if not 0 <= self.min_centroid_angle < 90:  # the angle between lines, |cos| <= cos(angle)
+            raise ConfigError("min_centroid_angle must lie in [0, 90) degrees")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 

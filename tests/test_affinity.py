@@ -293,8 +293,9 @@ def test_csr_sweep_candidates_take_int32_indices():
 
 def test_sweep_peak_is_a_few_row_blocks():
     # a counting sweep over a CSR-sized flagged recording: a block of
-    # affinities and its sorted copy set the peak, about 3 blocks of 128 rows
-    # (about 5 with blocks of 256), far below the 2000 rows of one N x N array
+    # affinities, its partitioned copy and the candidates set the peak, about
+    # 5 blocks of 64 rows (6 with 128-row blocks and a masked copy of each),
+    # far below the 2000 rows of one N x N array
     data = generate(SynthConfig(n_speakers=4, n_segments=2000, noise_sigma=0.15,
                                 overlap_fraction=0.15, seed=1))
     u = cosine_affinity(data.embeddings)
@@ -308,7 +309,7 @@ def test_sweep_peak_is_a_few_row_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 128 * n * 8
+    assert peak < 5.5 * 64 * n * 8
 
 
 B = affinity.BLOCK_ROWS
@@ -325,7 +326,7 @@ class TestBlockedSweep:
     whole affinity u u^T, although each block's products are computed apart.
 
     Each size runs with the graphs forced dense and forced CSR; the sizes sit
-    on both sides of the second block edge, past the fourth and on both
+    on both sides of the fourth block edge, past the eighth and on both
     sides of SPARSE_MIN_N.
     """
 
@@ -335,7 +336,7 @@ class TestBlockedSweep:
         monkeypatch.setattr(affinity, "SPARSE_MIN_N", 0 if csr else 10**9)
         return same_csr if csr else np.array_equal
 
-    @pytest.mark.parametrize("n", [2 * B - 1, 2 * B, 2 * B + 1, 4 * B + 1,
+    @pytest.mark.parametrize("n", [4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 1,
                                    affinity.SPARSE_MIN_N - 1, affinity.SPARSE_MIN_N])
     def test_matches_oracles(self, n, same, rng):
         u = unit_rows(rng.standard_normal((n, 6)))
@@ -354,7 +355,7 @@ class TestBlockedSweep:
             for p in (1, 3, 20):
                 assert same(binarize(u, p, ov), overlap_aware_binarize(a, p, ov)), (name, p)
 
-    @pytest.mark.parametrize("m", [2 * B - 1, 2 * B, 2 * B + 1, 4 * B + 1,
+    @pytest.mark.parametrize("m", [4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 1,
                                    affinity.SPARSE_MIN_N + 1])
     def test_index_reads_the_submatrix(self, m, same, rng):
         # m rows gathered out of m + 7, as counting gathers the single-speaker

@@ -82,6 +82,7 @@ class TestSynthCommand:
         ("--dim", "1", "dim must be at least 2"),
         ("--segments", "0", "n_segments must be at least 1"),
         ("--overlap-frac", "1", "overlap_fraction must lie in [0, 1)"),
+        ("--min-angle", "90", "min_centroid_angle must lie in [0, 90) degrees"),
     ])
     def test_bad_config_exits_2(self, tmp_path, capsys, option, value, message):
         # the option given last overrides the valid value given first

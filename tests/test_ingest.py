@@ -191,6 +191,22 @@ class TestEmbeddings:
         assert np.array_equal(back.vectors, seq.vectors)
         assert [s.start for s in back.spans] == [s.start for s in seq.spans]
 
+    def test_memory_holds_the_vectors_once(self, tmp_path, rng):
+        # the rows go into one growing buffer that the N x d vectors view: its
+        # slack and the spans stay below 1.6 copies, where a list of per-row
+        # arrays stacked at the end held 2.5
+        n, d = 2000, 128
+        f = tmp_path / "emb.txt"
+        save_embeddings(EmbeddingSequence(spans(n), rng.standard_normal((n, d))), f)
+        tracemalloc.start()
+        try:
+            seq = load_embeddings(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seq.vectors.shape == (n, d)
+        assert peak < 1.6 * n * d * 8
+
 
 class TestSpans:
     CLEAN = "#dim 2\nrec\t0.0\t1.5\t1 0\n\nrec\t0.75\t2.25\t0 1\nrec\t1.5\t3.0\t1 1\n"

@@ -137,6 +137,25 @@ class TestDiarizeEmbeddings:
             tracemalloc.stop()
         assert peak < n * n * 8
 
+    def test_peak_memory_a_few_copies_of_the_vectors(self):
+        # Counting normalizes only the single-speaker rows, and the unit rows
+        # of all N come after it, so the input, the counted rows and the
+        # sweep's row blocks and candidates stay below 3.6 N x d copies
+        # (3.1 measured; 4.3 when the full unit rows and their gathered
+        # single-speaker copy were both held through counting).
+        n, d = 2000, 128
+        data = generate(SynthConfig(n_speakers=4, n_segments=n, dim=d, noise_sigma=0.15,
+                                    overlap_fraction=0.15, seed=1))
+        assert n - data.overlap.flags.sum() >= affinity.SPARSE_MIN_N  # counted on CSR graphs
+        diarize_embeddings(data.embeddings, data.overlap)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            diarize_embeddings(data.embeddings, data.overlap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * n * d * 8
+
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.data())

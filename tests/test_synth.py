@@ -57,6 +57,14 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="noise_sigma"):
             SynthConfig(n_speakers=2, n_segments=4, noise_sigma=sigma)
 
+    @pytest.mark.parametrize("angle", [90.0, 180.0, 200.0, -5.0, float("nan"), float("inf")])
+    def test_angle_outside_range_raises(self, angle):
+        # centroids are kept at |cos| <= cos(angle), which no angle of 90 or
+        # more can demand; such angles spent 100 000 rejections, and a
+        # negative one was read as its absolute value
+        with pytest.raises(ConfigError, match=r"min_centroid_angle must lie in \[0, 90\) degrees"):
+            SynthConfig(n_speakers=2, n_segments=4, min_centroid_angle=angle)
+
     def test_infeasible_angle_raises(self):
         cfg = SynthConfig(n_speakers=40, n_segments=5, dim=2, min_centroid_angle=80.0)
         with pytest.raises(ConfigError, match="attempts"):
