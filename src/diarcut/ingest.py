@@ -86,13 +86,13 @@ def _check_recording(spans: list[SegmentSpan]) -> list[SegmentSpan]:
 
 @dataclass
 class EmbeddingSequence:
-    """Per-segment embedding vectors with their time spans, in file order."""
+    """Per-segment embedding vectors, held in C order, with their time spans, in file order."""
 
     spans: list[SegmentSpan]
     vectors: np.ndarray
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=float)
+        self.vectors = np.asarray(self.vectors, dtype=float, order="C")
         if self.vectors.ndim != 2:
             raise ContractError("embedding vectors must form a 2-D matrix")
         if len(self.spans) != self.vectors.shape[0]:
@@ -154,16 +154,17 @@ class FramePosteriors:
             raise ContractError("frame_shift must be positive and finite")
         if self.rows.ndim != 2 or self.rows.shape[1] != 3:
             raise ContractError("posterior rows must be T x 3")
-        bad = np.flatnonzero(~np.isfinite(self.rows).all(axis=1))
-        if bad.size:
-            raise RowError(bad[0], f"posterior row {bad[0]} has a non-finite value")
-        bad = np.flatnonzero((self.rows < 0).any(axis=1))
-        if bad.size:
-            raise RowError(bad[0], f"posterior row {bad[0]} has a negative value")
-        sums = self.rows.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-4)
-        if bad.size:
-            raise RowError(bad[0], f"posterior row {bad[0]} sums to {sums[bad[0]]:.6f}, expected 1")
+        if not np.isfinite(self.rows).all():  # whole-array tests; rows are scanned on a failure
+            bad = np.flatnonzero(~np.isfinite(self.rows).all(axis=1))[0]
+            raise RowError(bad, f"posterior row {bad} has a non-finite value")
+        if (self.rows < 0).any():
+            bad = np.flatnonzero((self.rows < 0).any(axis=1))[0]
+            raise RowError(bad, f"posterior row {bad} has a negative value")
+        sums = self.rows[:, 0] + self.rows[:, 1]  # the additions of rows.sum(axis=1)
+        sums += self.rows[:, 2]
+        if (np.abs(sums - 1.0) > 1e-4).any():
+            bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-4)[0]
+            raise RowError(bad, f"posterior row {bad} sums to {sums[bad]:.6f}, expected 1")
 
     @property
     def num_frames(self) -> int:

@@ -10,30 +10,30 @@ feasible one with the highest summed log emission.
 
 The decoder works on runs, not on a duration-expanded state graph (an
 explicit-duration HMM; S.-Z. Yu, "Hidden semi-Markov models", Artificial
-Intelligence 174, 2010).  A run of class c over frames [s, t] scores its
-entry score, the best run of a permitted class ending at s - 1, plus a
-difference of prefix sums of c's emissions.  Silence and overlap runs enter
-from single, and single runs from the better of silence and overlap
-(silence on ties), so each frame's entry scores are worked out once.  The
-best run of c ending at t is therefore a sliding-window maximum over s, kept
-in a monotonic deque, so time is O(T) whatever the bounds.  A run's key, its
-entry score less the prefix sum before it, waits in a queue until the run
-reaches the minimum.  Besides the T x 3 log emissions, read in place, the
-decoder holds per frame a run start per class (12 B) and an entry class (1 B);
-a class's window and key queue hold at most its max and min frames of entries.
-Ties resolve as in the equivalent chain graph with class-major states: the
-lower class first (silence, single, overlap), then the shorter run, except
-that an unbounded class with a one-frame minimum keeps its running run over
-a fresh entry.  These rules apply to exactly equal scores; scores built from
-prefix sums round differently from frame-by-frame sums, so labelings whose
-scores differ only by rounding may resolve differently from the chain graph.
+Intelligence 174, 2010).  A run of class c over frames [s, t] scores its entry
+score, the best run of a permitted class ending at s - 1, plus a difference of
+prefix sums of c's emissions.  Silence and overlap runs enter from single, and
+single runs from the better of silence and overlap (silence on ties), so each
+frame's entry scores are worked out once.  The best run of c ending at t is
+then a sliding-window maximum over s, so time is O(T) whatever the bounds.
+Each class is a step function called once a frame: a run's key, its entry
+score less the prefix sum before it, queues until the run reaches the minimum,
+then joins a monotonic deque of keys and starts; an unbounded class keeps one
+key, its window never dropping its front.  Besides the T x 3 log emissions,
+read in place, the decoder holds per frame a run start per class (12 B) and an
+entry class (1 B); a class's window and key queue hold at most its max and min
+frames of entries.  Ties resolve as in the equivalent chain graph with
+class-major states: the lower class first (silence, single, overlap), then the
+shorter run, except that an unbounded class with a one-frame minimum keeps its
+running run over a fresh entry.  These rules apply to exact ties; prefix sums
+round differently from frame-by-frame sums, so near-ties may resolve
+differently from the chain graph.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import operator
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -137,6 +137,45 @@ def run_bounds(
     )
 
 
+def _lane(m: int, mx: int | None, starts: array):
+    """Step function ``step(t, entry, e)``: the best run of m to mx frames ending at frame t,
+    of log emission e, where a run entering at t scores ``entry``; its start goes to starts[t]."""
+    neg = -math.inf
+    if m > len(starts):  # a minimum past the last frame is never met: queue no keys
+        return lambda t, entry, e: neg
+    pending, window = deque(), deque()  # keys of runs shorter than m; (key, start) pairs
+    total, kept, first = 0.0, neg, 0  # prefix sum of finite emissions; best key, its start
+    fresh = m > 1  # whether a fresh run wins a tie in an unbounded class
+
+    def step(t, entry, e):
+        nonlocal total, kept, first
+        if e == neg:
+            pending.clear()
+            window.clear()
+            kept = neg
+            return neg
+        pending.append(entry - total)
+        total += e
+        k = pending.popleft() if len(pending) == m else neg  # its run just reached m
+        if mx is None:
+            if k > kept or fresh and k == kept:
+                kept, first = k, t - m + 1
+        else:
+            if k > neg:  # shorter runs win ties
+                while window and window[-1][0] <= k:
+                    window.pop()
+                window.append((k, t - m + 1))
+            if window and window[0][1] <= t - mx:
+                window.popleft()
+            if not window:
+                return neg
+            kept, first = window[0]
+        starts[t] = first
+        return total + kept
+
+    return step
+
+
 def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
     """Best feasible labeling of a T x 3 log-emission matrix, as int8 labels.
 
@@ -151,55 +190,25 @@ def decode(log_emis: np.ndarray, bounds) -> np.ndarray:
     """
     log_emis = np.asfortranarray(log_emis, dtype=float)  # columns read in place
     t_len = len(log_emis)
-    neg = -math.inf
     # Per frame t: the class a single run starting at t enters from, and per
     # class the start of the best run ending at t.
     came_from = array("b", bytes(t_len))
     start = [array("i", bytes(4 * t_len)) for _ in CLASSES]
-    lanes = []
-    for c, (m, mx) in zip(CLASSES, bounds):
-        # Shorter runs win ties, except in an unbounded class with a
-        # one-frame minimum, which keeps its running run over a fresh entry.
-        beaten = operator.lt if mx is None and m == 1 else operator.le
-        # a minimum past the last frame is never met: forbidden, with no keys queued
-        emis = log_emis[:, c] if m <= t_len else np.broadcast_to(neg, t_len)
-        lanes.append((c, m, mx, beaten, deque(), memoryview(emis), deque(), start[c]))
-    total = [0.0, 0.0, 0.0]  # prefix sums of each class's finite emissions
+    silence, single, overlap = (_lane(m, mx, start[c]) for c, (m, mx) in zip(CLASSES, bounds))
     # Best run of each class ending before t; the empty prefix precedes any.
-    best = [0.0, 0.0, 0.0]
-    for t in range(t_len):
+    best_sil = best_sing = best_ovl = 0.0
+    for t, e_sil, e_sing, e_ovl in zip(range(t_len), *map(memoryview, log_emis.T)):
         # Entry scores, once per frame: silence and overlap take the best
         # single run, single the better of silence and overlap, silence on ties.
-        came_from[t] = came = OVERLAP if best[OVERLAP] > best[SILENCE] else SILENCE
-        entry = (best[SINGLE], best[came], best[SINGLE])
-        for c, m, mx, beaten, window, emis, keys, starts in lanes:
-            e = emis[t]
-            if e == neg:
-                keys.clear()
-                window.clear()
-                best[c] = neg
-                continue
-            keys.append(entry[c] - total[c])
-            total[c] += e
-            k = keys.popleft() if len(keys) == m else neg  # its run just reached m
-            if k > neg:
-                while window and beaten(window[-1][0], k):
-                    window.pop()
-                # An unbounded window never drops its front, so a run queued
-                # behind it could never win.
-                if mx is not None or not window:
-                    window.append((k, t - m + 1))
-            if mx is not None and window and window[0][1] <= t - mx:
-                window.popleft()
-            if window:
-                k, starts[t] = window[0]
-                best[c] = total[c] + k
-            else:
-                best[c] = neg
-
+        came_from[t] = came = OVERLAP if best_ovl > best_sil else SILENCE
+        entry = best_ovl if came else best_sil
+        best_sil, best_sing, best_ovl = (
+            silence(t, best_sing, e_sil), single(t, entry, e_sing), overlap(t, best_sing, e_ovl)
+        )
+    best = [best_sil, best_sing, best_ovl]
     labels = np.empty(t_len, dtype=np.int8)
     c = int(np.argmax(best))
-    if best[c] == neg:
+    if best[c] == -math.inf:
         raise InfeasiblePathError(
             f"no labeling of {t_len} frames satisfies the duration constraints"
         )

@@ -56,7 +56,18 @@ DETECT_GOLDEN = {
         "ba5c8a8c71766d7ccdb57c8b257f30827fbbefd17a2502a92b60d3832ad8aa32",
         "c9124712ac284353348c8c1f2a3d79cc81289d40216594e47d776c0bd6284af8",
     ),
+    45: (
+        "f2b73283dca261a45a57fd0fab4923302fdb05c72f25ddda88f230b71c5856dc",
+        "c7557cf5257d59b8bfe9ef2eea1bbc4b0f1f7ff94bcf65890a34674566612b66",
+    ),
 }
+
+# seed -> (segments, longest runs, noise) where not (60, (200, 400), 0.6).
+# 599 segments span 45 000 frames, the length of the overlap-hour benchmark
+# recording.  Its true runs outlast the single and overlap maxima (1000 and
+# 500 frames) on posteriors clean enough that the decoder keeps a run until
+# it hits its maximum, which happens 16 times for single and 27 for overlap.
+DETECT_INPUTS = {45: (599, (800, 1600), 0.5)}
 
 
 def sha256(path) -> str:
@@ -100,25 +111,37 @@ def test_diarize_golden(case, tmp_path, capsys):
     assert got == want
 
 
-def frame_posteriors(rng: np.random.Generator, n_frames: int) -> np.ndarray:
-    """Noisy posteriors over alternating single/overlap/silence runs."""
+def frame_posteriors(
+    rng: np.random.Generator,
+    n_frames: int,
+    longest: tuple[int, int] = (200, 400),
+    noise: float = 0.6,
+) -> np.ndarray:
+    """Noisy posteriors over alternating single/overlap/silence runs.
+
+    Silence and overlap runs last 20 frames up to ``longest[0]`` (exclusive),
+    single runs 50 frames up to ``longest[1]``.  Each row puts ``noise`` of
+    its mass on a random split over the classes and the rest on its true class.
+    """
     classes = np.empty(n_frames, dtype=int)
     t, cls = 0, 1
     while t < n_frames:
-        run_len = int(rng.integers(20, 200)) if cls != 1 else int(rng.integers(50, 400))
+        lo, hi = (50, longest[1]) if cls == 1 else (20, longest[0])
+        run_len = int(rng.integers(lo, hi))
         classes[t : t + run_len] = cls
         t += run_len
         cls = int(rng.choice([0, 2])) if cls == 1 else 1
-    rows = rng.dirichlet(np.ones(3), size=n_frames) * 0.6
-    rows[np.arange(n_frames), classes] += 0.4
+    rows = rng.dirichlet(np.ones(3), size=n_frames) * noise
+    rows[np.arange(n_frames), classes] += 1 - noise
     return rows / rows.sum(axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize("seed", sorted(DETECT_GOLDEN))
 def test_detect_overlap_golden(seed, tmp_path, capsys):
-    data = synth_dir(tmp_path, capsys, 4, 60, 0.2, 0.1, seed)
-    n_frames = int(round((WINDOW + STRIDE * 59) / 0.01))
-    rows = frame_posteriors(np.random.default_rng(seed), n_frames)
+    segments, longest, noise = DETECT_INPUTS.get(seed, (60, (200, 400), 0.6))
+    data = synth_dir(tmp_path, capsys, 4, segments, 0.2, 0.1, seed)
+    n_frames = int(round((WINDOW + STRIDE * (segments - 1)) / 0.01))
+    rows = frame_posteriors(np.random.default_rng(seed), n_frames, longest, noise)
     post = tmp_path / "post.txt"
     ingest.save_posteriors(ingest.FramePosteriors("synth", 0.01, rows), post)
     flags, lab = tmp_path / "flags.txt", tmp_path / "ovl.lab"

@@ -320,20 +320,22 @@ class TestPosteriors:
             load_posteriors(f)
 
     @pytest.mark.parametrize(
-        "bad_row, message",
+        "bad_row, line, message",
         [
-            ("nan 0.5 0.5", "posterior row 1 has a non-finite value"),
-            ("-0.1 0.6 0.5", "posterior row 1 has a negative value"),
+            ("nan 0.5 0.5", 4, "posterior row 1 has a non-finite value"),
+            ("-0.1 0.6 0.5", 4, "posterior row 1 has a negative value"),
             # the first bad row is named, not the worst one
-            ("0.5 0.5 0.5\n1 1 1", "posterior row 1 sums to 1.500000, expected 1"),
-            ("0.1 0.8 zz", "bad posterior value"),
+            ("0.5 0.5 0.5\n1 1 1", 4, "posterior row 1 sums to 1.500000, expected 1"),
+            ("0.1 0.8 zz", 4, "bad posterior value"),
+            # non-finite values are looked for before negative ones
+            ("-0.1 0.6 0.5\nnan 0.5 0.5", 5, "posterior row 2 has a non-finite value"),
         ],
-        ids=["non-finite", "negative", "sum", "bad-value"],
+        ids=["non-finite", "negative", "sum", "bad-value", "non-finite-after-negative"],
     )
-    def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
+    def test_bad_row_names_its_line(self, tmp_path, bad_row, line, message):
         f = tmp_path / "post.txt"
         f.write_text(f"#frame_shift 0.01\n0.2 0.3 0.5\n\n{bad_row}\n")
-        with pytest.raises(ParseError, match=f"post.txt:4: {message}"):
+        with pytest.raises(ParseError, match=f"post.txt:{line}: {message}"):
             load_posteriors(f)
 
     def test_second_header_rejected(self, tmp_path):

@@ -57,6 +57,17 @@ class TestDiarizeEmbeddings:
         with pytest.raises(ContractError, match=f"^{length} overlap flags for 40 segments$"):
             diarize_embeddings(data.embeddings, OverlapVector(flags))
 
+    def test_counting_rows_are_the_graph_rows_in_either_layout(self):
+        # counting normalizes the single-speaker rows on their own; they must
+        # be bit for bit the graph's rows, also when the caller's vectors are
+        # column-major (row-wise rounding follows the memory layout)
+        data = generate(SynthConfig(n_speakers=4, n_segments=200, dim=64, noise_sigma=0.15,
+                                    overlap_fraction=0.1, seed=3))
+        seq = EmbeddingSequence(data.embeddings.spans, np.asfortranarray(data.embeddings.vectors))
+        singles = np.flatnonzero(data.overlap.flags == 0)
+        counted = affinity.normalize_rows(seq.vectors[singles])
+        assert counted.tobytes() == affinity.cosine_affinity(seq)[singles].tobytes()
+
     def test_result_carries_diagnostics(self):
         data = generate(SynthConfig(n_speakers=3, n_segments=30, seed=4))
         out = diarize_embeddings(data.embeddings)
