@@ -205,9 +205,9 @@ def procrustes(x: np.ndarray, x_tilde_star: np.ndarray) -> np.ndarray:
     return vt.T @ u.T
 
 
-def assignment_distance(x: np.ndarray, x_tilde_star: np.ndarray, rotation: np.ndarray) -> float:
-    """Squared Frobenius distance ||X - X_tilde_star R||^2."""
-    return float(np.sum((x - x_tilde_star @ rotation) ** 2))
+def assignment_distance(x: np.ndarray, rotated: np.ndarray) -> float:
+    """Squared Frobenius distance ||X - X_tilde_star R||^2, given rotated = X_tilde_star R."""
+    return float(np.sum((x - rotated) ** 2))
 
 
 def _seed_rotation(x_tilde: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -249,13 +249,13 @@ def discretize_full(
     histories: list[list[float]] = []
     for restart in range(RESTARTS):
         rng = np.random.default_rng([seed, restart])
-        rot = _seed_rotation(xt, k, rng)
+        rotated = xt @ _seed_rotation(xt, k, rng)
         phi_prev = np.inf
         phis: list[float] = []
         for _ in range(MAX_ROUNDS):
-            x = nms_assign(xt @ rot, overlap)
-            rot = procrustes(x, xt)
-            phi = assignment_distance(x, xt, rot)
+            x = nms_assign(rotated, overlap)
+            rotated = xt @ procrustes(x, xt)
+            phi = assignment_distance(x, rotated)
             phis.append(phi)
             if phi_prev - phi < PHI_STOP_RTOL * max(phi_prev, 1e-12):
                 break

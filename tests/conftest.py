@@ -1,15 +1,47 @@
+import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from diarcut.cli import main
 from diarcut.ingest import Timeline
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def run_cli(capsys, *argv):
+    """Exit code, stdout and stderr of ``diarcut`` run in process on ``argv``."""
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def last_json(stdout: str) -> dict:
+    """The summary object a command prints as its last line."""
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def on_circle(*angles):
+    """Unit rows [cos t, sin t]: the affinity of two is the cosine of their angle."""
+    t = np.asarray(angles, dtype=float)
+    return np.column_stack([np.cos(t), np.sin(t)])
 
 
 def random_orthonormal(k: int, rng: np.random.Generator) -> np.ndarray:

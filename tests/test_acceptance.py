@@ -115,10 +115,10 @@ def test_c04_procrustes_optimality():
             x = (rng.uniform(size=(n, k)) > 0.5).astype(float)
             xt = rng.standard_normal((n, k))
             rot = procrustes(x, xt)
-            best = assignment_distance(x, xt, rot)
+            best = assignment_distance(x, xt @ rot)
             for _ in range(500):
                 q = random_orthonormal(k, rng)
-                assert best <= assignment_distance(x, xt, q) + 1e-9
+                assert best <= assignment_distance(x, xt @ q) + 1e-9
 
     _criterion("C4 rotation fit beats 500 random rotations on 100 pairs", body)
 

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import block_affinity
+from conftest import block_affinity, on_circle, traced_peak
 from diarcut import affinity
 from diarcut.affinity import (
     binarize,
@@ -32,12 +31,6 @@ def seq_from(vectors):
 
 def unit_rows(vectors):
     return cosine_affinity(seq_from(vectors))
-
-
-def on_circle(*angles):
-    """Unit rows [cos t, sin t]: the affinity of two is the cosine of their angle."""
-    t = np.asarray(angles, dtype=float)
-    return np.column_stack([np.cos(t), np.sin(t)])
 
 
 class TestCosineAffinity:
@@ -282,12 +275,7 @@ def test_csr_sweep_candidates_take_int32_indices():
     assert n >= affinity.SPARSE_MIN_N
     ones = np.ones((n, 1))  # n equal unit rows
     next(binarize_sweep(ones, [20]))  # lazy scipy imports
-    tracemalloc.start()
-    try:
-        next(binarize_sweep(ones, [20]))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: next(binarize_sweep(ones, [20])))
     assert peak < 13 * n * n * 8
 
 
@@ -302,13 +290,12 @@ def test_sweep_peak_is_a_few_row_blocks():
     n = len(u)
     assert n >= affinity.SPARSE_MIN_N
     next(binarize_sweep(u, [20]))  # lazy scipy imports
-    tracemalloc.start()
-    try:
+
+    def sweep():
         for _ in binarize_sweep(u, range(1, 21), flagged=data.overlap.flags == 1):
             pass
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(sweep)
     assert peak < 5.5 * 64 * n * 8
 
 

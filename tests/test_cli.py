@@ -12,28 +12,19 @@ import numpy as np
 import pytest
 
 import diarcut
+from conftest import last_json, run_cli
 from diarcut import affinity, cli, ingest, overlap_decode, scoring
 from diarcut.cli import build_parser, main
 from diarcut.pipeline import diarize_embeddings
 from diarcut.synth import SynthConfig, generate
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def last_json(stdout: str) -> dict:
-    return json.loads(stdout.strip().splitlines()[-1])
-
-
-def fresh_python(*args) -> subprocess.CompletedProcess:
-    """Run a new interpreter that imports diarcut from this checkout; it must exit 0."""
+def fresh_python(*args, check=True) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports diarcut from this checkout; with ``check`` it must exit 0."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=120, check=True)
+                          timeout=120, check=check)
 
 
 def reversed_copy(src, dst):
@@ -1044,6 +1035,15 @@ class TestStdout:
         assert (code, out) == (2, "")
         # the same commands again in this process write the same bytes
         assert [run_cli(capsys, *argv)[1] for argv, _, _ in self.RUNS] == first
+
+    def test_module_entry_point_exits_with_the_command_code(self, tmp_path):
+        synth, _, keys = self.RUNS[0]
+        proc = fresh_python("-m", "diarcut.cli", *synth[:-1], str(tmp_path / "data"))
+        assert set(last_json(proc.stdout)) == keys
+        missing = str(tmp_path / "missing.rttm")
+        proc = fresh_python("-m", "diarcut.cli", "score", "--ref", missing, "--hyp", missing,
+                            check=False)
+        assert (proc.returncode, proc.stdout) == (2, "")
 
 
 class TestManifest:

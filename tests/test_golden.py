@@ -9,13 +9,12 @@ pairs fail with a readable message before the digest does.
 """
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
 
+from conftest import last_json, run_cli
 from diarcut import ingest
-from diarcut.cli import main
 from diarcut.synth import STRIDE, WINDOW
 
 # (speakers, segments, overlap fraction, sigma, seed)
@@ -75,10 +74,9 @@ def sha256(path) -> str:
 
 
 def run(capsys, *argv) -> dict:
-    code = main([str(a) for a in argv])
-    out = capsys.readouterr().out
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    return json.loads(out.strip().splitlines()[-1])
+    return last_json(out)
 
 
 def synth_dir(tmp_path, capsys, speakers, segments, overlap, sigma, seed):

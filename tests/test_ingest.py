@@ -1,12 +1,11 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import interval_union_length, rttm_same_partition
+from conftest import interval_union_length, rttm_same_partition, traced_peak
 from diarcut import ingest
 from diarcut.errors import ContractError, ParseError
 from diarcut.ingest import (
@@ -198,12 +197,7 @@ class TestEmbeddings:
         n, d = 2000, 128
         f = tmp_path / "emb.txt"
         save_embeddings(EmbeddingSequence(spans(n), rng.standard_normal((n, d))), f)
-        tracemalloc.start()
-        try:
-            seq = load_embeddings(f)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        seq, peak = traced_peak(load_embeddings, f)
         assert seq.vectors.shape == (n, d)
         assert peak < 1.6 * n * d * 8
 
@@ -433,12 +427,7 @@ class TestBlockReader:
         rows = rng.random((200_000, 3))
         f = tmp_path / "post.txt"
         save_posteriors(FramePosteriors("rec", 0.01, rows / rows.sum(axis=1, keepdims=True)), f)
-        tracemalloc.start()
-        try:
-            post = load_posteriors(f)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        post, peak = traced_peak(load_posteriors, f)
         assert post.num_frames == 200_000
         assert peak < 3 * post.rows.nbytes
 

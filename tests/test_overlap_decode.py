@@ -1,13 +1,13 @@
 import logging
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from diarcut.errors import ConfigError, ContractError, InfeasiblePathError
 from diarcut.ingest import FramePosteriors, SegmentSpan
 from diarcut.overlap_decode import (
@@ -549,10 +549,7 @@ class TestMatchesChainGraph:
         peaks = []
         for scale in (1.0, 100.0):
             cfg = DurationConfig(max_single=10.0 * scale, max_overlap=5.0 * scale)
-            tracemalloc.start()
-            decode(log_emis, run_bounds(cfg, 0.01))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            peaks.append(traced_peak(lambda: decode(log_emis, run_bounds(cfg, 0.01)))[1])
         # a few bytes per frame and class, where the expanded graph would
         # need one backpointer per frame and state
         assert max(peaks) < 55 * t_len
@@ -564,8 +561,5 @@ class TestMatchesChainGraph:
         post = FramePosteriors("rec", 0.01, rng.dirichlet(np.ones(3), size=t_len))
         for cfg in (DurationConfig(), DurationConfig(min_silence=1e300),
                     DurationConfig(min_overlap=1e300, max_overlap=None)):
-            tracemalloc.start()
-            viterbi(post, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+            _, peak = traced_peak(viterbi, post, cfg)
             assert peak <= 50 * t_len, (cfg, peak / t_len)

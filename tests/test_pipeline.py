@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import traced_peak
 from diarcut import affinity, spectral
 from diarcut.errors import ContractError, DiarcutError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
@@ -140,12 +139,7 @@ class TestDiarizeEmbeddings:
         data = generate(SynthConfig(n_speakers=8, n_segments=n, dim=128, noise_sigma=0.15,
                                     overlap_fraction=0.15, seed=1))
         diarize_embeddings(data.embeddings, data.overlap)  # lazy imports and caches
-        tracemalloc.start()
-        try:
-            diarize_embeddings(data.embeddings, data.overlap)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(diarize_embeddings, data.embeddings, data.overlap)
         assert peak < n * n * 8
 
     def test_peak_memory_a_few_copies_of_the_vectors(self):
@@ -159,12 +153,7 @@ class TestDiarizeEmbeddings:
                                     overlap_fraction=0.15, seed=1))
         assert n - data.overlap.flags.sum() >= affinity.SPARSE_MIN_N  # counted on CSR graphs
         diarize_embeddings(data.embeddings, data.overlap)  # lazy imports and caches
-        tracemalloc.start()
-        try:
-            diarize_embeddings(data.embeddings, data.overlap)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(diarize_embeddings, data.embeddings, data.overlap)
         assert peak < 3.6 * n * d * 8
 
 

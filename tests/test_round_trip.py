@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from diarcut.cli import main
+from conftest import run_cli
 from diarcut.ingest import FramePosteriors, load_posteriors, load_rttm, save_posteriors
 
 # Start times, durations and gaps: zero (spans touch), tiny (around RTTM's
@@ -45,15 +45,9 @@ def recordings(draw):
     return "".join(lines), flags
 
 
-def run(capsys, *argv):
-    code = main([str(a) for a in argv])
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 def assert_rttm_scores_against_itself(capsys, rttm):
     assert load_rttm(rttm).entries
-    code, out, err = run(capsys, "score", "--ref", rttm, "--hyp", rttm)
+    code, out, err = run_cli(capsys, "score", "--ref", rttm, "--hyp", rttm)
     assert code == 0, err
     assert json.loads(out.splitlines()[-1])["der"] == 0.0
 
@@ -70,18 +64,18 @@ def test_synth_output_diarizes(tmp_path_factory, capsys):
     )
     def check(speakers, segments, overlap, sigma, dim, seed):
         data = tmp_path_factory.mktemp("synth") / "data"
-        code, _, err = run(capsys, "synth", "--speakers", speakers, "--segments", segments,
-                           "--overlap-frac", overlap, "--sigma", sigma, "--dim", dim,
-                           "--min-angle", "20", "--seed", seed, "--out-dir", data)
+        code, _, err = run_cli(capsys, "synth", "--speakers", speakers, "--segments", segments,
+                               "--overlap-frac", overlap, "--sigma", sigma, "--dim", dim,
+                               "--min-angle", "20", "--seed", seed, "--out-dir", data)
         if code == 2:
             assert err.startswith("error: ") and not data.exists()
             return
         assert code == 0, err
         hyp = data / "hyp.rttm"
-        code, _, err = run(capsys, "diarize", "--embeddings", data / "embeddings.txt",
-                           "--flags", data / "overlap_flags.txt", "--out", hyp)
+        code, _, err = run_cli(capsys, "diarize", "--embeddings", data / "embeddings.txt",
+                               "--flags", data / "overlap_flags.txt", "--out", hyp)
         assert code == 0, err
-        assert run(capsys, "score", "--ref", data / "reference.rttm", "--hyp", hyp)[0] == 0
+        assert run_cli(capsys, "score", "--ref", data / "reference.rttm", "--hyp", hyp)[0] == 0
         assert_rttm_scores_against_itself(capsys, data / "reference.rttm")
 
     check()
@@ -104,7 +98,7 @@ def test_diarize_rttm_scores_against_itself(tmp_path, capsys):
             flg.write_text("".join(f"{f}\n" for f in flags))
             argv += ["--flags", flg]
         hyp.unlink(missing_ok=True)
-        code, _, err = run(capsys, *argv)
+        code, _, err = run_cli(capsys, *argv)
         if code == 2:
             assert err.startswith(f"error: {emb}:") and not hyp.exists()
             return
@@ -131,13 +125,13 @@ def test_detect_overlap_flags_diarize(tmp_path, capsys):
         save_posteriors(FramePosteriors("rec", frame_shift, rows), post)
         emb.write_text(recording[0])
         flg.unlink(missing_ok=True)
-        code, _, err = run(capsys, "detect-overlap", "--posteriors", post,
-                           "--segments", emb, "--out", flg)
+        code, _, err = run_cli(capsys, "detect-overlap", "--posteriors", post,
+                               "--segments", emb, "--out", flg)
         if code == 2:
             assert err.startswith("error: ") and not flg.exists()
             return
         assert code == 0, err
-        code, _, err = run(capsys, "diarize", "--embeddings", emb, "--flags", flg, "--out", hyp)
+        code, _, err = run_cli(capsys, "diarize", "--embeddings", emb, "--flags", flg, "--out", hyp)
         assert code == 0, err
         assert_rttm_scores_against_itself(capsys, hyp)
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import block_units
+from conftest import block_units, on_circle
 from diarcut import affinity, speaker_count
 from diarcut.errors import ContractError, IndeterminateSpeakerCountError, NumericalError
 from diarcut.pipeline import DiarizationConfig, diarize_embeddings
@@ -191,12 +191,6 @@ class TestEstimateContract:
             best = r.index(min(r))
             gaps = report.gaps_per_p[best].tolist()
             assert (report.p_hat, report.k_hat) == (report.p_values[best], 1 + gaps.index(max(gaps)))
-
-
-def on_circle(*angles):
-    """Unit rows [cos t, sin t]: the affinity of two is the cosine of their angle."""
-    t = np.asarray(angles, dtype=float)
-    return np.column_stack([np.cos(t), np.sin(t)])
 
 
 def synth_units(speakers, segments, sigma, seed):

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import block_affinity, enumerate_assignments, random_orthonormal
+from conftest import block_affinity, enumerate_assignments, random_orthonormal, traced_peak
 from oracles import degree_normalize, laplacian, objective_continuous, objective_discrete
 from diarcut import affinity, spectral
 from diarcut.affinity import binarize, cosine_affinity, normalize_rows
@@ -219,12 +218,7 @@ class TestLanczosSolve:
         graph = binarize(cosine_affinity(data.embeddings), 20)
         assert components(graph) == 12
         continuous_solve(graph, 10)  # lazy imports and caches
-        tracemalloc.start()
-        try:
-            continuous_solve(graph, 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(continuous_solve, graph, 10)
         assert peak < n * n * 8
 
     @staticmethod
@@ -387,10 +381,10 @@ class TestProcrustes:
         x = (rng.uniform(size=(10, 3)) > 0.5).astype(float)
         xt = rng.standard_normal((10, 3))
         rot = procrustes(x, xt)
-        best = assignment_distance(x, xt, rot)
+        best = assignment_distance(x, xt @ rot)
         for _ in range(200):
             q = random_orthonormal(3, rng)
-            assert best <= assignment_distance(x, xt, q) + 1e-9
+            assert best <= assignment_distance(x, xt @ q) + 1e-9
 
 
 class TestDiscretize:
@@ -515,7 +509,7 @@ class TestDiscretize:
             best = np.inf
             for x in enumerate_assignments(n, k, flags):
                 rot = procrustes(x, xt)
-                best = min(best, assignment_distance(x, xt, rot))
+                best = min(best, assignment_distance(x, xt @ rot))
             assert result.phi >= best - 1e-9
             hits += result.phi <= best + 1e-9
         assert hits >= trials // 2
