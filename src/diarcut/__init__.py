@@ -6,7 +6,6 @@ from .errors import (
     ContractError,
     DiarcutError,
     EmptyReferenceError,
-    IndeterminateSpeakerCountError,
     InfeasiblePathError,
     NumericalError,
     ParseError,

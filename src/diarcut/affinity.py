@@ -15,10 +15,9 @@ from .ingest import EmbeddingSequence, OverlapVector
 # split such classes by accident of column order.
 TIE_EPS = 1e-9
 
-# Graphs of this many rows or more are CSR with Lanczos spectra; below, dense
-# LAPACK. Set at the counting sweeps' N = 700 crossover, measured before
-# ARPACK_TOL existed; no benchmark workload has 240-960 rows, so no run tells
-# a moved crossover apart (ROADMAP item 7 re-measures it after L_sym).
+# Graphs of this many rows or more are CSR with Lanczos spectra; below, dense LAPACK. Set at the
+# counting sweeps' N = 700 crossover, measured before ARPACK_TOL existed; no benchmark graph has
+# 240-850 rows (`calls` 60-240, `meeting` 850-1600), so none tells a moved crossover apart.
 SPARSE_MIN_N = 700
 
 # Rows per block of the binarization sweep, whose peak is one block of BLOCK_ROWS x N float64
@@ -198,7 +197,6 @@ def graph_eigh(mat, k: int, which: str, weight=None, shift: float = 0.0, vectors
     vectors on mat + shift * P, P projecting onto the component vectors
     (Lanczos drops copies of a repeated eigenvalue; ``shift`` moves them
     aside), to machine precision if ``vectors``, else to residual ARPACK_TOL.
-    Lanczos cannot start on a zero matrix without weights; the caller answers.
 
     Returns how many leading pairs are component vectors (0 from LAPACK),
     the other eigenvalues and, if ``vectors``, the N x k eigenvectors, each

@@ -21,10 +21,6 @@ class NumericalError(DiarcutError):
     """A numerical routine failed (eigensolver breakdown, degenerate input)."""
 
 
-class IndeterminateSpeakerCountError(NumericalError):
-    """Every candidate binarization produced a zero eigengap ratio."""
-
-
 class InfeasiblePathError(DiarcutError):
     """No frame labeling satisfies the duration and transition constraints."""
 

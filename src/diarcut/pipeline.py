@@ -34,8 +34,8 @@ class DiarizationConfig:
             raise ConfigError(f"need seed >= 0, got {self.seed}")
         if self.max_speakers < 1:
             raise ConfigError("max_speakers must be at least 1")
-        if not 1 <= self.p_min <= self.p_max:
-            raise ConfigError(f"need 1 <= p_min <= p_max, got {self.p_min}:{self.p_max}")
+        if not 2 <= self.p_min <= self.p_max:
+            raise ConfigError(f"need 2 <= p_min <= p_max, got {self.p_min}:{self.p_max}")
 
 
 @dataclass

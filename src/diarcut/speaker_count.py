@@ -1,7 +1,7 @@
 """Speaker counting via the normalized maximum eigengap of binarized graphs.
 
 For each candidate binarization factor p the affinity is binarized, and the
-lowest max_speakers + 1 eigenvalues and the largest eigenvalue of its
+lowest min(max_speakers + 1, N) eigenvalues and the largest eigenvalue of its
 unnormalized Laplacian are computed; the prominence of the largest eigengap
 among the low ones relative to the spectral radius scores the candidate.  The
 factor minimizing r(p) = p / g_p wins, and the position of its largest
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import affinity as aff
-from .errors import ContractError, IndeterminateSpeakerCountError
+from .errors import ContractError
 
 log = logging.getLogger(__name__)
 
@@ -29,14 +29,15 @@ log = logging.getLogger(__name__)
 # multiplicity of the zero eigenvalue (= connected components) is stable.
 ZERO_SNAP = 1e-10
 
-# Guards g_p against division by a zero spectral radius.
+# Added to lambda_max in g_p. Every swept graph has edges, so lambda_max >= 1/2;
+# the term only rounds g_p, and stays so that g_p keeps its bits.
 EPSILON = 1e-10
 
 @dataclass
 class EigengapReport:
     """Per-p diagnostics of the binarization sweep plus the chosen estimate.
 
-    ``eigenvalues_per_p`` holds the lowest max_speakers + 1 Laplacian
+    ``eigenvalues_per_p`` holds the lowest min(max_speakers + 1, N) Laplacian
     eigenvalues of each swept graph, ``gaps_per_p`` their consecutive gaps
     and ``lambda_max_per_p`` the largest eigenvalue, so every g_p can be
     recomputed from the report.  ``to_dict`` writes r(p) = p / g_p as None
@@ -67,11 +68,10 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
 
     Every solve goes through ``affinity.graph_eigh``. A dense graph takes
     all N eigenvalues from one LAPACK ``eigvalsh``, which reads both ends
-    at once. A CSR graph takes lambda_max (0 when L is zero, as when every node
-    links only to itself) and then the low end with the components'
-    indicator vectors as basis: L has one zero per component, so c >= m
-    components give m zeros; otherwise Lanczos finds the next m - c with the
-    null space lifted above lambda_max. Both Lanczos solves stop at residual
+    at once. A CSR graph takes lambda_max and then the low end with the
+    components' indicator vectors as basis: L has one zero per component, so
+    c >= m components give m zeros; otherwise Lanczos finds the next m - c
+    with the null space lifted above lambda_max. Both Lanczos solves stop at residual
     ARPACK_TOL. Near-zeros (ZERO_SNAP) of the low end snap to zero. Raises
     NumericalError if LAPACK fails or Lanczos fails to converge or breaks down.
     """
@@ -85,7 +85,7 @@ def low_spectrum(binarized, m: int) -> tuple[np.ndarray, float]:
     else:
         from scipy import sparse  # only large graphs pay its import time
         lap = sparse.diags(np.asarray(binarized.sum(axis=1)).ravel()) - binarized
-        lam_max = float(aff.graph_eigh(lap, 1, "LA")[1][0]) if lap.count_nonzero() else 0.0
+        lam_max = float(aff.graph_eigh(lap, 1, "LA")[1][0])
         c, values, _ = aff.graph_eigh(lap, min(m, n), "SA", np.ones(n), lam_max + 1.0)
         low = np.concatenate([np.zeros(c), values])[:m]
     low[np.abs(low) < ZERO_SNAP] = 0.0
@@ -101,7 +101,7 @@ def estimate(
     """Sweep the binarization factor and estimate the number of speakers.
 
     For each p in [p_min, min(p_max, N-1)]: binarize, take the lowest
-    max_speakers + 1 Laplacian eigenvalues and lambda_max from
+    min(max_speakers + 1, N) Laplacian eigenvalues and lambda_max from
     ``low_spectrum`` (near-zeros snapped), one graph at a time.  The scores
     come from the stacked spectra, one row per p, in whole-array steps:
 
@@ -120,25 +120,22 @@ def estimate(
         unit: N x d unit rows (``affinity.normalize_rows``) of the segments
             to count on (e.g. the single-speaker rows); the affinity is
             their products, with the diagonal taken as 1.
-        p_min, p_max: inclusive sweep bounds; the effective upper bound is
-            clipped to N-1.  With N-1 < p_min the sweep is empty and the
-            estimate is one speaker at p_hat = N.
+        p_min, p_max: inclusive sweep bounds, 2 <= p_min <= p_max (every row
+            keeps another); the upper one is clipped to N-1.  With N-1 < p_min
+            the sweep is empty and the estimate is one speaker at p_hat = N.
         max_speakers: cap on the estimated count; the gap search is limited
             to this many leading positions.
 
     Returns:
         EigengapReport with per-p partial spectra and the chosen
         (p_hat, k_hat).
-
-    Raises:
-        IndeterminateSpeakerCountError: every g_p = 0 with N <= max_speakers.
     """
     u = aff.unit_rows(unit)
     n = u.shape[0]
     if max_speakers < 1:
         raise ContractError("max_speakers must be at least 1")
-    if not 1 <= p_min <= p_max:
-        raise ContractError(f"empty binarization sweep: p_min={p_min}, p_max={p_max}")
+    if not 2 <= p_min <= p_max:
+        raise ContractError(f"binarization sweep needs 2 <= p_min <= p_max, got {p_min}:{p_max}")
     hi = min(p_max, n - 1)
     if hi < p_min:
         # Too few segments to sweep: one speaker, every segment linked.
@@ -157,13 +154,8 @@ def estimate(
     if np.isfinite(r).any():
         best = int(np.argmin(r))
         k_hat = int(np.argmax(gaps[best])) + 1
-    elif n > max_speakers:  # every swept graph has more than max_speakers components
+    else:  # every swept graph has more than max_speakers components
         best, k_hat = len(p_values) - 1, max_speakers
-    else:
-        raise IndeterminateSpeakerCountError(
-            "all candidate binarizations have zero eigengap ratio; "
-            "the affinity carries no cluster structure"
-        )
     p_hat = p_values[best]
     if k_hat == max_speakers:
         log.warning("eigengap count clamped: the count reached max_speakers=%d", max_speakers)

@@ -522,6 +522,27 @@ def test_every_binarized_row_sums_to_at_least_a_half(data):
         assert np.asarray(graph.sum(axis=1)).min() >= 0.5
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_every_swept_row_links_to_another_row_from_p_two(data):
+    # at p >= 2 a row keeps itself and at least one other row, so every component
+    # has two or more rows and no swept Laplacian is zero; speaker counting rests on it
+    n = data.draw(st.integers(2, 12))
+    pool = data.draw(arrays(float, (data.draw(st.integers(1, n)), 3), elements=st.integers(-2, 2)))
+    pool[~pool.any(axis=1), 0] = 1.0
+    # rows drawn from a small pool repeat exactly, so whole rows of affinities tie
+    vectors = pool[data.draw(arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))]
+    csr = data.draw(st.booleans())
+    with pytest.MonkeyPatch.context() as mp:
+        if csr:
+            mp.setattr(affinity, "SPARSE_MIN_N", 0)
+        graphs = list(binarize_sweep(unit_rows(vectors), range(2, n + 1)))
+    for graph in graphs:
+        off = graph.toarray() if csr else graph.copy()
+        np.fill_diagonal(off, 0.0)
+        assert (off > 0).any(axis=1).all()
+
+
 def test_lanczos_is_not_asked_for_every_eigenpair():
     # ARPACK finds at most N - 1 pairs; every pipeline call deflates at least one component
     from scipy import sparse

@@ -280,6 +280,7 @@ class TestDiarizeCommand:
         (["--max-speakers", "0"], "max_speakers must be at least 1"),
         (["--p-range", "5:4"], "p_min <= p_max, got 5:4"),
         (["--p-range", "0:4"], "p_min <= p_max, got 0:4"),
+        (["--p-range", "1:4"], "need 2 <= p_min <= p_max, got 1:4"),
     ])
     def test_bad_setting_fails_before_the_input_is_read(self, tmp_path, capsys, option, message):
         missing = tmp_path / "missing.txt"
@@ -484,20 +485,17 @@ class TestDiarizeCommand:
         assert last_json(out)["p_hat"] == 20
         assert "clamped" in caplog.text
 
-    def test_sweep_from_p_one_on_a_csr_recording(self, tmp_path, capsys, monkeypatch):
-        # at p = 1 every row keeps only itself, so the CSR Laplacian is zero
+    def test_sweep_from_p_one_on_a_csr_recording(self, tmp_path, capsys):
+        # at p = 1 every row keeps only itself, so the graph has no edges: refused
         data = tmp_path / "data"
         run_cli(capsys, "synth", "--speakers", "4", "--segments", "720", "--sigma", "0.15",
                 "--seed", "1", "--out-dir", str(data))
-        argv = ["diarize", "--embeddings", str(data / "embeddings.txt"),
-                "--out", str(tmp_path / "h.rttm"), "--p-range", "1:20"]
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        monkeypatch.setattr(affinity, "SPARSE_MIN_N", 10**9)
-        dense_code, dense_out, _ = run_cli(capsys, *argv)
-        assert dense_code == 0
-        got, want = last_json(out), last_json(dense_out)
-        assert (got["p_hat"], got["k_hat"]) == (want["p_hat"], want["k_hat"])
+        hyp = tmp_path / "h.rttm"
+        code, _, err = run_cli(capsys, "diarize", "--embeddings", str(data / "embeddings.txt"),
+                               "--out", str(hyp), "--p-range", "1:20")
+        assert code == 2
+        assert "need 2 <= p_min <= p_max, got 1:20" in err
+        assert not hyp.exists()
 
     def test_determinism_byte_identical(self, synth_dir, tmp_path, capsys):
         outs = []

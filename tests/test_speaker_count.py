@@ -6,7 +6,7 @@ import pytest
 
 from conftest import block_units, on_circle
 from diarcut import affinity, speaker_count
-from diarcut.errors import ContractError, IndeterminateSpeakerCountError, NumericalError
+from diarcut.errors import ContractError, NumericalError
 from diarcut.pipeline import DiarizationConfig, diarize_embeddings
 from diarcut.speaker_count import ZERO_SNAP, estimate
 from diarcut.synth import SynthConfig, generate
@@ -104,20 +104,19 @@ class TestEstimateContract:
         with pytest.raises(ContractError, match="sweep"):
             estimate(np.eye(2), p_min=5, p_max=4)
 
+    def test_sweep_from_p_one_rejected(self):
+        # at p = 1 a row keeps only itself: without duplicate rows the graph has no edges
+        with pytest.raises(ContractError, match="2 <= p_min <= p_max, got 1:20"):
+            estimate(on_circle(0.0, 1.0, 2.0), p_min=1)
+
     def test_zero_max_speakers_rejected(self):
         with pytest.raises(ContractError, match="max_speakers must be at least 1"):
             estimate(block_units([3, 3]), max_speakers=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_too_few_segments_give_one_speaker(self, n):
-        report = estimate(np.ones((n, 1)), p_min=n, p_max=20)
+        report = estimate(np.ones((n, 1)), p_min=max(n, 2), p_max=20)
         assert report.p_values == [] and (report.p_hat, report.k_hat) == (n, 1)
-
-    def test_indeterminate_affinity(self):
-        # p=1 keeps only the diagonal: every segment is its own component, and
-        # with no more segments than max_speakers the count is undetermined
-        with pytest.raises(IndeterminateSpeakerCountError):
-            estimate(on_circle(0.0, 1.0, 2.0, 3.0, 4.0, 5.0), p_min=1, p_max=1)
 
     def test_more_components_than_the_cap_clamp(self, caplog):
         # isolated pairs at every candidate p: 12 components, more than the
@@ -269,15 +268,13 @@ class TestLanczosBranch:
         assert lam.shape == (5,)
         assert np.allclose(lam, want, rtol=0, atol=1e-12) and lam_max == pytest.approx(want_max)
 
-    def test_edgeless_graph_matches_dense(self):
-        # every node links only to itself, so L = 0: Lanczos would start from
-        # L v0 = 0, and the dense path gives all zeros
+    def test_edgeless_graph_is_numerical_error(self):
+        # every node links only to itself, so L = 0 and Lanczos starts from
+        # L v0 = 0; no sweep builds such a graph (p >= 2), and ARPACK's refusal is typed
         from scipy import sparse as sp
 
-        lam, lam_max = speaker_count.low_spectrum(sp.csr_matrix(np.eye(800)), 11)
-        want, want_max = speaker_count.low_spectrum(np.eye(800), 11)
-        assert np.array_equal(lam, np.zeros(11)) and lam_max == 0.0
-        assert np.array_equal(lam, want) and lam_max == want_max
+        with pytest.raises(NumericalError, match="Lanczos eigensolve failed on 800 rows"):
+            speaker_count.low_spectrum(sp.csr_matrix(np.eye(800)), 11)
 
     def test_deterministic(self, sparse):
         u = synth_units(4, 100, 0.1, 6)
