@@ -477,7 +477,11 @@ def load_rttm(path) -> Timeline:
 
 
 def write_rttm(timeline: Timeline, path) -> None:
-    """Write one SPEAKER line per entry, in the timeline's (start, speaker) order."""
+    """Write one SPEAKER line per entry, in the timeline's (start, speaker) order;
+    ContractError, before the file opens, for a name that is not one RTTM field."""
+    for name in [timeline.recording_id, *timeline.speakers]:
+        if name.split() != [name]:
+            raise ContractError(f"{name!r} is not one whitespace-free RTTM field")
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for spk, start, end in timeline.entries:

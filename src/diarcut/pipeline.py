@@ -9,6 +9,7 @@ run degrades to classical single-label spectral diarization.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ class DiarizationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("p_min", "p_max", "max_speakers", "seed"):
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"need seed >= 0, got {self.seed}")
         if self.max_speakers < 1:

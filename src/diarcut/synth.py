@@ -8,6 +8,7 @@ centroids.  Segments follow the standard 1.5 s window / 0.75 s stride grid.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_speakers", "n_segments", "dim", "seed"):
+            if not isinstance(value := getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_speakers < 1:
             raise ConfigError("n_speakers must be at least 1")
         if self.dim < 2:

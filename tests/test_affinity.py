@@ -13,64 +13,52 @@ from diarcut.affinity import (
     binarize_sweep,
     build_bundle,
     cosine_affinity,
+    normalize_rows,
 )
 from diarcut.errors import ContractError, NumericalError
-from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
+from diarcut.ingest import OverlapVector
 from diarcut.synth import SynthConfig, generate
 from oracles import full_affinity, laplacian, overlap_aware_binarize, p_binarize
 
 
-def seq_from(vectors):
-    vectors = np.asarray(vectors, dtype=float)
-    spans = [
-        SegmentSpan("rec", i, 0.75 * i, 0.75 * i + 1.5)
-        for i in range(vectors.shape[0])
-    ]
-    return EmbeddingSequence(spans, vectors)
-
-
-def unit_rows(vectors):
-    return cosine_affinity(seq_from(vectors))
-
-
 class TestCosineAffinity:
     def test_identical_vectors(self):
-        u = unit_rows([[1.0, 2.0], [1.0, 2.0]])
+        u = normalize_rows([[1.0, 2.0], [1.0, 2.0]])
         assert u[0] @ u[1] == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        u = unit_rows([[1.0, 0.0], [0.0, 1.0]])
+        u = normalize_rows([[1.0, 0.0], [0.0, 1.0]])
         assert u[0] @ u[1] == pytest.approx(0.0)
 
     def test_closed_form(self):
-        u = unit_rows([[1.0, 0.0], [1.0, 1.0]])
+        u = normalize_rows([[1.0, 0.0], [1.0, 1.0]])
         assert u[0] @ u[1] == pytest.approx(1.0 / np.sqrt(2))
 
     def test_unit_norm_rows(self, rng):
-        u = unit_rows(rng.standard_normal((12, 6)))
+        u = normalize_rows(rng.standard_normal((12, 6)))
         assert u.shape == (12, 6)
         assert np.allclose(np.linalg.norm(u, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_positive_rescaling_invariance(self, rng):
         vecs = rng.standard_normal((10, 4))
         scales = rng.uniform(0.1, 50.0, size=10)
-        assert np.allclose(unit_rows(vecs), unit_rows(vecs * scales[:, None]), atol=1e-12)
+        assert np.allclose(normalize_rows(vecs), normalize_rows(vecs * scales[:, None]), atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-30, 1e30, 1e300])
     def test_extreme_scales_normalize(self, scale):
-        u = unit_rows([[scale, scale], [scale, -scale], [scale, 0.0]])
+        u = normalize_rows([[scale, scale], [scale, -scale], [scale, 0.0]])
         r = 0.5**0.5
         assert np.allclose(u, [[r, r], [r, -r], [1, 0]])
 
     def test_in_range_rows_normalize_exactly(self, rng):
         vecs = rng.standard_normal((20, 5)) * 10.0 ** rng.integers(-30, 30, (20, 1))
         unit = vecs / np.linalg.norm(vecs, axis=1)[:, None]
-        assert np.array_equal(unit_rows(vecs), unit)
+        assert np.array_equal(normalize_rows(vecs), unit)
 
 
 class TestPBinarize:
     def test_keep_everything(self, rng):
-        u = unit_rows(rng.standard_normal((6, 3)))
+        u = normalize_rows(rng.standard_normal((6, 3)))
         assert np.array_equal(binarize(u, 6), np.ones((6, 6)))
 
     def test_hand_enumerated(self):
@@ -81,17 +69,17 @@ class TestPBinarize:
         assert np.array_equal(binarize(u, 2), expected)
 
     def test_symmetric_output(self, rng):
-        out = binarize(unit_rows(rng.standard_normal((9, 3))), 3)
+        out = binarize(normalize_rows(rng.standard_normal((9, 3))), 3)
         assert np.array_equal(out, out.T)
 
     def test_diagonal_always_kept(self, rng):
         # the diagonal holds the row maximum, so it survives every p
-        u = unit_rows(rng.standard_normal((10, 5)))
+        u = normalize_rows(rng.standard_normal((10, 5)))
         for p in range(1, 11):
             assert np.array_equal(np.diag(binarize(u, p)), np.ones(10))
 
     def test_support_monotone_in_p(self, rng):
-        u = unit_rows(rng.standard_normal((8, 4)))
+        u = normalize_rows(rng.standard_normal((8, 4)))
         prev = binarize(u, 1) > 0
         for p in range(2, 9):
             cur = binarize(u, p) > 0
@@ -134,12 +122,12 @@ class TestPBinarize:
 
 class TestOverlapAwareBinarize:
     def test_no_flags_matches_plain(self, rng):
-        u = unit_rows(rng.standard_normal((8, 4)))
+        u = normalize_rows(rng.standard_normal((8, 4)))
         ov = OverlapVector.zeros(8)
         assert np.array_equal(binarize(u, 3, ov), binarize(u, 3))
 
     def test_flagged_rows_avoid_flagged_columns(self, rng):
-        u = unit_rows(rng.standard_normal((10, 4)))
+        u = normalize_rows(rng.standard_normal((10, 4)))
         flags = np.zeros(10, dtype=int)
         flags[[2, 5]] = 1
         out = binarize(u, 2, OverlapVector(flags))
@@ -170,7 +158,7 @@ class TestLaplacian:
             assert abs(np.linalg.eigvalsh(lap)[0]) < 1e-8
 
     def test_rows_sum_to_zero_and_psd(self, rng):
-        a = binarize(cosine_affinity(seq_from(rng.standard_normal((15, 5)))), 4)
+        a = binarize(normalize_rows(rng.standard_normal((15, 5))), 4)
         _, lap = laplacian(a)
         assert np.abs(lap @ np.ones(15)).max() < 1e-9
         for _ in range(20):
@@ -250,18 +238,18 @@ class TestBinarizeMatchesReference:
 
     def test_random_affinities(self, rng):
         for n in (2, 3, 7, 16):
-            self._check(unit_rows(rng.standard_normal((n, 4))), rng)
+            self._check(normalize_rows(rng.standard_normal((n, 4))), rng)
 
     def test_quantized_affinities_with_ties(self, rng):
         # integer vectors in {-1, 0, 1}^3 leave many equal cosines per row,
         # equal to a few ulps, so the tie rule decides
         for n in (5, 12):
             vecs = rng.integers(-1, 2, size=(4 * n, 3))
-            self._check(unit_rows(vecs[np.abs(vecs).sum(axis=1) > 0][:n]), rng)
+            self._check(normalize_rows(vecs[np.abs(vecs).sum(axis=1) > 0][:n]), rng)
 
     def test_duplicate_vectors(self, rng):
         vecs = rng.standard_normal((4, 3))
-        self._check(unit_rows(vecs[rng.integers(0, 4, 11)]), rng)
+        self._check(normalize_rows(vecs[rng.integers(0, 4, 11)]), rng)
 
     def test_flag_length_mismatch(self):
         with pytest.raises(ContractError, match="length"):
@@ -326,7 +314,7 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("n", [4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 1,
                                    affinity.SPARSE_MIN_N - 1, affinity.SPARSE_MIN_N])
     def test_matches_oracles(self, n, same, rng):
-        u = unit_rows(rng.standard_normal((n, 6)))
+        u = normalize_rows(rng.standard_normal((n, 6)))
         a = full_affinity(u)
         budgets = [20, 2, rng.integers(1, 9, n)]
         for budget, graph in zip(budgets, binarize_sweep(u, budgets), strict=True):
@@ -349,7 +337,7 @@ class TestBlockedSweep:
         # rows, against the oracle on the same rows and columns of the whole
         # affinity
         n = m + 7
-        u = unit_rows(rng.standard_normal((n, 6)))
+        u = normalize_rows(rng.standard_normal((n, 6)))
         a = full_affinity(u)
         for index in (np.sort(rng.choice(n, m, replace=False)),  # sorted, as counting passes it
                       rng.permutation(n)[:m]):
@@ -363,7 +351,7 @@ class TestBlockedSweep:
         # the 1 written on its diagonal only if that 1 lands in its own
         # column; the 2B + 2 gathered rows fill three blocks, the last of two
         n = 2 * B + 7
-        half = 0.5 * unit_rows(rng.standard_normal((n, 6)))
+        half = 0.5 * normalize_rows(rng.standard_normal((n, 6)))
         index = rng.permutation(n)[5:]
         graphs = list(binarize_sweep(half[index], [1, 3, 20, rng.integers(1, 9, index.size)]))
         assert same(graphs[0], np.eye(index.size))
@@ -386,7 +374,7 @@ class TestFiniteContractPerBlock:
               "nan": [1e200, -1e200, 0.0, 0.0]}
 
     def overflowing(self, i, j, bad, rng):
-        u = unit_rows(rng.standard_normal((self.N, 4)))
+        u = normalize_rows(rng.standard_normal((self.N, 4)))
         u[i], u[j] = self.FIRST, self.SECOND[bad]
         return u
 
@@ -502,7 +490,7 @@ def test_every_binarized_row_sums_to_at_least_a_half(data):
     pool[~pool.any(axis=1), 0] = 1.0
     # rows drawn from a small pool repeat, so whole rows of affinities tie
     vectors = pool[data.draw(arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))]
-    u = unit_rows(vectors)
+    u = normalize_rows(vectors)
     p = data.draw(st.integers(1, n))
     mode = data.draw(st.sampled_from(["none", "random", "all but one", "all"]))
     flags = {
@@ -536,7 +524,7 @@ def test_every_swept_row_links_to_another_row_from_p_two(data):
     with pytest.MonkeyPatch.context() as mp:
         if csr:
             mp.setattr(affinity, "SPARSE_MIN_N", 0)
-        graphs = list(binarize_sweep(unit_rows(vectors), range(2, n + 1)))
+        graphs = list(binarize_sweep(normalize_rows(vectors), range(2, n + 1)))
     for graph in graphs:
         off = graph.toarray() if csr else graph.copy()
         np.fill_diagonal(off, 0.0)

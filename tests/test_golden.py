@@ -73,19 +73,14 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run(capsys, *argv) -> dict:
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    return last_json(out)
-
-
 def synth_dir(tmp_path, capsys, speakers, segments, overlap, sigma, seed):
     data = tmp_path / "data"
-    run(
+    code, _, err = run_cli(
         capsys, "synth", "--speakers", speakers, "--segments", segments,
         "--overlap-frac", overlap, "--sigma", sigma, "--seed", seed,
         "--out-dir", data,
     )
+    assert code == 0, err
     return data
 
 
@@ -93,7 +88,9 @@ def diarize(capsys, data, out, flags: bool):
     argv = ["diarize", "--embeddings", data / "embeddings.txt", "--out", out]
     if flags:
         argv += ["--flags", data / "overlap_flags.txt"]
-    summary = run(capsys, *argv)
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    summary = last_json(stdout)
     return sha256(out), summary["p_hat"], summary["k_hat"]
 
 
@@ -143,8 +140,7 @@ def test_detect_overlap_golden(seed, tmp_path, capsys):
     post = tmp_path / "post.txt"
     ingest.save_posteriors(ingest.FramePosteriors("synth", 0.01, rows), post)
     flags, lab = tmp_path / "flags.txt", tmp_path / "ovl.lab"
-    run(
-        capsys, "detect-overlap", "--posteriors", post,
-        "--segments", data / "embeddings.txt", "--out", flags, "--lab", lab,
-    )
+    code, _, err = run_cli(capsys, "detect-overlap", "--posteriors", post,
+                           "--segments", data / "embeddings.txt", "--out", flags, "--lab", lab)
+    assert code == 0, err
     assert (sha256(flags), sha256(lab)) == DETECT_GOLDEN[seed]

@@ -51,22 +51,10 @@ class TestEmbeddings:
         assert seq.spans[0].start == 0.0
         assert seq.spans[1].index == 1
 
-    def test_dim_mismatch(self, tmp_path):
-        f = tmp_path / "emb.txt"
-        f.write_text("rec\t0\t1\t1 0 0\nrec\t1\t2\t1 0 0 0\n")
-        with pytest.raises(ParseError, match=":2"):
-            load_embeddings(f)
-
     def test_header_enforced(self, tmp_path):
         f = tmp_path / "emb.txt"
         f.write_text("#dim 4\nrec\t0\t1\t1 0 0\n")
         with pytest.raises(ParseError, match="header says 4"):
-            load_embeddings(f)
-
-    def test_zero_norm_rejected(self, tmp_path):
-        f = tmp_path / "emb.txt"
-        f.write_text("rec\t0\t1\t0 0 0\n")
-        with pytest.raises(ParseError, match="zero-norm"):
             load_embeddings(f)
 
     def test_tiny_norm_loads(self, tmp_path):
@@ -75,13 +63,6 @@ class TestEmbeddings:
         f.write_text("rec\t0\t1\t1e-200 0\n")
         assert load_embeddings(f).vectors.tolist() == [[1e-200, 0.0]]
 
-    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
-    def test_non_finite_component_rejected(self, tmp_path, bad):
-        f = tmp_path / "emb.txt"
-        f.write_text(f"rec\t0\t1\t1 0 0\nrec\t1\t2\t1 {bad} 0\n")
-        with pytest.raises(ParseError, match=":2: segment 1 has a non-finite embedding component"):
-            load_embeddings(f)
-
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_sequence_rejects_non_finite(self, bad):
         vectors = np.ones((3, 2))
@@ -89,35 +70,30 @@ class TestEmbeddings:
         with pytest.raises(ContractError, match="segment 1 has a non-finite"):
             EmbeddingSequence(spans(3), vectors)
 
-    def test_non_finite_time_rejected(self, tmp_path):
-        f = tmp_path / "emb.txt"
-        f.write_text("rec\t-inf\tinf\t1 0\n")
-        message = ":1: segment 0 of 'rec': non-finite time or duration (-inf .. inf)"
-        with pytest.raises(ParseError, match=re.escape(message)):
-            load_embeddings(f)
-
-    def test_bad_duration(self, tmp_path):
-        f = tmp_path / "emb.txt"
-        f.write_text("rec\t1.0\t1.0\t1 0\n")
-        with pytest.raises(ParseError, match="duration"):
-            load_embeddings(f)
-
     @pytest.mark.parametrize(
         "bad_row, message",
         [
             ("rec\t1.0\tinf\t1 0", "segment 1 of 'rec': non-finite time or duration (1.0 .. inf)"),
+            ("rec\t-inf\tinf\t1 0",
+             "segment 1 of 'rec': non-finite time or duration (-inf .. inf)"),
             # finite ends whose distance overflows: the RTTM duration would read inf
             ("rec\t-1e308\t1e308\t1 0",
              "segment 1 of 'rec': non-finite time or duration (-1e+308 .. 1e+308)"),
             ("rec\t2.0\t1.5\t1 0", "segment 1 of 'rec': duration under 0.5 ms (2.0 .. 1.5)"),
+            ("rec\t1.0\t1.0\t1 0", "segment 1 of 'rec': duration under 0.5 ms (1.0 .. 1.0)"),
             # 0.0004999... s: RTTM's three decimals would write a duration of 0.000
             ("rec\t1.0\t1.0005\t1 0", "segment 1 of 'rec': duration under 0.5 ms (1.0 .. 1.0005)"),
-            ("rec\t1\t2\t1 nan", "segment 1 has a non-finite embedding component"),
+            *((f"rec\t1\t2\t{vector}", "segment 1 has a non-finite embedding component")
+              for vector in ("1 nan", "1 inf", "-inf 0")),
             ("rec\t1\t2\t0 0", "segment 1 has a zero-norm embedding"),
             ("rec\t1\t2\t1 x", "bad vector component"),
+            ("rec\t1\t2\t1 0 0", "vector has 3 components, previous rows have 2"),
+            ("rec\t1\t2", "expected 4 tab-separated fields, got 3"),
         ],
-        ids=["non-finite-time", "infinite-duration", "duration", "sub-millisecond",
-             "non-finite-component", "zero-norm", "bad-component"],
+        ids=["non-finite-time", "non-finite-times", "infinite-duration", "duration",
+             "zero-duration", "sub-millisecond", "non-finite-component", "infinite-component",
+             "negative-infinite-component", "zero-norm", "bad-component", "dim-mismatch",
+             "field-count"],
     )
     def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
         f = tmp_path / "emb.txt"
@@ -157,12 +133,6 @@ class TestEmbeddings:
         f.write_text("#dim 2\nrec\t0\t1\t1 0\n#dim 2\n")
         message = "emb.txt:3: second header '#dim 2'; line 1 has the first"
         with pytest.raises(ParseError, match=message):
-            load_embeddings(f)
-
-    def test_field_count(self, tmp_path):
-        f = tmp_path / "emb.txt"
-        f.write_text("rec\t0\t1\n")
-        with pytest.raises(ParseError, match="4 tab-separated"):
             load_embeddings(f)
 
     def test_multiple_recordings_rejected(self, tmp_path):
@@ -296,22 +266,10 @@ class TestPosteriors:
         with pytest.raises(ContractError, match="posterior rows must be T x 3"):
             FramePosteriors("rec", 0.01, rows)
 
-    def test_row_sum_checked(self, tmp_path):
-        f = tmp_path / "post.txt"
-        f.write_text("#frame_shift 0.01\n0.5 0.5 0.5\n")
-        with pytest.raises(ParseError, match="sums to"):
-            load_posteriors(f)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_rejected(self, bad):
         with pytest.raises(ContractError, match="row 1 has a non-finite"):
             FramePosteriors("r", 0.01, [[0.2, 0.3, 0.5], [bad, 0.5, 0.5]])
-
-    def test_non_finite_row_in_file(self, tmp_path):
-        f = tmp_path / "post.txt"
-        f.write_text("#frame_shift 0.01\n0.2 0.3 0.5\nnan 0.5 0.5\n")
-        with pytest.raises(ParseError, match="non-finite"):
-            load_posteriors(f)
 
     @pytest.mark.parametrize(
         "bad_row, line, message",
@@ -459,14 +417,22 @@ class TestRttm:
         write_rttm(Timeline(), f)
         assert f.read_text() == ""
 
-    def test_round_trip_write_then_read(self, tmp_path):
-        # millisecond-aligned normalized timelines survive exactly
-        tl = Timeline(
-            [("a", 0.0, 1.5), ("b", 0.75, 2.25), ("a", 1.5, 3.0)], "meeting"
-        )
+    @pytest.mark.parametrize("speaker, recording, refused", [
+        ("a", "meeting", None), ("a b", "meeting", "a b"), ("", "meeting", ""),
+        ("a\u2028b", "meeting", "a\u2028b"), ("a", "my rec", "my rec"),
+    ], ids=["one-field", "spaced-speaker", "empty-speaker", "line-separator", "spaced-recording"])
+    def test_round_trip_write_then_read(self, tmp_path, speaker, recording, refused):
+        # millisecond-aligned normalized timelines survive exactly; a name that
+        # RTTM cannot hold as one field is refused before the file is opened
+        tl = Timeline([(speaker, 0.0, 1.5), ("b", 0.75, 2.25), (speaker, 1.5, 3.0)], recording)
         f = tmp_path / "rt.rttm"
-        write_rttm(tl, f)
-        assert load_rttm(f) == tl
+        if refused is None:
+            write_rttm(tl, f)
+            assert load_rttm(f) == tl
+        else:
+            with pytest.raises(ContractError, match=f"^{re.escape(repr(refused))} is not one "):
+                write_rttm(tl, f)
+            assert not f.exists()
 
     def test_round_trip_read_then_write(self, tmp_path):
         f1 = tmp_path / "a.rttm"

@@ -144,7 +144,7 @@ class TestEstimateContract:
     def test_report_invariants_on_random_affinities(self, rng):
         for _ in range(5):
             vecs = rng.standard_normal((25, 6))
-            report = estimate(cosine_affinity(EmbSeqStub(vecs)))
+            report = estimate(affinity.normalize_rows(vecs))
             assert report.p_hat in report.p_values
             assert 1 <= report.k_hat <= 25
             for lam in report.eigenvalues_per_p:
@@ -152,7 +152,7 @@ class TestEstimateContract:
                 assert (np.diff(lam) >= -1e-12).all()
 
     def test_sweep_spectra_match_reference_binarization(self, rng):
-        u = cosine_affinity(EmbSeqStub(rng.standard_normal((30, 5))))
+        u = affinity.normalize_rows(rng.standard_normal((30, 5)))
         report = estimate(u)
         a = full_affinity(u)
         m = report.max_speakers + 1
@@ -369,10 +369,3 @@ class TestLanczosCost:
         want[np.abs(want) < ZERO_SNAP] = 0.0
         assert np.allclose(lam, want[:11], rtol=0, atol=1e-12)
         assert lam_max == pytest.approx(want[-1], rel=1e-12, abs=0)
-
-
-class EmbSeqStub:
-    """Bare vector holder satisfying the cosine_affinity interface."""
-
-    def __init__(self, vectors):
-        self.vectors = vectors

@@ -5,7 +5,7 @@ from conftest import interval_union_length
 from diarcut.affinity import cosine_affinity
 from diarcut.errors import ConfigError
 from diarcut.ingest import OverlapVector
-from diarcut.pipeline import diarize_embeddings
+from diarcut.pipeline import DiarizationConfig, diarize_embeddings
 from diarcut.scoring import der_score
 from diarcut.synth import SynthConfig, generate
 
@@ -69,6 +69,20 @@ class TestGenerate:
         cfg = SynthConfig(n_speakers=40, n_segments=5, dim=2, min_centroid_angle=80.0)
         with pytest.raises(ConfigError, match="attempts"):
             generate(cfg)
+
+
+@pytest.mark.parametrize("make, name, value", [
+    *((DiarizationConfig, name, value) for name, value in
+      (("p_min", 2.5), ("p_max", 20.0), ("max_speakers", 3.5), ("seed", 1.5))),
+    *((SynthConfig, name, value) for name, value in
+      (("n_speakers", 3.0), ("n_segments", 40.5), ("dim", 16.5), ("seed", 1.5))),
+])
+def test_integer_field_refuses_other_numbers(make, name, value):
+    # range, slicing and numpy would raise a raw TypeError on these later
+    given = {"n_speakers": 3, "n_segments": 40} if make is SynthConfig else {}
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value}$"):
+        make(**{**given, name: value})
+    assert getattr(make(**{**given, name: np.int64(3)}), name) == 3
 
 
 class TestNoiselessStructure:
