@@ -259,8 +259,19 @@ class TestDiarizeCommand:
         assert last_json(out)["k_hat"] == 2
         assert len(ingest.load_rttm(tmp_path / "h.rttm").speakers) == 2
 
+    def test_negative_seed_exits_2(self, synth_dir, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(synth_dir / "embeddings.txt"),
+            "--out", str(tmp_path / "h.rttm"),
+            "--seed", "-1",
+        )
+        assert code == 2
+        assert "seed >= 0" in err
+
     @pytest.mark.parametrize("option, message", [
-        (["--seed", "-1"], "need seed >= 0, got -1"),
+        pytest.param(["--seed", "-1"], "need seed >= 0, got -1", id="option0-seed >= 0"),
         (["--max-speakers", "0"], "max_speakers must be at least 1"),
         (["--p-range", "5:4"], "need 2 <= p_min <= p_max, got 5:4"),
         (["--p-range", "0:4"], "need 2 <= p_min <= p_max, got 0:4"),
@@ -274,6 +285,17 @@ class TestDiarizeCommand:
                                  "--out", str(tmp_path / "h.rttm"), *option)
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == f"error: {message}" and "missing.txt" not in err
+
+    def test_zero_max_speakers_exits_2(self, synth_dir, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "diarize",
+            "--embeddings", str(synth_dir / "embeddings.txt"),
+            "--out", str(tmp_path / "h.rttm"),
+            "--max-speakers", "0",
+        )
+        assert code == 2
+        assert "error: max_speakers must be at least 1" in err
 
     def test_forced_count_dumps_the_eigengap_choice(self, tmp_path, capsys):
         # one speaker with one flagged segment: the eigengap says 1, the

@@ -57,11 +57,24 @@ class TestEmbeddings:
         with pytest.raises(ParseError, match="header says 4"):
             load_embeddings(f)
 
+    def test_zero_norm_rejected(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_text("rec\t0\t1\t0 0 0\n")
+        with pytest.raises(ParseError, match="zero-norm"):
+            load_embeddings(f)
+
     def test_tiny_norm_loads(self, tmp_path):
         # the squared norm of 1e-200 underflows to zero; the vector does not
         f = tmp_path / "emb.txt"
         f.write_text("rec\t0\t1\t1e-200 0\n")
         assert load_embeddings(f).vectors.tolist() == [[1e-200, 0.0]]
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_component_rejected(self, tmp_path, bad):
+        f = tmp_path / "emb.txt"
+        f.write_text(f"rec\t0\t1\t1 0 0\nrec\t1\t2\t1 {bad} 0\n")
+        with pytest.raises(ParseError, match=":2: segment 1 has a non-finite embedding component"):
+            load_embeddings(f)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_sequence_rejects_non_finite(self, bad):
@@ -83,17 +96,15 @@ class TestEmbeddings:
             ("rec\t1.0\t1.0\t1 0", "segment 1 of 'rec': duration under 0.5 ms (1.0 .. 1.0)"),
             # 0.0004999... s: RTTM's three decimals would write a duration of 0.000
             ("rec\t1.0\t1.0005\t1 0", "segment 1 of 'rec': duration under 0.5 ms (1.0 .. 1.0005)"),
-            *((f"rec\t1\t2\t{vector}", "segment 1 has a non-finite embedding component")
-              for vector in ("1 nan", "1 inf", "-inf 0")),
+            ("rec\t1\t2\t1 nan", "segment 1 has a non-finite embedding component"),
             ("rec\t1\t2\t0 0", "segment 1 has a zero-norm embedding"),
             ("rec\t1\t2\t1 x", "bad vector component"),
             ("rec\t1\t2\t1 0 0", "vector has 3 components, previous rows have 2"),
             ("rec\t1\t2", "expected 4 tab-separated fields, got 3"),
         ],
         ids=["non-finite-time", "non-finite-times", "infinite-duration", "duration",
-             "zero-duration", "sub-millisecond", "non-finite-component", "infinite-component",
-             "negative-infinite-component", "zero-norm", "bad-component", "dim-mismatch",
-             "field-count"],
+             "zero-duration", "sub-millisecond", "non-finite-component", "zero-norm",
+             "bad-component", "dim-mismatch", "field-count"],
     )
     def test_bad_row_names_its_line(self, tmp_path, bad_row, message):
         f = tmp_path / "emb.txt"
@@ -266,10 +277,22 @@ class TestPosteriors:
         with pytest.raises(ContractError, match="posterior rows must be T x 3"):
             FramePosteriors("rec", 0.01, rows)
 
+    def test_row_sum_checked(self, tmp_path):
+        f = tmp_path / "post.txt"
+        f.write_text("#frame_shift 0.01\n0.5 0.5 0.5\n")
+        with pytest.raises(ParseError, match="sums to"):
+            load_posteriors(f)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_rejected(self, bad):
         with pytest.raises(ContractError, match="row 1 has a non-finite"):
             FramePosteriors("r", 0.01, [[0.2, 0.3, 0.5], [bad, 0.5, 0.5]])
+
+    def test_non_finite_row_in_file(self, tmp_path):
+        f = tmp_path / "post.txt"
+        f.write_text("#frame_shift 0.01\n0.2 0.3 0.5\nnan 0.5 0.5\n")
+        with pytest.raises(ParseError, match="non-finite"):
+            load_posteriors(f)
 
     @pytest.mark.parametrize(
         "bad_row, line, message",
