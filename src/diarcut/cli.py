@@ -1,10 +1,10 @@
 """Command-line interface: synth, diarize, detect-overlap, score.
 
 Exit codes: 0 success, 1 usage, 2 data or configuration error, 3 numerical
-failure.  Every run logs a reproducibility manifest (version, seed, resolved
-configuration).  Each command returns its human-readable lines and a summary;
-``main`` alone writes stdout: those lines, then the summary as one JSON line.
-A command that fails writes nothing to stdout.
+failure.  Every run logs a reproducibility manifest (version and resolved
+configuration; diarization takes no seed).  Each command returns its text
+lines and a summary; ``main`` alone writes stdout: those lines, then the
+summary as one JSON line.  A command that fails writes nothing to stdout.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 File formats (all plain UTF-8 text; blank lines are skipped):
 
 * embeddings: one segment per line,
-  ``recording_id<TAB>start<TAB>end<TAB>v1 v2 ... vD``; segments are used in
-  file order, so segment i is data line i; the recording id is one
+  ``recording_id<TAB>start<TAB>end<TAB>v1 v2 ... vD``; segment i is data
+  line i, and diarization clusters in time order; the recording id is one
   whitespace-free RTTM field; optional ``#dim D`` header
 * overlap flags: one ``0`` or ``1`` per line; flag line i belongs to
   embeddings data line i
@@ -166,7 +166,7 @@ class FramePosteriors:
             bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-4)[0]
             raise RowError(bad, f"posterior row {bad} sums to {sums[bad]:.6f}, expected 1")
 
-    @property
+    @property  # read only by the benchmark tracer, until it reads len(rows)
     def num_frames(self) -> int:
         return self.rows.shape[0]
 
@@ -478,10 +478,14 @@ def load_rttm(path) -> Timeline:
 
 def write_rttm(timeline: Timeline, path) -> None:
     """Write one SPEAKER line per entry, in the timeline's (start, speaker) order;
-    ContractError, before the file opens, for a name that is not one RTTM field."""
+    ContractError, before the file opens, for a name that is not one RTTM field
+    or an interval that breaks a ``SegmentSpan``'s rules (its duration would
+    be written as inf or 0.000)."""
     for name in [timeline.recording_id, *timeline.speakers]:
         if name.split() != [name]:
             raise ContractError(f"{name!r} is not one whitespace-free RTTM field")
+    for i, (_, start, end) in enumerate(timeline.entries):
+        SegmentSpan(timeline.recording_id, i, start, end)
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for spk, start, end in timeline.entries:

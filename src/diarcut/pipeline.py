@@ -28,14 +28,11 @@ class DiarizationConfig:
     p_min: int = 2
     p_max: int = 20
     max_speakers: int = 10
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("p_min", "p_max", "max_speakers", "seed"):
+        for name in ("p_min", "p_max", "max_speakers"):
             if not isinstance(value := getattr(self, name), numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"need seed >= 0, got {self.seed}")
         if self.max_speakers < 1:
             raise ConfigError("max_speakers must be at least 1")
         if not 2 <= self.p_min <= self.p_max:
@@ -44,6 +41,8 @@ class DiarizationConfig:
 
 @dataclass
 class DiarizationResult:
+    """The assignment's rows follow the input; the discretization's, time order."""
+
     timeline: Timeline
     assignment: AssignmentMatrix
     report: EigengapReport
@@ -67,7 +66,7 @@ def diarize_embeddings(
     Args:
         seq: validated embedding sequence.
         overlap: per-segment overlap flags; None means no overlaps.
-        config: sweep bounds, speaker cap and discretization seed.
+        config: sweep bounds and speaker cap.
 
     Returns:
         DiarizationResult with the hypothesis timeline and diagnostics.
@@ -80,17 +79,20 @@ def diarize_embeddings(
         overlap = OverlapVector.zeros(n)
     if len(overlap) != n:
         raise ContractError(f"{len(overlap)} overlap flags for {n} segments")
-    singles = np.flatnonzero(overlap.flags == 0)
+    # Segments are clustered in time order (ties by flag, then vector), so the
+    # line order of the input changes no rounding and names follow time.
+    order = np.lexsort([*seq.vectors.T[::-1], overlap.flags,
+                        [span.end for span in seq.spans], [span.start for span in seq.spans]])
+    overlap = OverlapVector(overlap.flags[order])
+    singles = order[overlap.flags == 0]
     # Counting needs a meaningful sweep over the rows it sees; with too few
     # single-speaker rows fall back to all rows.
     count_singles = overlap.any() and singles.size > config.p_min + 1
     if overlap.any() and not count_singles:
-        log.warning(
-            "only %d non-overlap segments; estimating the speaker count on all rows",
-            singles.size,
-        )
+        log.warning("only %d non-overlap segments; estimating the speaker count on all rows",
+                    singles.size)
     report = speaker_count.estimate(
-        affinity.normalize_rows(seq.vectors[singles] if count_singles else seq.vectors),
+        affinity.normalize_rows(seq.vectors[singles if count_singles else order]),
         config.p_min, config.p_max, config.max_speakers)
     k = report.k_hat
     if overlap.any() and k < 2:
@@ -104,8 +106,12 @@ def diarize_embeddings(
             overlap = OverlapVector.zeros(n)
     log.info("binarization factor p=%d, estimated speakers K=%d", report.p_hat, k)
 
-    graph = affinity.build_bundle(affinity.cosine_affinity(seq), report.p_hat, overlap).binarized
-    solution = spectral.continuous_solve(graph, k)
-    result = spectral.discretize_full(solution, overlap, config.seed)
-    timeline = assignment_to_timeline(result.assignment.matrix, seq.spans)
-    return DiarizationResult(timeline, result.assignment, report, result)
+    spans = [seq.spans[i] for i in order]
+    graph = affinity.build_bundle(affinity.cosine_affinity(
+        EmbeddingSequence(spans, seq.vectors[order])), report.p_hat, overlap).binarized
+    result = spectral.discretize_full(spectral.continuous_solve(graph, k), overlap)
+    timeline = assignment_to_timeline(result.assignment.matrix, spans)
+    back = np.argsort(order)  # time order back to input order
+    assignment = AssignmentMatrix(result.assignment.matrix[back],
+                                  OverlapVector(overlap.flags[back]))
+    return DiarizationResult(timeline, assignment, report, result)

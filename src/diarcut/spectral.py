@@ -7,13 +7,15 @@ the top-K eigenvectors of D^-1 A under arbitrary orthonormal rotation.  The
 discrete answer is recovered by alternating two exact subproblem solvers:
 non-maximal suppression for the best binary matrix at a fixed rotation, and
 an orthogonal Procrustes fit for the best rotation at a fixed binary matrix.
-Rows flagged as overlapping keep their two largest entries instead of one,
-so their row sum is 2 and the segment carries two speaker labels.  D^-1 A
-exists only if every degree is positive, which the solve checks.  Only K
-eigenvectors are needed (Yu & Shi, ICCV 2003). K or more connected components
-give them with no solve (past K, a seeded frame of their span); otherwise
-dense graphs take a full LAPACK solve and CSR graphs (SPARSE_MIN_N rows or
-more) deflated Lanczos iteration.
+The rounds run once, from the K rows that column-pivoted QR picks from the
+orthonormal eigenvectors (Damle, Minden & Ying, 2019); the pick does not
+depend on which eigenbasis the solver returns.  Rows flagged as overlapping
+keep their two largest entries instead of one, so their row sum is 2 and the
+segment carries two speaker labels.  D^-1 A exists only if every degree is
+positive, which the solve checks.  Only K eigenvectors are needed (Yu & Shi,
+ICCV 2003). K or more connected components give them with no solve (past K,
+a fixed frame of their span); otherwise dense graphs take a full LAPACK solve
+and CSR graphs (SPARSE_MIN_N rows or more) deflated Lanczos iteration.
 """
 
 from __future__ import annotations
@@ -29,27 +31,24 @@ from .ingest import OverlapVector
 
 log = logging.getLogger(__name__)
 
-# Discretization schedule: RESTARTS seeded starts, each stopping once a round
-# lowers the objective by less than a relative PHI_STOP_RTOL, or at MAX_ROUNDS.
-RESTARTS = 3
+# Discretization schedule: the rounds stop once one lowers the objective by
+# less than a relative PHI_STOP_RTOL, or at MAX_ROUNDS.
 PHI_STOP_RTOL = 1e-6
 MAX_ROUNDS = 100
-
-# Relative margin by which a later restart must lower the best objective; one
-# partition reached in two column orders differs only by rounding.
-PHI_TIE_RTOL = 1e-9
 
 
 @dataclass
 class ContinuousSolution:
     """Top-K eigenvectors of D^-1 A with their row-normalized form.
 
-    z_star satisfies z_star^T D z_star = I; x_tilde_star has unit-norm rows.
+    z_star satisfies z_star^T D z_star = I; x_tilde_star has unit-norm rows;
+    w = D^1/2 z_star has orthonormal columns.
     """
 
     z_star: np.ndarray
     lambda_star: np.ndarray
     x_tilde_star: np.ndarray
+    w: np.ndarray
 
     @property
     def k(self) -> int:
@@ -75,9 +74,7 @@ class AssignmentMatrix:
         want = 1 + self.overlap.flags
         if not (sums == want).all():
             bad = int(np.argmax(sums != want))
-            raise ContractError(
-                f"row {bad} sums to {sums[bad]}, expected {want[bad]}"
-            )
+            raise ContractError(f"row {bad} sums to {sums[bad]}, expected {want[bad]}")
         empty = np.flatnonzero(self.matrix.sum(axis=0) == 0)
         if empty.size:
             log.info("assignment leaves clusters %s empty", empty.tolist())
@@ -89,12 +86,15 @@ class AssignmentMatrix:
 
 @dataclass
 class DiscretizeResult:
-    """Assignment plus the per-round objective trace of each restart."""
+    """Assignment plus the objective after each round, as the one trace of ``phi_histories``."""
 
     assignment: AssignmentMatrix
     phi: float
+    # A list of one trace and the index 0 survive only for the benchmark
+    # tracer, which reads per-start traces and the winning start; once it
+    # reads one trace (ROADMAP item 1), both become one ``phi_history``.
     phi_histories: list[list[float]]
-    best_restart: int
+    best_restart: int = 0
 
 
 def continuous_solve(binarized, k: int) -> ContinuousSolution:
@@ -110,11 +110,11 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
 
     One ``affinity.graph_eigh`` call gives the top K: the c components set
     their eigenvalue-1 vectors D^1/2 1_C in place (past K, where any K-frame
-    of their span is optimal, a seeded one), and the graph's format picks
+    of their span is optimal, a fixed one), and the graph's format picks
     the solver for the rest. X_tilde is Z with its rows scaled to unit norm
     by ``affinity.normalize_rows``. No row of Z is zero: up to K components,
     its columns span their vectors, which are nonzero on every node; past
-    K, each row is a scaled row of the seeded frame.
+    K, each row is a scaled row of that frame.
 
     Args:
         binarized: symmetric nonnegative affinity graph, dense or CSR; a
@@ -140,7 +140,7 @@ def continuous_solve(binarized, k: int) -> ContinuousSolution:
     known, values, vec = affinity.graph_eigh(sym, k, "LA", np.sqrt(d), -3.0, vectors=True)
     lambda_star = np.concatenate([np.ones(known), values])[:k]
     z_star = dinv_sqrt[:, None] * vec
-    return ContinuousSolution(z_star, lambda_star, affinity.normalize_rows(z_star))
+    return ContinuousSolution(z_star, lambda_star, affinity.normalize_rows(z_star), vec)
 
 
 def nms_assign(rotated: np.ndarray, overlap: OverlapVector) -> np.ndarray:
@@ -170,9 +170,7 @@ def nms_assign(rotated: np.ndarray, overlap: OverlapVector) -> np.ndarray:
     flagged = np.flatnonzero(flags == 1)
     if flagged.size:
         if k == 1:
-            raise ContractError(
-                f"{flagged.size} overlap-flagged rows need a second cluster, K = 1"
-            )
+            raise ContractError(f"{flagged.size} overlap-flagged rows need a second cluster, K = 1")
         masked = m[flagged].copy()
         masked[np.arange(flagged.size), first[flagged]] = -np.inf
         x[flagged, np.argmax(masked, axis=1)] = 1
@@ -188,20 +186,15 @@ def procrustes(x: np.ndarray, x_tilde_star: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     xt = np.asarray(x_tilde_star, dtype=float)
     if x.shape != xt.shape:
-        raise ContractError(
-            f"shape mismatch: assignment {x.shape}, continuous {xt.shape}"
-        )
+        raise ContractError(f"shape mismatch: assignment {x.shape}, continuous {xt.shape}")
     cross = x.T @ xt
     try:
         u, s, vt = np.linalg.svd(cross)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("SVD failed in the rotation fit") from exc
     if s.size and s.min() < 1e-12 * max(s.max(), 1.0):
-        log.warning(
-            "rank-deficient cross matrix in the rotation fit "
-            "(singular values %s)",
-            np.array2string(s, precision=3),
-        )
+        log.warning("rank-deficient cross matrix in the rotation fit (singular values %s)",
+                    np.array2string(s, precision=3))
     return vt.T @ u.T
 
 
@@ -210,58 +203,49 @@ def assignment_distance(x: np.ndarray, rotated: np.ndarray) -> float:
     return float(np.sum((x - rotated) ** 2))
 
 
-def _seed_rotation(x_tilde: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Initial rotation from K nearly-orthogonal rows of x_tilde.
+def pivot_rows(w: np.ndarray, k: int) -> list[int]:
+    """K rows of w by the pivot rule of column-pivoted QR on w^T.
 
-    Starting from one random row, each further row minimizes the accumulated
-    absolute inner product with the rows already chosen; the chosen rows are
-    then orthonormalized.
+    Each pick is the row of largest norm once the rows already picked are
+    projected out; ties go to the lower row.  Norms and projections do not
+    change when w becomes w Q for an orthonormal Q, so every orthonormal
+    basis of the eigenvectors picks the same rows.
     """
-    n = x_tilde.shape[0]
-    cols = [x_tilde[int(rng.integers(n))]]
-    accum = np.zeros(n)
-    for _ in range(1, k):
-        accum = accum + np.abs(x_tilde @ cols[-1])
-        cols.append(x_tilde[int(np.argmin(accum))])
-    raw = np.column_stack(cols)
-    q, r = np.linalg.qr(raw)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    residual = np.array(w, dtype=float)
+    picks: list[int] = []
+    for _ in range(k):
+        norms = np.einsum("ij,ij->i", residual, residual)
+        picks.append(int(np.argmax(norms)))
+        # a zero residual (w of rank below K, never an orthonormal w) projects nothing out
+        axis = residual[picks[-1]] / np.sqrt(norms[picks[-1]] or 1.0)
+        residual -= np.outer(residual @ axis, axis)
+    return picks
 
 
-def discretize_full(
-    solution: ContinuousSolution, overlap: OverlapVector, seed: int = 0
-) -> DiscretizeResult:
-    """Alternating discretization with restart bookkeeping.
+# The benchmark tracer times ``continuous_solve`` and ``discretize_full`` by
+# name; both keep their names until it changes (ROADMAP item 1).
+def discretize_full(solution: ContinuousSolution, overlap: OverlapVector) -> DiscretizeResult:
+    """Alternating discretization from one deterministic start.
 
-    Each round performs the exact assignment step followed by the exact
-    rotation step, so the objective recorded after each full round is
-    non-increasing.  The restart whose final objective is smallest wins;
-    ties within a relative PHI_TIE_RTOL keep the earlier restart.  Only the
-    winning assignment is checked against the row-sum invariant.
+    The start is the rotation that best aligns the rows of x_tilde_star
+    picked by ``pivot_rows`` to the K unit vectors.  Each round performs the
+    exact assignment step followed by the exact rotation step, so the
+    objective recorded after each full round is non-increasing.  The result
+    is checked against the row-sum invariant.
     """
     xt = solution.x_tilde_star
     k = solution.k
-    if k < 1 or seed < 0:
-        raise ContractError(f"need K >= 1 clusters and seed >= 0; got K={k}, seed={seed}")
-    best = None  # (x, phi, restart)
-    histories: list[list[float]] = []
-    for restart in range(RESTARTS):
-        rng = np.random.default_rng([seed, restart])
-        rotated = xt @ _seed_rotation(xt, k, rng)
-        phi_prev = np.inf
-        phis: list[float] = []
-        for _ in range(MAX_ROUNDS):
-            x = nms_assign(rotated, overlap)
-            rotated = xt @ procrustes(x, xt)
-            phi = assignment_distance(x, rotated)
-            phis.append(phi)
-            if phi_prev - phi < PHI_STOP_RTOL * max(phi_prev, 1e-12):
-                break
-            phi_prev = phi
-        histories.append(phis)
-        if best is None or phis[-1] < best[1] * (1.0 - PHI_TIE_RTOL):
-            best = (x, phis[-1], restart)
-    x, phi, restart = best
-    return DiscretizeResult(AssignmentMatrix(x, overlap), phi, histories, restart)
+    if k < 1:
+        raise ContractError(f"need K >= 1 clusters; got K={k}")
+    rotated = xt @ procrustes(np.eye(k), xt[pivot_rows(solution.w, k)])
+    phi_prev = np.inf
+    phis: list[float] = []
+    for _ in range(MAX_ROUNDS):
+        x = nms_assign(rotated, overlap)
+        rotated = xt @ procrustes(x, xt)
+        phi = assignment_distance(x, rotated)
+        phis.append(phi)
+        if phi_prev - phi < PHI_STOP_RTOL * max(phi_prev, 1e-12):
+            break
+        phi_prev = phi
+    return DiscretizeResult(AssignmentMatrix(x, overlap), phi, [phis])

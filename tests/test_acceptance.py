@@ -290,7 +290,6 @@ def test_c10_determinism(tmp_path, capsys):
                     "--embeddings", str(data_dir / "embeddings.txt"),
                     "--flags", str(data_dir / "overlap_flags.txt"),
                     "--out", str(rttm),
-                    "--seed", "17",
                     "--dump-report", str(report),
                 ]
             )

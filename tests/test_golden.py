@@ -25,7 +25,7 @@ DIARIZE_GOLDEN = {
         "a150ec541e1e81abebfc7219b8f96e9c08c7897f756596de660661c39f735c03", 2, 3,
     ),
     (4, 60, 0.2, 0.1, 17): (
-        "b02df29d7d54638e667d57e11cac7ef7df433a87fcd34e80b9a00081ceaf326a", 17, 4,
+        "4c4f8341f5a5f5a0dcb601b8ee31764aed4584c5829c9c46a7c8bddf83e9a7af", 17, 4,
         "936ce5745d9996e4a2fc21b26e94f0f3dcebf57c931553e9b3bc98f6d294ff36", 9, 4,
     ),
     (5, 120, 0.3, 0.15, 3): (
@@ -41,7 +41,7 @@ DIARIZE_GOLDEN = {
     # clusters on a CSR graph.
     (5, 720, 0.2, 0.15, 8): (
         "4495069bc69ce1cbabf596c56adb89805d78c6774d6aaebffaafa7401ce1ade0", 15, 5,
-        "d899a35421c01addd5860a051df077403b8eb4905126b25b655177855ef2be33", 7, 5,
+        "0516f8e5d226a4d6217bca70facb9136da96d1364a02c270a95826dcc64b1f72", 7, 5,
     ),
 }
 

@@ -260,7 +260,7 @@ class TestPosteriors:
         f.write_text("#frame_shift 0.01\n0.2 0.5 0.3\n1 0 0\n")
         post = load_posteriors(f)
         assert post.frame_shift == 0.01
-        assert post.num_frames == 2
+        assert len(post.rows) == 2
         out = tmp_path / "back.txt"
         save_posteriors(post, out)
         again = load_posteriors(out)
@@ -326,7 +326,7 @@ class TestPosteriors:
         f = tmp_path / "post.txt"
         f.write_text("0.2 0.3 0.5\n\n#frame_shift 0.02\n1 0 0\n")
         post = load_posteriors(f)
-        assert (post.frame_shift, post.num_frames) == (0.02, 2)
+        assert (post.frame_shift, len(post.rows)) == (0.02, 2)
 
     @pytest.mark.parametrize(
         "shift, message",
@@ -409,7 +409,7 @@ class TestBlockReader:
         f = tmp_path / "post.txt"
         save_posteriors(FramePosteriors("rec", 0.01, rows / rows.sum(axis=1, keepdims=True)), f)
         post, peak = traced_peak(load_posteriors, f)
-        assert post.num_frames == 200_000
+        assert len(post.rows) == 200_000
         assert peak < 3 * post.rows.nbytes
 
 
@@ -440,20 +440,29 @@ class TestRttm:
         write_rttm(Timeline(), f)
         assert f.read_text() == ""
 
-    @pytest.mark.parametrize("speaker, recording, refused", [
-        ("a", "meeting", None), ("a b", "meeting", "a b"), ("", "meeting", ""),
-        ("a\u2028b", "meeting", "a\u2028b"), ("a", "my rec", "my rec"),
-    ], ids=["one-field", "spaced-speaker", "empty-speaker", "line-separator", "spaced-recording"])
-    def test_round_trip_write_then_read(self, tmp_path, speaker, recording, refused):
+    @pytest.mark.parametrize("speaker, recording, last, refused", [
+        ("a", "meeting", (1.5, 3.0), None), *(
+            (speaker, recording, (1.5, 3.0), f"{name!r} is not one ")
+            for speaker, recording, name in (("a b", "meeting", "a b"), ("", "meeting", ""),
+                                             ("a\u2028b", "meeting", "a\u2028b"),
+                                             ("a", "my rec", "my rec"))),
+        ("a", "meeting", (4.0, np.inf),
+         "segment 2 of 'meeting': non-finite time or duration (4.0 .. inf)"),
+        ("a", "meeting", (4.0, 4.0003),
+         "segment 2 of 'meeting': duration under 0.5 ms (4.0 .. 4.0003)"),
+    ], ids=["one-field", "spaced-speaker", "empty-speaker", "line-separator", "spaced-recording",
+            "infinite-end", "duration-0.000"])
+    def test_round_trip_write_then_read(self, tmp_path, speaker, recording, last, refused):
         # millisecond-aligned normalized timelines survive exactly; a name that
-        # RTTM cannot hold as one field is refused before the file is opened
-        tl = Timeline([(speaker, 0.0, 1.5), ("b", 0.75, 2.25), (speaker, 1.5, 3.0)], recording)
+        # RTTM cannot hold as one field, or a duration it would write as inf or
+        # 0.000, is refused before the file is opened
+        tl = Timeline([(speaker, 0.0, 1.5), ("b", 0.75, 2.25), (speaker, *last)], recording)
         f = tmp_path / "rt.rttm"
         if refused is None:
             write_rttm(tl, f)
             assert load_rttm(f) == tl
         else:
-            with pytest.raises(ContractError, match=f"^{re.escape(repr(refused))} is not one "):
+            with pytest.raises(ContractError, match=f"^{re.escape(refused)}"):
                 write_rttm(tl, f)
             assert not f.exists()
 

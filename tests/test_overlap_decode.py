@@ -51,7 +51,7 @@ def random_posteriors(rng, t):
 
 def brute_force_best(post: FramePosteriors, cfg: DurationConfig) -> float:
     """Exhaustive search over duration-feasible labelings (small T only)."""
-    t_len = post.num_frames
+    t_len = len(post.rows)
     shift = post.frame_shift
     mins, maxs = {}, {}
     for cls in (SILENCE, SINGLE, OVERLAP):

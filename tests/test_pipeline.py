@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import traced_peak
-from diarcut import affinity, spectral
+from diarcut import affinity
 from diarcut.errors import ContractError, DiarcutError
 from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
-from diarcut.pipeline import DiarizationConfig, diarize_embeddings
+from diarcut.pipeline import diarize_embeddings
 from diarcut.scoring import der_score
 from diarcut.synth import SynthConfig, generate
 
@@ -71,7 +71,8 @@ class TestDiarizeEmbeddings:
         data = generate(SynthConfig(n_speakers=3, n_segments=30, seed=4))
         out = diarize_embeddings(data.embeddings)
         assert out.report.p_hat in out.report.p_values
-        assert len(out.discretization.phi_histories) == 3
+        assert len(out.discretization.phi_histories) == 1
+        assert out.discretization.best_restart == 0
 
     def test_result_keeps_no_n_by_n_matrix(self):
         data = generate(SynthConfig(n_speakers=3, n_segments=30, seed=4))
@@ -113,12 +114,6 @@ class TestDiarizeEmbeddings:
         again = diarize_embeddings(data.embeddings, ov)
         assert np.array_equal(again.assignment.matrix, lanczos.assignment.matrix)
         assert again.discretization.phi_histories == lanczos.discretization.phi_histories
-
-    def test_restart_and_seed_config_respected(self, monkeypatch):
-        data = generate(SynthConfig(n_speakers=3, n_segments=30, noise_sigma=0.2, seed=5))
-        monkeypatch.setattr(spectral, "RESTARTS", 5)
-        out = diarize_embeddings(data.embeddings, config=DiarizationConfig(seed=42))
-        assert len(out.discretization.phi_histories) == 5
 
     def test_hypothesis_scores_against_reference(self):
         data = generate(

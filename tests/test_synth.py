@@ -73,7 +73,7 @@ class TestGenerate:
 
 @pytest.mark.parametrize("make, name, value", [
     *((DiarizationConfig, name, value) for name, value in
-      (("p_min", 2.5), ("p_max", 20.0), ("max_speakers", 3.5), ("seed", 1.5))),
+      (("p_min", 2.5), ("p_max", 20.0), ("max_speakers", 3.5))),
     *((SynthConfig, name, value) for name, value in
       (("n_speakers", 3.0), ("n_segments", 40.5), ("dim", 16.5), ("seed", 1.5))),
 ])
