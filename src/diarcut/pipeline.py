@@ -80,9 +80,13 @@ def diarize_embeddings(
     if len(overlap) != n:
         raise ContractError(f"{len(overlap)} overlap flags for {n} segments")
     # Segments are clustered in time order (ties by flag, then vector), so the
-    # line order of the input changes no rounding and names follow time.
-    order = np.lexsort([*seq.vectors.T[::-1], overlap.flags,
-                        [span.end for span in seq.spans], [span.start for span in seq.spans]])
+    # line order of the input changes no rounding and names follow time.  The
+    # vectors are sort keys only when two rows tie on start, end and flag.
+    keys = np.array([overlap.flags, [span.end for span in seq.spans],
+                     [span.start for span in seq.spans]])
+    order = np.lexsort(keys)
+    if (keys[:, order[1:]] == keys[:, order[:-1]]).all(axis=0).any():
+        order = np.lexsort([*seq.vectors.T[::-1], *keys])
     overlap = OverlapVector(overlap.flags[order])
     singles = order[overlap.flags == 0]
     # Counting needs a meaningful sweep over the rows it sees; with too few

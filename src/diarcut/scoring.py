@@ -7,10 +7,10 @@ one-to-one speaker mapping that maximizes total co-occurrence duration, and
 are reported as percentages of total reference speaker time.  An optional
 collar excludes a window around every reference boundary from scoring.
 
-The mapping is an exact linear assignment by Crouse's shortest augmenting
-path (D. F. Crouse, "On implementing 2D rectangular assignment algorithms",
-IEEE TAES 2016), ported line for line from scipy's ``linear_sum_assignment``
-so that ties resolve as there.
+The mapping is an exact linear assignment by the Hungarian method with
+shortest augmenting paths (Kuhn 1955; Crouse, IEEE TAES 2016).  Summed over
+the regions, the correct time is the mapped pairs' total co-occurrence, so
+every optimal mapping gives the same DER and a tie may resolve either way.
 """
 
 from __future__ import annotations
@@ -77,60 +77,34 @@ def _regions(reference: Timeline, hypothesis: Timeline, collar: float):
 
 
 def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-cost assignment ``(rows, cols)``, exactly as scipy returns it.
+    """A minimum-cost assignment ``(rows, cols)``, the pairs sorted by row.
 
-    A port of scipy's rectangular LSAP: remaining columns start in reverse
-    order and are swap-removed, a later equal reduced cost wins only if its
-    column is unassigned, and a tall matrix is solved transposed with the
-    pairs sorted by row.  The cost must be finite.
+    The Hungarian method with row and column potentials: each row joins by a
+    shortest augmenting path over reduced costs.  The cost must be finite.
     """
-    transpose = cost.shape[1] < cost.shape[0]
-    if transpose:
-        cost = cost.T
+    if cost.shape[1] < cost.shape[0]:  # tall: solve the transpose
+        rows = _linear_sum_assignment(cost.T)[1]
+        return np.sort(rows), np.argsort(rows)
     nr, nc = cost.shape
-    u, v = np.zeros(nr), np.zeros(nc)
-    path, col4row, row4col = np.full(nc, -1), np.full(nr, -1), np.full(nc, -1)
-    for cur_row in range(nr):
-        # shortest augmenting path from cur_row to an unassigned column
-        shortest = np.full(nc, np.inf)
-        seen_rows, seen_cols = np.zeros(nr, bool), np.zeros(nc, bool)
-        remaining, n_left = np.arange(nc)[::-1].copy(), nc
-        i, min_val, sink = cur_row, 0.0, -1
-        while sink == -1:
-            seen_rows[i] = True
-            left = remaining[:n_left]
-            reduced = min_val + cost[i, left] - u[i] - v[left]
-            better = reduced < shortest[left]
-            path[left[better]] = i
-            shortest[left[better]] = reduced[better]
-            min_val = shortest[left].min()
-            ties = np.flatnonzero(shortest[left] == min_val)
-            free = ties[row4col[left[ties]] == -1]
-            index = free[-1] if free.size else ties[0]
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            seen_cols[j] = True
-            n_left -= 1
-            remaining[index] = remaining[n_left]
-        # dual update, then flip the path
-        u[cur_row] += min_val
-        seen_rows[cur_row] = False
-        u[seen_rows] += min_val - shortest[col4row[seen_rows]]
-        v[seen_cols] -= min_val - shortest[seen_cols]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur_row:
-                break
-    if transpose:
-        order = np.argsort(col4row)
-        return col4row[order], order
-    return np.arange(nr), col4row
+    cost = np.hstack([cost, np.full((nr, 1), np.inf)])  # column nc starts each path
+    u, v, row4col = np.zeros(nr), np.zeros(nc + 1), np.full(nc + 1, -1)
+    for i in range(nr):
+        row4col[nc], j = i, nc
+        shortest, way = np.full(nc + 1, np.inf), np.full(nc + 1, nc)
+        seen = np.zeros(nc + 1, bool)
+        while row4col[j] != -1:
+            seen[j], r = True, row4col[j]
+            reduced = cost[r] - u[r] - v
+            better = ~seen & (reduced < shortest)
+            shortest[better], way[better] = reduced[better], j
+            j = np.argmin(np.where(seen, np.inf, shortest))
+            delta = shortest[j]
+            u[row4col[seen]] += delta
+            v[seen] -= delta
+            shortest[~seen] -= delta
+        while j != nc:  # flip the path back to its start
+            row4col[j], j = row4col[way[j]], way[j]
+    return np.arange(nr), np.argsort(row4col[:nc])[nc - nr:]  # free columns (-1) sort first
 
 
 def _optimal_mapping(regions, ref_speakers, hyp_speakers) -> dict[str, str]:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import traced_peak
 from diarcut import affinity
 from diarcut.errors import ContractError, DiarcutError
-from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan
+from diarcut.ingest import EmbeddingSequence, OverlapVector, SegmentSpan, write_rttm
 from diarcut.pipeline import diarize_embeddings
 from diarcut.scoring import der_score
 from diarcut.synth import SynthConfig, generate
@@ -66,6 +68,23 @@ class TestDiarizeEmbeddings:
         singles = np.flatnonzero(data.overlap.flags == 0)
         counted = affinity.normalize_rows(seq.vectors[singles])
         assert counted.tobytes() == affinity.cosine_affinity(seq)[singles].tobytes()
+
+    def test_rows_tied_in_time_and_flag_order_by_vector(self, tmp_path):
+        # segments 0 and 2 are different speakers; given the same start, end
+        # and flag, only their vectors can put them in one order, so both line
+        # orders cluster the same rows and name the speakers alike
+        data = generate(SynthConfig(n_speakers=3, n_segments=30, overlap_fraction=0.2, seed=1))
+        assert data.labels[0] != data.labels[2] and data.overlap.flags[[0, 2]].tolist() == [0, 0]
+        spans = list(data.embeddings.spans)
+        spans[2] = replace(spans[2], start=spans[0].start, end=spans[0].end)
+        runs = []
+        for order in ([*range(30)], [2, 1, 0, *range(3, 30)]):
+            seq = EmbeddingSequence([spans[i] for i in order], data.embeddings.vectors[order])
+            out = diarize_embeddings(seq, OverlapVector(data.overlap.flags[order]))
+            write_rttm(out.timeline, tmp_path / "out.rttm")
+            runs.append((out.discretization.assignment.matrix, (tmp_path / "out.rttm").read_bytes()))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
 
     def test_result_carries_diagnostics(self):
         data = generate(SynthConfig(n_speakers=3, n_segments=30, seed=4))
